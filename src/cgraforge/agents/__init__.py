@@ -163,15 +163,19 @@ class FineJudge(Protocol):
 
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]: ...
 
-    def update(
+    def lesson(
         self,
         cands: Sequence[MappedDesign],
         reports: Sequence[EvalReport],
         tool_choice: str,
         judge_choice: str,
-    ) -> Lesson: ...
+    ) -> Lesson:
+        """The lesson of one tool-validated round, with no side effect."""
+        ...
 
-    def replay(self, lesson: Lesson) -> None: ...
+    def replay(self, lesson: Lesson) -> None:
+        """Absorb a lesson; the only way lessons enter the judge."""
+        ...
 
 
 def proxy_score(cand: MappedDesign) -> float:
@@ -257,5 +261,7 @@ def llm_update(
     tool_choice: str,
     judge_choice: str,
 ) -> Lesson:
-    """Feed one tool-validated round back into the judge's lesson store."""
-    return judge.update(k_designs, reports, tool_choice, judge_choice)
+    """The lesson of one tool-validated round, for the history. Building it
+    leaves the judge untouched: the run absorbs it when it folds the round's
+    events in (FineJudge.replay)."""
+    return judge.lesson(k_designs, reports, tool_choice, judge_choice)

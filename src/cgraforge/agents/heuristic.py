@@ -518,15 +518,17 @@ class HeuristicFineJudge:
         score, choice = scored[0]
         return choice, score
 
-    def update(
+    def lesson(
         self,
         cands: Sequence[MappedDesign],
         reports: Sequence[EvalReport],
         tool_choice: str,
         judge_choice: str,
     ) -> Lesson:
+        """The lesson of one tool-validated round. Building it leaves the
+        judge untouched; replay is what absorbs it."""
         tool_scores = {r.design_id: r.score for r in reports}
-        lesson = Lesson(
+        return Lesson(
             candidates=tuple(
                 LessonCandidate(
                     design_id=c.design.id,
@@ -540,15 +542,11 @@ class HeuristicFineJudge:
             judge_choice=judge_choice,
             agreed=tool_choice == judge_choice,
         )
-        self._absorb(lesson)
-        return lesson
 
     def replay(self, lesson: Lesson) -> None:
-        """Re-apply a stored lesson during run resume; the stored payload is
-        self-contained, so replay reproduces the exact theta trajectory."""
-        self._absorb(lesson)
-
-    def _absorb(self, lesson: Lesson) -> None:
+        """Absorb a lesson into the store and take one fitting step per
+        feasible candidate. Lessons are self-contained, so replaying a run's
+        stored lessons reproduces its exact theta trajectory."""
         self.lessons.append(lesson)
         for lc in lesson.candidates:
             if abs(lc.tool_score) >= BIG:

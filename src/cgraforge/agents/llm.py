@@ -27,6 +27,7 @@ from ..arch import (
     Provenance,
     SwParams,
     Topology,
+    design_dict,
     serialize_design,
 )
 from ..costs import EvalReport, Objective
@@ -113,10 +114,6 @@ def _render(template_name: str, **subs: str) -> str:
     return string.Template(tpl).substitute(**subs)
 
 
-def _design_dict(d: DesignPoint) -> dict:
-    return json.loads(serialize_design(d))
-
-
 def _objective_dict(obj: Objective) -> dict:
     return {"mode": obj.mode.name, "min_speedup": obj.min_speedup}
 
@@ -124,7 +121,7 @@ def _objective_dict(obj: Objective) -> dict:
 def _candidate_dict(c: MappedDesign) -> dict:
     return {
         "design_id": c.design.id,
-        "design": _design_dict(c.design),
+        "design": design_dict(c.design),
         "ii": c.mapping.ii,
         "schedule_len": c.mapping.schedule_len,
         "nodes": len(c.mapping.schedule),
@@ -172,7 +169,7 @@ def propose(req: ProposalRequest, backend: AgentBackend) -> list[DesignPoint]:
                 [
                     {
                         "iteration": o.iteration,
-                        "design": _design_dict(o.design),
+                        "design": design_dict(o.design),
                         "score": o.score,
                         "feasible": o.feasible,
                         "error_code": o.error_code,
@@ -209,7 +206,7 @@ def repair_once(d: DesignPoint, err: FixableError, backend: AgentBackend) -> Des
     try:
         prompt = _render(
             "fixer.txt",
-            design=json.dumps(_design_dict(d), indent=2),
+            design=json.dumps(design_dict(d), indent=2),
             error=json.dumps(error_payload(err), indent=2),
         )
         data = extract_json(LlmClient(backend).chat(prompt))
@@ -300,14 +297,14 @@ class LlmFineJudge:
             log.warning("LLM fine judge failed (%s); falling back to heuristic judge", e)
             return self.shadow.select(cands)
 
-    def update(
+    def lesson(
         self,
         cands: Sequence[MappedDesign],
         reports: Sequence[EvalReport],
         tool_choice: str,
         judge_choice: str,
     ) -> Lesson:
-        return self.shadow.update(cands, reports, tool_choice, judge_choice)
+        return self.shadow.lesson(cands, reports, tool_choice, judge_choice)
 
     def replay(self, lesson: Lesson) -> None:
         self.shadow.replay(lesson)

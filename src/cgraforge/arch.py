@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 ROWS_MIN, ROWS_MAX = 1, 16
@@ -115,9 +115,6 @@ class FabricSpec:
     @property
     def tiles(self) -> int:
         return self.rows * self.cols
-
-    def kind_names(self) -> list[str]:
-        return sorted(k.name for k in self.fu_kinds)
 
 
 @dataclass(frozen=True)
@@ -273,29 +270,52 @@ def parse_design(text: str) -> DesignPoint:
         topology=Topology.parse(payload["topology"]),
     )
     sw = SwParams(unroll_factor=ints["unroll_factor"], vectorize_factor=ints["vectorize_factor"])
-    canonical = _canonical_text(fabric, sw)
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return DesignPoint(fabric=fabric, sw=sw, id=f"d{digest}", note="parsed")
+    design = DesignPoint(fabric=fabric, sw=sw, id="", note="parsed")
+    return replace(design, id=f"d{design_fingerprint(design)}")
 
 
-def _canonical_text(f: FabricSpec, sw: SwParams) -> str:
-    payload = {
-        "rows": f.rows,
+def design_dict(d: DesignPoint) -> dict:
+    """The file-visible fields of a design as a JSON-ready dict, keys in
+    sorted order: the layout of architecture files, history events and LLM
+    prompts. design_from_dict inverts it."""
+    f, sw = d.fabric, d.sw
+    return {
         "cols": f.cols,
-        "fu_kinds": sorted(k.name for k in f.fu_kinds),
         "config_mem_depth": f.config_mem_depth,
         "data_mem_kb": f.data_mem_kb,
+        "fu_kinds": sorted(k.name for k in f.fu_kinds),
+        "rows": f.rows,
         "topology": f.topology.name,
         "unroll_factor": sw.unroll_factor,
         "vectorize_factor": sw.vectorize_factor,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def design_from_dict(
+    fields: dict, design_id: str, provenance: Provenance = Provenance.PROPOSED, note: str = ""
+) -> DesignPoint:
+    """Rebuild a design from design_dict output (no checks: the dict is
+    trusted, e.g. read back from a run's own history)."""
+    return DesignPoint(
+        fabric=FabricSpec(
+            rows=fields["rows"],
+            cols=fields["cols"],
+            fu_kinds=frozenset(FuKind[k] for k in fields["fu_kinds"]),
+            config_mem_depth=fields["config_mem_depth"],
+            data_mem_kb=fields["data_mem_kb"],
+            topology=Topology[fields["topology"]],
+        ),
+        sw=SwParams(unroll_factor=fields["unroll_factor"], vectorize_factor=fields["vectorize_factor"]),
+        id=design_id,
+        provenance=provenance,
+        note=note,
+    )
 
 
 def serialize_design(d: DesignPoint) -> str:
     """Canonical architecture JSON: keys sorted, fu_kinds sorted, trailing
     newline. parse_design(serialize_design(d)) reproduces fabric and sw."""
-    return _canonical_text(d.fabric, d.sw)
+    return json.dumps(design_dict(d), sort_keys=True, indent=2) + "\n"
 
 
 def design_fingerprint(d: DesignPoint) -> str:

@@ -116,12 +116,6 @@ class KernelGraph:
     edges: tuple[DfgEdge, ...]
     trip_count: int
 
-    def node_by_id(self, node_id: int) -> DfgNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def op_census(self) -> dict[str, int]:
         """Count of nodes per FU kind name, keys sorted."""
         census: dict[str, int] = {}
@@ -172,29 +166,34 @@ def validate_graph(k: KernelGraph) -> None:
 
 
 def _assert_zero_distance_acyclic(k: KernelGraph) -> None:
+    """Depth-first search for a cycle of same-iteration edges, with an
+    explicit stack so that long chains cannot exhaust the recursion limit."""
     adj: dict[int, list[int]] = {n.id: [] for n in k.nodes}
     for e in k.edges:
         if e.distance == 0:
             adj[e.src].append(e.dst)
-    state: dict[int, int] = {}  # 0 visiting, 1 done
-
-    def visit(u: int, stack: list[int]) -> None:
-        state[u] = 0
-        stack.append(u)
-        for v in adj[u]:
-            if state.get(v) == 0:
-                raise KernelError(
-                    "ZERO_DISTANCE_CYCLE",
-                    f"kernel {k.name}: same-iteration cycle through nodes {stack + [v]}",
-                )
-            if v not in state:
-                visit(v, stack)
-        stack.pop()
-        state[u] = 1
-
+    state: dict[int, int] = {}  # 0 on the current path, 1 done
     for n in k.nodes:
-        if n.id not in state:
-            visit(n.id, [])
+        if n.id in state:
+            continue
+        state[n.id] = 0
+        path = [n.id]
+        succs = [iter(adj[n.id])]
+        while succs:
+            for v in succs[-1]:
+                if state.get(v) == 0:
+                    raise KernelError(
+                        "ZERO_DISTANCE_CYCLE",
+                        f"kernel {k.name}: same-iteration cycle through nodes {path + [v]}",
+                    )
+                if v not in state:
+                    state[v] = 0
+                    path.append(v)
+                    succs.append(iter(adj[v]))
+                    break
+            else:
+                state[path.pop()] = 1
+                succs.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def apply_sw_params(k: KernelGraph, unroll_factor: int, vectorize_factor: int) -
 # ---------------------------------------------------------------------------
 
 
-def parse_kernel(text: str, name_hint: str = "kernel") -> KernelGraph:
+def parse_kernel(text: str) -> KernelGraph:
     """Parse a kernel JSON document and validate the resulting graph."""
     try:
         payload = json.loads(text)
@@ -352,10 +351,10 @@ def load_kernel(name_or_path: str) -> KernelGraph:
     """Load a built-in kernel by name, or any kernel JSON file by path."""
     if name_or_path in BUILTIN_KERNELS:
         text = resources.files("cgraforge.data.kernels").joinpath(f"{name_or_path}.json").read_text("utf-8")
-        return parse_kernel(text, name_hint=name_or_path)
+        return parse_kernel(text)
     p = Path(name_or_path)
     if p.suffix == ".json" and p.exists():
-        return parse_kernel(p.read_text("utf-8"), name_hint=p.stem)
+        return parse_kernel(p.read_text("utf-8"))
     raise UnknownKernelError(name_or_path)
 
 

@@ -3,20 +3,27 @@
 Each iteration drafts candidates, maps them (repairing failures), screens
 the mapped ones down to a top-K, lets the selection controller pick a
 winner, and logs everything as append-only JSONL events. The event log is
-the single source of truth: resuming a run replays it to rebuild the
-proposal window, the judge's lessons, the controller state, and the
-best-so-far record, after which continued iterations produce byte-identical
-events to a never-interrupted run (proposal randomness is re-derived per
-iteration, never carried across events).
+the single source of truth, and the run state (the proposal window, the
+judge's lessons, the controller state, the SR counters and the best-so-far
+record) is a fold over it: a live iteration only emits events and folds
+them in when it ends, and a resume folds in the logged iterations through
+the same code. A run killed at any point resumes cleanly: an unfinished
+last iteration and a torn last line are cut from the file and the
+iteration runs again, and since proposal randomness is re-derived per
+iteration (never carried across events), the events equal those of a run
+that was never stopped.
 
 History records carry no timestamps; wall-clock data lives only in the
 metrics file's meta block, so logs from identical runs are identical files.
+Metrics and the best design are written through a temp file and renamed
+into place, so a kill never leaves either of them torn.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -42,11 +49,9 @@ from .agents import (
 )
 from .arch import (
     DesignPoint,
-    FabricSpec,
-    FuKind,
     Provenance,
-    SwParams,
-    Topology,
+    design_dict,
+    design_from_dict,
     serialize_design,
     validate_design,
 )
@@ -273,11 +278,27 @@ class History:
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(full, sort_keys=True) + "\n")
 
+    def truncate(self) -> None:
+        """Cut the file back to its first `seq` records, dropping what a
+        kill left behind them: an unfinished iteration, a torn last line."""
+        with self.path.open("r+b") as fh:
+            size = kept = 0
+            for line in fh:
+                if kept == self.seq:
+                    break
+                size += len(line)
+                kept += bool(line.strip())
+            fh.truncate(size)
+
 
 def read_history(path: Path) -> list[dict]:
+    """The events of a history file. A last line without its newline was
+    torn by a kill mid-write and is left out; any other bad line raises."""
     events = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -291,25 +312,41 @@ def read_history(path: Path) -> list[dict]:
     return events
 
 
-def _design_dict(d: DesignPoint) -> dict:
-    return json.loads(serialize_design(d))
+def _design_event(kind: str, it: int, d: DesignPoint) -> dict:
+    return {
+        "type": kind,
+        "iteration": it,
+        "design_id": d.id,
+        "design": design_dict(d),
+        "provenance": d.provenance.name,
+        "note": d.note,
+    }
 
 
-def _design_from_dict(fields: dict, design_id: str, provenance: str, note: str) -> DesignPoint:
-    return DesignPoint(
-        fabric=FabricSpec(
-            rows=fields["rows"],
-            cols=fields["cols"],
-            fu_kinds=frozenset(FuKind[k] for k in fields["fu_kinds"]),
-            config_mem_depth=fields["config_mem_depth"],
-            data_mem_kb=fields["data_mem_kb"],
-            topology=Topology[fields["topology"]],
-        ),
-        sw=SwParams(unroll_factor=fields["unroll_factor"], vectorize_factor=fields["vectorize_factor"]),
-        id=design_id,
-        provenance=Provenance[provenance],
-        note=note,
-    )
+def _map_ok_event(it: int, m: MappedDesign) -> dict:
+    return {
+        "type": "map_result",
+        "iteration": it,
+        "design_id": m.design.id,
+        "ok": True,
+        "ii": m.mapping.ii,
+        "schedule_len": m.mapping.schedule_len,
+        "nodes": len(m.mapping.schedule),
+        "trip_after": m.trip_after,
+        "speedup": m.speedup,
+    }
+
+
+def _failure_event(it: int, design_id: str, err: FixableError) -> dict:
+    if isinstance(err, MapError):
+        return {"type": "map_result", "iteration": it, "design_id": design_id, "ok": False, "error": error_payload(err)}
+    return {
+        "type": "violation",
+        "iteration": it,
+        "design_id": design_id,
+        "stage": "validate" if isinstance(err, list) else "transform",
+        "error": error_payload(err),
+    }
 
 
 def _report_dict(r: EvalReport) -> dict:
@@ -357,36 +394,19 @@ def _lesson_from_dict(data: dict) -> Lesson:
     )
 
 
-def _error_code(err: FixableError) -> str:
-    if isinstance(err, list):
-        return "STRUCTURAL"
-    return err.code
-
-
 def _payload_code(payload: dict) -> str:
     return "STRUCTURAL" if payload.get("type") == "structural" else payload["code"]
 
 
-def _iter_entry(
-    iteration: int,
-    proposals: int,
-    mapped_pre: int,
-    mapped_post: int,
-    mode: str | None,
-    final_choice: str | None,
-    final_score: float | None,
-    best_so_far: float | None,
-) -> dict:
-    return {
-        "iteration": iteration,
-        "proposals": proposals,
-        "mapped_pre": mapped_pre,
-        "mapped_post": mapped_post,
-        "mode": mode,
-        "final_choice": final_choice,
-        "final_score": final_score,
-        "best_so_far": best_so_far,
-    }
+def _closed(events: list[dict]) -> bool:
+    """Whether one iteration's events run to its end: iteration_empty, or a
+    selection_step and all its evals (each candidate after a TOOL round,
+    the pick alone after an LLM round)."""
+    sel = next((e for e in events if e["type"] == "selection_step"), None)
+    if sel is None:
+        return events[-1]["type"] == "iteration_empty"
+    evals = len(sel["candidates"]) if sel["trace"]["mode"] == "TOOL" else 1
+    return sum(e["type"] == "eval" for e in events) == evals
 
 
 @dataclass
@@ -415,6 +435,7 @@ class _Runner:
         self.coeffs: CostCoeffs = load_cost_coeffs(cfg.cost_coeffs)
         self.history = History(out_dir / HISTORY_FILE)
         self.judge = make_fine_judge(cfg.backend, cfg.objective)
+        # The run state: written only by _apply.
         self.sel_state = SelectionState(confidence=cfg.selection.initial_confidence)
         self.outcomes: list[DesignOutcome] = []
         self.best: BestRecord | None = None
@@ -456,12 +477,19 @@ class _Runner:
     # ----- live iteration ---------------------------------------------------
 
     def run_iteration(self, it: int) -> None:
+        """Do one iteration's work and log its events; the run state takes
+        them in through the fold once the iteration is complete."""
         cfg = self.cfg
-        window = tuple(self.outcomes[-cfg.history_window:])
+        events: list[dict] = []
+
+        def emit(record: dict) -> None:
+            self.history.append(record)
+            events.append(record)
+
         req = ProposalRequest(
             kernel=self.ksum,
             objective=cfg.objective,
-            history_window=window,
+            history_window=tuple(self.outcomes[-cfg.history_window:]),
             count=cfg.proposals_per_iteration,
             bounds=DesignSpaceBounds(),
         )
@@ -470,78 +498,42 @@ class _Runner:
             for k, d in enumerate(propose(req, cfg.backend))
         ]
 
-        mapped_pre = 0
-        states: list[tuple[DesignPoint, MappedDesign | None, str | None]] = []
+        mapped: list[MappedDesign] = []
         for d in drafts:
-            self.history.append(
-                {
-                    "type": "proposal",
-                    "iteration": it,
-                    "design_id": d.id,
-                    "design": _design_dict(d),
-                    "provenance": d.provenance.name,
-                    "note": d.note,
-                }
-            )
+            emit(_design_event("proposal", it, d))
             err = self._check(d)
             if err is None:
-                mapped_pre += 1
                 m = self._mapped(d)
-                self.history.append(self._map_ok_event(it, m))
-                states.append((d, m, None))
+                emit(_map_ok_event(it, m))
+                mapped.append(m)
                 continue
-            self._emit_failure(it, d.id, err)
+            emit(_failure_event(it, d.id, err))
             fixed = fix_design(d, err, cfg.backend, self._check, max_rounds=cfg.max_fix_rounds)
             if isinstance(fixed, FixFailure):
-                self.history.append(
+                emit(
                     {
-                        "type": "fix",
-                        "iteration": it,
-                        "design_id": fixed.design.id,
+                        **_design_event("fix", it, fixed.design),
                         "ok": False,
                         "rounds": fixed.rounds,
-                        "design": _design_dict(fixed.design),
-                        "provenance": fixed.design.provenance.name,
-                        "note": fixed.design.note,
                         "error": error_payload(fixed.error),
                     }
                 )
-                states.append((fixed.design, None, _error_code(fixed.error)))
             else:
                 m = self._mapped(fixed)
                 rounds = fixed.note.count("repair:") - d.note.count("repair:")
-                ev = self._map_ok_event(it, m)
-                ev.update(
-                    {
-                        "type": "fix",
-                        "ok": True,
-                        "rounds": rounds,
-                        "design": _design_dict(fixed),
-                        "provenance": fixed.provenance.name,
-                        "note": fixed.note,
-                    }
-                )
-                self.history.append(ev)
-                states.append((fixed, m, None))
+                emit({**_map_ok_event(it, m), **_design_event("fix", it, fixed), "rounds": rounds})
+                mapped.append(m)
 
-        mapped_list = [m for _, m, _ in states if m is not None]
-        self.drafts_total += len(drafts)
-        self.mapped_pre_total += mapped_pre
-        self.mapped_post_total += len(mapped_list)
+        closing = self._select(it, mapped) if mapped else [{"type": "iteration_empty", "iteration": it}]
+        for record in closing:
+            emit(record)
+        self._apply(it, events)
 
-        if not mapped_list:
-            self.history.append({"type": "iteration_empty", "iteration": it})
-            for d, m, code in states:
-                self.outcomes.append(
-                    DesignOutcome(iteration=it, design=d, score=None, feasible=False, error_code=code)
-                )
-            self.iter_entries.append(
-                _iter_entry(it, len(drafts), mapped_pre, len(mapped_list), None, None, None, self._best_score())
-            )
-            return
-
-        top = coarse_judge(mapped_list, cfg.objective, cfg.top_k, cfg.backend)
-        by_id = {m.design.id: m for m in top}
+    def _select(self, it: int, mapped: list[MappedDesign]) -> list[dict]:
+        """Screen the mapped candidates to the top-K and let the controller
+        pick one; returns the selection_step event and the eval events."""
+        cfg = self.cfg
+        top = coarse_judge(mapped, cfg.objective, cfg.top_k, cfg.backend)
         captured: dict = {}
 
         def judge_select() -> tuple[str, float]:
@@ -556,108 +548,100 @@ class _Runner:
         def judge_update(round_: ToolRound, judge_choice: str) -> Lesson:
             return llm_update(self.judge, top, round_.reports, round_.choice, judge_choice)
 
-        self.sel_state, rec, lesson = select_step(
-            self.sel_state, cfg.selection, judge_select, tool_round, judge_update
-        )
-        self.history.append(
-            {
-                "type": "selection_step",
-                "iteration": it,
-                "candidates": [m.design.id for m in top],
-                "trace": rec.to_dict(),
-                "lesson": None if lesson is None else _lesson_dict(lesson),
-            }
-        )
-
+        _, rec, lesson = select_step(self.sel_state, cfg.selection, judge_select, tool_round, judge_update)
+        step = {
+            "type": "selection_step",
+            "iteration": it,
+            "candidates": [m.design.id for m in top],
+            "trace": rec.to_dict(),
+            "lesson": None if lesson is None else _lesson_dict(lesson),
+        }
         if rec.mode == "TOOL":
-            self.tool_rounds += 1
-            reports = list(captured["reports"])
-            final_score = rec.tool_score
+            reports = captured["reports"]
         else:
-            self.llm_rounds += 1
-            chosen = by_id[rec.final_choice]
+            chosen = next(m for m in top if m.design.id == rec.final_choice)
             reports = tool_evaluate([chosen], self.kernel, cfg.objective, self.coeffs)
-            final_score = reports[0].score
-        for r in reports:
-            self.history.append(
-                {"type": "eval", "iteration": it, "design_id": r.design_id, "report": _report_dict(r)}
-            )
-            self._consider_best(it, r, by_id[r.design_id].design)
+        return [step] + [
+            {"type": "eval", "iteration": it, "design_id": r.design_id, "report": _report_dict(r)} for r in reports
+        ]
 
-        scores = {r.design_id: r.score for r in reports}
-        for d, m, code in states:
+    # ----- the fold -----------------------------------------------------------
+
+    def _apply(self, it: int, events: list[dict]) -> None:
+        """Fold one complete iteration's events into the run state. Live and
+        resumed runs both come through here, and nothing else writes the
+        outcomes, SR counters, best-so-far, iteration entries, controller
+        state or the judge's lessons."""
+        designs: dict[str, DesignPoint] = {}  # latest version, in proposal order
+        mapped: set[str] = set()
+        mapped_pre = 0
+        fail_code: dict[str, str] = {}
+        scores: dict[str, float] = {}
+        trace: dict | None = None
+        for ev in events:
+            kind = ev["type"]
+            did = ev.get("design_id")
+            if kind in ("proposal", "fix"):
+                designs[did] = design_from_dict(ev["design"], did, Provenance[ev["provenance"]], ev["note"])
+            if kind == "map_result" and ev["ok"]:
+                mapped_pre += 1
+                mapped.add(did)
+            elif kind == "fix" and ev["ok"]:
+                mapped.add(did)
+            elif kind == "fix":
+                fail_code[did] = _payload_code(ev["error"])
+            elif kind == "selection_step":
+                trace = ev["trace"]
+                self.sel_state = SelectionState(iteration=trace["iteration"], confidence=trace["confidence_after"])
+                if ev["lesson"] is not None:
+                    self.judge.replay(_lesson_from_dict(ev["lesson"]))
+                if trace["mode"] == "TOOL":
+                    self.tool_rounds += 1
+                else:
+                    self.llm_rounds += 1
+            elif kind == "eval":
+                r = ev["report"]
+                scores[did] = r["score"]
+                best = self.best
+                if r["feasible"] and (best is None or (r["score"], did) < (best.report["score"], best.design_id)):
+                    self.best = BestRecord(design_id=did, iteration=it, design=designs[did], report=dict(r))
+
+        self.drafts_total += len(designs)
+        self.mapped_pre_total += mapped_pre
+        self.mapped_post_total += len(mapped)
+        for did, d in designs.items():
             self.outcomes.append(
                 DesignOutcome(
                     iteration=it,
                     design=d,
-                    score=scores.get(d.id),
-                    feasible=m is not None,
-                    error_code=code,
+                    score=scores.get(did),
+                    feasible=did in mapped,
+                    error_code=fail_code.get(did),
                 )
             )
+        # A TOOL round's tool_score is its pick's eval score, so one lookup
+        # serves both modes.
+        final_choice = None if trace is None else trace["final_choice"]
         self.iter_entries.append(
-            _iter_entry(
-                it,
-                len(drafts),
-                mapped_pre,
-                len(mapped_list),
-                rec.mode,
-                rec.final_choice,
-                final_score,
-                self._best_score(),
-            )
+            {
+                "iteration": it,
+                "proposals": len(designs),
+                "mapped_pre": mapped_pre,
+                "mapped_post": len(mapped),
+                "mode": None if trace is None else trace["mode"],
+                "final_choice": final_choice,
+                "final_score": scores.get(final_choice),
+                "best_so_far": None if self.best is None else self.best.report["score"],
+            }
         )
-
-    def _map_ok_event(self, it: int, m: MappedDesign) -> dict:
-        return {
-            "type": "map_result",
-            "iteration": it,
-            "design_id": m.design.id,
-            "ok": True,
-            "ii": m.mapping.ii,
-            "schedule_len": m.mapping.schedule_len,
-            "nodes": len(m.mapping.schedule),
-            "trip_after": m.trip_after,
-            "speedup": m.speedup,
-        }
-
-    def _emit_failure(self, it: int, design_id: str, err: FixableError) -> None:
-        if isinstance(err, MapError):
-            self.history.append(
-                {
-                    "type": "map_result",
-                    "iteration": it,
-                    "design_id": design_id,
-                    "ok": False,
-                    "error": error_payload(err),
-                }
-            )
-        else:
-            stage = "validate" if isinstance(err, list) else "transform"
-            self.history.append(
-                {
-                    "type": "violation",
-                    "iteration": it,
-                    "design_id": design_id,
-                    "stage": stage,
-                    "error": error_payload(err),
-                }
-            )
-
-    def _consider_best(self, it: int, r: EvalReport, design: DesignPoint) -> None:
-        if not r.feasible:
-            return
-        if self.best is None or (r.score, r.design_id) < (self.best.report["score"], self.best.design_id):
-            self.best = BestRecord(design_id=r.design_id, iteration=it, design=design, report=_report_dict(r))
-
-    def _best_score(self) -> float | None:
-        return None if self.best is None else self.best.report["score"]
 
     # ----- replay (resume) ---------------------------------------------------
 
     def replay(self, events: list[dict]) -> int:
-        """Rebuild runner state from an event log; returns the last
-        completed iteration."""
+        """Rebuild runner state from an event log through the fold; returns
+        the last complete iteration. An unfinished last iteration is left
+        out and History.seq set to the last event kept, so that the caller
+        can cut the file back and run that iteration again."""
         if not events or events[0].get("type") != "run_header":
             raise RunConfigError("history is missing its run_header record")
         header = events[0].get("config")
@@ -676,107 +660,14 @@ class _Runner:
             else:
                 raise RunConfigError(f"history iterations are not contiguous at iteration {it}")
 
-        last = 0
+        if groups and not _closed(groups[-1][1]):
+            groups.pop()
         for it, evts in groups:
-            closed = any(e["type"] in ("selection_step", "iteration_empty") for e in evts)
-            if not closed:
-                raise RunConfigError(f"history ends mid-iteration {it}; cannot resume safely")
-            self._replay_iteration(it, evts)
-            last = it
-        self.history.seq = events[-1]["seq"]
-        return last
-
-    def _replay_iteration(self, it: int, evts: list[dict]) -> None:
-        order: list[str] = []
-        designs: dict[str, DesignPoint] = {}
-        map_ok: set[str] = set()
-        fix_ok: set[str] = set()
-        fail_code: dict[str, str] = {}
-        scores: dict[str, float] = {}
-        sel_ev: dict | None = None
-        empty = False
-
-        for ev in evts:
-            kind = ev["type"]
-            if kind == "proposal":
-                order.append(ev["design_id"])
-                designs[ev["design_id"]] = _design_from_dict(
-                    ev["design"], ev["design_id"], ev["provenance"], ev["note"]
-                )
-            elif kind == "fix":
-                did = ev["design_id"]
-                designs[did] = _design_from_dict(ev["design"], did, ev["provenance"], ev["note"])
-                if ev["ok"]:
-                    fix_ok.add(did)
-                else:
-                    fail_code[did] = _payload_code(ev["error"])
-            elif kind == "map_result" and ev["ok"]:
-                map_ok.add(ev["design_id"])
-            elif kind == "eval":
-                scores[ev["design_id"]] = ev["report"]["score"]
-                if ev["report"]["feasible"]:
-                    r = ev["report"]
-                    if self.best is None or (r["score"], ev["design_id"]) < (
-                        self.best.report["score"],
-                        self.best.design_id,
-                    ):
-                        self.best = BestRecord(
-                            design_id=ev["design_id"],
-                            iteration=it,
-                            design=designs[ev["design_id"]],
-                            report=dict(r),
-                        )
-            elif kind == "selection_step":
-                sel_ev = ev
-            elif kind == "iteration_empty":
-                empty = True
-
-        mapped_pre = len(map_ok)
-        mapped_post = mapped_pre + len(fix_ok)
-        self.drafts_total += len(order)
-        self.mapped_pre_total += mapped_pre
-        self.mapped_post_total += mapped_post
-
-        for did in order:
-            feasible = did in map_ok or did in fix_ok
-            self.outcomes.append(
-                DesignOutcome(
-                    iteration=it,
-                    design=designs[did],
-                    score=scores.get(did),
-                    feasible=feasible,
-                    error_code=None if feasible else fail_code.get(did),
-                )
-            )
-
-        if empty or sel_ev is None:
-            self.iter_entries.append(
-                _iter_entry(it, len(order), mapped_pre, mapped_post, None, None, None, self._best_score())
-            )
-            return
-
-        trace = sel_ev["trace"]
-        if sel_ev.get("lesson") is not None:
-            self.judge.replay(_lesson_from_dict(sel_ev["lesson"]))
-        self.sel_state = SelectionState(iteration=trace["iteration"], confidence=trace["confidence_after"])
-        if trace["mode"] == "TOOL":
-            self.tool_rounds += 1
-            final_score = trace["tool_score"]
-        else:
-            self.llm_rounds += 1
-            final_score = scores[trace["final_choice"]]
-        self.iter_entries.append(
-            _iter_entry(
-                it,
-                len(order),
-                mapped_pre,
-                mapped_post,
-                trace["mode"],
-                trace["final_choice"],
-                final_score,
-                self._best_score(),
-            )
-        )
+            if not _closed(evts):
+                raise RunConfigError(f"history iteration {it} is incomplete")
+            self._apply(it, evts)
+        self.history.seq = groups[-1][1][-1]["seq"] if groups else events[0]["seq"]
+        return len(groups)
 
     # ----- metrics ------------------------------------------------------------
 
@@ -811,6 +702,14 @@ class _Runner:
         }
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace `path` with `text` through a temp file beside it, so that a
+    reader (or a kill) sees the old file or the new one, never a mix."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     """Execute (or extend) a run, leaving history.jsonl, metrics.json, and
     best_design.json in out_dir."""
@@ -826,6 +725,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
         if not resume:
             raise RunConfigError(f"{hist_path} already exists; resume the run or pick a fresh directory")
         start_iter = runner.replay(read_history(hist_path)) + 1
+        runner.history.truncate()
     else:
         if resume:
             raise RunConfigError(f"cannot resume: no history at {hist_path}")
@@ -836,12 +736,12 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE
-    metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_atomic(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
     best_path = None
     if runner.best is not None:
         best_path = out / BEST_DESIGN_FILE
-        best_path.write_text(serialize_design(runner.best.design), encoding="utf-8")
+        _write_atomic(best_path, serialize_design(runner.best.design))
 
     return RunResult(
         metrics=metrics,

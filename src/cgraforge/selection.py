@@ -57,6 +57,12 @@ class SelectionConfig:
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise SelectionConfigError(f"unknown selection config keys: {', '.join(unknown)}")
+        for key, val in data.items():
+            if key == "sigma" and val is None:
+                continue
+            kind, what = (int, "an integer") if key == "validation_interval" else ((int, float), "a number")
+            if isinstance(val, bool) or not isinstance(val, kind):
+                raise SelectionConfigError(f"selection.{key} must be {what}, got {val!r}")
         return SelectionConfig(**data)
 
 

@@ -367,7 +367,7 @@ def test_criterion_07_judge_learning():
             reports = tool_evaluate(cands, kernel, OBJ, coeffs)
             tool_choice, _ = tool_select(reports)
             judge_choice, _ = judge.select(cands)
-            judge.update(cands, reports, tool_choice, judge_choice)
+            judge.replay(judge.lesson(cands, reports, tool_choice, judge_choice))
         after = agreement(judge, eval_sets)
         assert after > before, f"agreement did not improve: {before:.2f} -> {after:.2f}"
     print(

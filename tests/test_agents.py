@@ -378,11 +378,15 @@ class TestHeuristicFineJudge:
         report = EvalReport(
             design_id="l1", speedup=2.0, power_mw=9.0, area_kum2=1.0, power_efficiency=0.2, score=9.0, feasible=True
         )
-        lesson = judge.update([c], [report], tool_choice="l1", judge_choice="l1")
+        lesson = judge.lesson([c], [report], tool_choice="l1", judge_choice="l1")
         assert lesson.agreed is True
         assert lesson.candidates[0].design_id == "l1"
         assert lesson.candidates[0].base_score == base
         assert lesson.candidates[0].tool_score == 9.0
+        # building the lesson has no side effect; replay absorbs it
+        assert judge.theta == [0.0] * 12 and not judge.lessons
+        judge.replay(lesson)
+        assert list(judge.lessons) == [lesson]
         assert judge.theta != [0.0] * 12
         assert judge.theta[0] == pytest.approx(-heuristic._SGD_ETA * (base - 9.0))
 
@@ -398,7 +402,8 @@ class TestHeuristicFineJudge:
             score=BIG + 0.5,
             feasible=False,
         )
-        lesson = judge.update([c], [report], tool_choice="pen", judge_choice="pen")
+        lesson = judge.lesson([c], [report], tool_choice="pen", judge_choice="pen")
+        judge.replay(lesson)
         assert judge.theta == [0.0] * 12
         assert len(judge.lessons) == 1
         assert lesson.candidates[0].tool_score == BIG + 0.5
@@ -418,7 +423,8 @@ class TestHeuristicFineJudge:
                 score=rng.uniform(2, 20),
                 feasible=True,
             )
-            lessons.append(live.update([c], [report], tool_choice=f"r{i}", judge_choice=f"r{i}"))
+            lessons.append(live.lesson([c], [report], tool_choice=f"r{i}", judge_choice=f"r{i}"))
+            live.replay(lessons[-1])
         fresh = heuristic.HeuristicFineJudge(OBJ)
         for lesson in lessons:
             fresh.replay(lesson)
@@ -433,7 +439,7 @@ class TestHeuristicFineJudge:
         )
         err0 = abs(judge.select([c])[1] - tool_score)
         for _ in range(40):
-            judge.update([c], [report], tool_choice="fit", judge_choice="fit")
+            judge.replay(judge.lesson([c], [report], tool_choice="fit", judge_choice="fit"))
         assert abs(judge.select([c])[1] - tool_score) < err0 / 4
 
     def test_lesson_store_capacity(self):
@@ -680,7 +686,9 @@ class TestLlmFineJudge:
         report = EvalReport(
             design_id="ju", speedup=2.0, power_mw=9.0, area_kum2=1.0, power_efficiency=0.2, score=9.0, feasible=True
         )
-        lesson = judge.update([c], [report], tool_choice="ju", judge_choice="ju")
+        lesson = judge.lesson([c], [report], tool_choice="ju", judge_choice="ju")
+        assert len(judge.lessons) == 0
+        judge.replay(lesson)
         assert len(judge.lessons) == 1
         assert judge.shadow.theta != [0.0] * 12
         fresh = llm.LlmFineJudge(LLM_BACKEND, OBJ)

@@ -274,6 +274,13 @@ class TestRunAndReport:
         assert code == EXIT_USAGE
         assert "invalid JSON" in err
 
+    def test_run_mistyped_selection_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": "spmv", "selection": {"alpha": "0.3"}}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert "selection.alpha must be a number" in err
+
     def test_resume_without_history_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--kernel", "spmv", "--iterations", "1", "--out", str(tmp_path / "r"), "--resume"

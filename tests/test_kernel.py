@@ -241,6 +241,23 @@ class TestParseKernel:
         with pytest.raises(KernelError):
             parse_kernel(json.dumps(p))
 
+    @staticmethod
+    def chain_text(length: int, ring: bool) -> str:
+        edges = [{"src": i, "dst": i + 1, "distance": 0} for i in range(length - 1)]
+        if ring:
+            edges.append({"src": length - 1, "dst": 0, "distance": 0})
+        nodes = [{"id": i, "kind": "ADD", "latency": 1} for i in range(length)]
+        return json.dumps({"name": "long", "trip_count": 8, "nodes": nodes, "edges": edges})
+
+    def test_long_chain_parses(self):
+        assert len(parse_kernel(self.chain_text(1500, ring=False)).nodes) == 1500
+
+    def test_long_zero_distance_ring_is_a_cycle(self):
+        with pytest.raises(KernelError) as ei:
+            parse_kernel(self.chain_text(1500, ring=True))
+        assert ei.value.code == "ZERO_DISTANCE_CYCLE"
+        assert ei.value.message.endswith(f"nodes {list(range(1500)) + [0]}")
+
     def test_invalid_graph_rejected_at_parse(self):
         p = self.payload()
         p["nodes"].append({"id": 0, "kind": "ADD", "latency": 1})

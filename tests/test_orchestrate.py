@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -92,6 +93,11 @@ class TestRunConfig:
             {"kernel": 7},
             {"kernel": "fir", "selection": {"alpha": 2.0}},
             {"kernel": "fir", "selection": {"beta": 0.5}},
+            {"kernel": "spmv", "selection": {"alpha": "0.3"}},
+            {"kernel": "spmv", "selection": {"validation_interval": 5.0}},
+            {"kernel": "spmv", "selection": {"conf_threshold": True}},
+            {"kernel": "spmv", "selection": {"initial_confidence": None}},
+            {"kernel": "spmv", "selection": {"sigma": [1.0]}},
         ],
     )
     def test_from_json_rejects_malformed(self, data):
@@ -142,6 +148,11 @@ class TestReadHistory:
         path.write_text('{"seq": 1}\nnot json\n')
         with pytest.raises(RunConfigError, match="invalid history line"):
             read_history(path)
+
+    def test_torn_last_line_is_left_out(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text('{"seq": 1}\n{"seq": 2, "ty')
+        assert read_history(path) == [{"seq": 1}]
 
 
 class TestRun:
@@ -238,17 +249,51 @@ class TestResume:
         with pytest.raises(RunConfigError, match="config does not match"):
             run(changed, out, resume=True)
 
-    def test_resume_rejects_truncated_history(self, tmp_path):
+    def test_resume_after_kill_at_any_point(self, tmp_path):
+        """A kill at any line boundary after the header, or inside the last
+        line, resumes to the bytes and metrics of the uninterrupted run."""
+        full = run(quick_cfg(), tmp_path / "full")
+        data = full.history_path.read_bytes()
+        expected = dict(full.metrics)
+        expected.pop("meta")
+        ends = [i + 1 for i, b in enumerate(data) if b == ord("\n")]
+        cuts = ends + [ends[-1] - 10]
+        for n, cut in enumerate(cuts):
+            out = tmp_path / f"cut{n}"
+            out.mkdir()
+            (out / HISTORY_FILE).write_bytes(data[:cut])
+            resumed = run(quick_cfg(), out, resume=True)
+            assert resumed.history_path.read_bytes() == data, f"cut at byte {cut}"
+            got = dict(resumed.metrics)
+            got.pop("meta")
+            assert got == expected, f"cut at byte {cut}"
+
+    def test_resume_rejects_incomplete_inner_iteration(self, tmp_path):
         out = tmp_path / "out"
         result = run(quick_cfg(), out)
         events = read_history(result.history_path)
-        # drop the tail of the last iteration so it has no selection_step
-        last_sel = max(i for i, e in enumerate(events) if e["type"] == "selection_step")
+        first_eval = next(i for i, e in enumerate(events) if e["type"] == "eval" and e["iteration"] == 1)
+        del events[first_eval]
         with result.history_path.open("w") as fh:
-            for e in events[:last_sel]:
-                fh.write(json.dumps(e, sort_keys=True) + "\n")
-        with pytest.raises(RunConfigError, match="mid-iteration"):
+            for seq, e in enumerate(events, start=1):
+                fh.write(json.dumps({**e, "seq": seq}, sort_keys=True) + "\n")
+        with pytest.raises(RunConfigError, match="iteration 1 is incomplete"):
             run(quick_cfg(iterations=4), out, resume=True)
+
+    def test_failed_write_keeps_previous_metrics(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(quick_cfg(iterations=2), out)
+        before = (out / METRICS_FILE).read_text()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            run(quick_cfg(), out, resume=True)
+        after = (out / METRICS_FILE).read_text()
+        assert after == before
+        assert json.loads(after)["iterations_run"] == 2
 
 
 class TestSelectionModesInHistory:

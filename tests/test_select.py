@@ -63,6 +63,10 @@ class TestSelectionConfig:
         with pytest.raises(SelectionConfigError):
             SelectionConfig.from_dict({"alpha": 0.5, "beta": 0.5})
 
+    def test_from_dict_keeps_ints_and_null_sigma(self):
+        cfg = SelectionConfig.from_dict({"alpha": 1, "sigma": None, "validation_interval": 2})
+        assert type(cfg.alpha) is int and cfg.sigma is None
+
 
 class TestEffectiveSigma:
     def test_pinned_sigma_wins(self):
@@ -200,6 +204,8 @@ class TestLoadSimScript:
             lambda d: d.update(steps=[{"t_score": True, "l_score": 1.0}]),
             lambda d: d.update(steps="nope"),
             lambda d: d["selection"].update(beta=1),
+            lambda d: d["selection"].update(alpha="0.3"),
+            lambda d: d["selection"].update(validation_interval=2.5),
         ],
     )
     def test_rejects_malformed_scripts(self, mutate):
