@@ -18,10 +18,21 @@ lower bounds. Each II attempt is a depth-first search over (tile, residue)
 assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
 dataflow neighbors) and which backtracks under MapBudget.placement_attempts.
-Start cycles are recovered from the residues by a longest-path solve over
-the dependence difference constraints, so on small instances the search is
-effectively exhaustive and the returned II is optimal. The whole pipeline is
+The search keeps an explicit stack, so kernel size is not limited by the
+interpreter's recursion depth. On each candidate tile the residues to try
+are one bitmask: the free slots of the tile, intersected with the modular
+intervals that the static dependence windows of the already placed cycle
+partners allow; residues are tried in ascending order. Start cycles are
+recovered from the residues by a longest-path solve over the dependence
+difference constraints, so on small instances the search is effectively
+exhaustive and the returned II is optimal. The whole pipeline is
 deterministic: identical inputs give byte-identical results.
+
+The search reads only the kernel, the budget and the fabric's rows, cols
+and topology. The fabric's FU kinds and config memory depth enter through
+one check each (fu_kinds_error before the search, config_depth_error
+after it), so callers that map many fabrics of one shape can search once
+and apply those checks per fabric.
 """
 
 from __future__ import annotations
@@ -35,16 +46,16 @@ from .kernel import KernelGraph
 
 Tile = tuple[int, int]
 
-_ENUMERATION_NODE_LIMIT = 32
-_ENUMERATION_PATH_CAP = 200_000
-
 
 @dataclass(frozen=True)
 class MapBudget:
     """Bounds on the mapping search.
 
     max_ii caps the II range; placement_attempts caps backtracking work per
-    II attempt (each tried (node, tile, residue) triple counts as one).
+    II attempt. Only full placements count against it: a (node, tile,
+    residue) triple that passes the slot and window checks and goes on to
+    the longest-path update. Triples those checks reject are free, so one
+    attempt can cost far more than placement_attempts probes.
     """
 
     max_ii: int = 32
@@ -130,9 +141,9 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
     supported by all tiles. Every node kind must be supported (map_kernel
     reports MISSING_FU_KIND for the unsupported case before calling this).
     The recurrence bound is max over dependence cycles of
-    ceil(cycle latency / cycle distance), computed by exact cycle
-    enumeration for graphs up to 32 nodes and by an iterative positive-cycle
-    search above that (both exact).
+    ceil(cycle latency / cycle distance), computed exactly as the smallest
+    II under which no cycle has positive weight sum(latency) - II *
+    sum(distance): a binary search over II with a Bellman-Ford check.
     """
     census: dict[FuKind, int] = {}
     for n in k.nodes:
@@ -148,51 +159,7 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
 def _rec_mii(k: KernelGraph) -> int:
     if not any(e.distance > 0 for e in k.edges):
         return 1
-    if len(k.nodes) <= _ENUMERATION_NODE_LIMIT:
-        best = _rec_by_enumeration(k)
-        if best is not None:
-            return best
     return _rec_by_search(k)
-
-
-def _rec_by_enumeration(k: KernelGraph) -> int | None:
-    """Max over elementary cycles of ceil(sum latency / sum distance).
-    Returns None if the path count explodes past a safety cap."""
-    lat = {n.id: n.latency for n in k.nodes}
-    adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in k.nodes}
-    for e in k.edges:
-        adj[e.src].append((e.dst, e.distance))
-    for lst in adj.values():
-        lst.sort()
-    ids = sorted(adj)
-    best = 1
-    budget = _ENUMERATION_PATH_CAP
-
-    def dfs(anchor: int, u: int, lat_sum: int, dist_sum: int, on_path: set[int]) -> bool:
-        nonlocal best, budget
-        for v, d in adj[u]:
-            if v < anchor:
-                continue
-            budget -= 1
-            if budget <= 0:
-                return False
-            if v == anchor:
-                total_d = dist_sum + d
-                if total_d > 0:
-                    best = max(best, math.ceil((lat_sum + lat[u]) / total_d))
-                continue
-            if v in on_path:
-                continue
-            on_path.add(v)
-            if not dfs(anchor, v, lat_sum + lat[u], dist_sum + d, on_path):
-                return False
-            on_path.discard(v)
-        return True
-
-    for a in ids:
-        if not dfs(a, a, 0, 0, {a}):
-            return None
-    return best
 
 
 def _rec_by_search(k: KernelGraph) -> int:
@@ -235,6 +202,28 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Frame:
+    """One level of the search: a node, its candidate tiles in try order, its
+    placed window partners as (tile, r_u + lo, hi - lo + 1), and on the
+    current tile the residues still to try (a bitmask of free slots the
+    windows allow) and those already passed (tried or counted)."""
+
+    __slots__ = ("nid", "tiles", "partners", "next_tile", "tile", "full", "taken", "left", "passed", "residue", "undo")
+
+    def __init__(self, nid: int, tiles: list[Tile], full: int, partners: list[tuple[Tile, int, int]]):
+        self.nid = nid
+        self.tiles = tiles
+        self.partners = partners
+        self.next_tile = 0
+        self.tile: Tile | None = None
+        self.full = full  # the residues this level tries on every tile
+        self.taken = 0  # occupied residues of the current tile
+        self.left = 0
+        self.passed = full
+        self.residue = -1  # the residue placed while a deeper level searches
+        self.undo: list[tuple[int, int]] = []
+
+
 class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
     longest-path feasibility over the dependence difference constraints."""
@@ -248,6 +237,7 @@ class _Attempt:
         self.order = _schedule_order(k)
         self.tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
         self.hops = {(a, b): hop_distance(f, a, b) for a in self.tiles for b in self.tiles}
+        self.hop_rows = {a: [self.hops[a, b] for b in self.tiles] for a in self.tiles}
         # Symmetry breaking for the root of the search tree. Any feasible
         # assignment can be rotated (all residues shifted mod II) so the
         # first node sits at residue 0, and mapped through any
@@ -276,7 +266,7 @@ class _Attempt:
         self.dist_ub = max(1, per_edge * max(1, len(k.edges)))
         self.place: dict[int, tuple[Tile, int]] = {}  # id -> (tile, residue)
         self.q: dict[int, int] = {}  # id -> longest-path value
-        self.occupied: dict[tuple[Tile, int], int] = {}
+        self.occupied: dict[Tile, int] = dict.fromkeys(self.tiles, 0)  # tile -> bitmask of taken residues
         self.slot_failures = 0
         self.dep_failures = 0
         self.windows = self._pairwise_windows()
@@ -321,62 +311,117 @@ class _Attempt:
                     windows[v] = cons
         return windows
 
-    def _window_allows(self, nid: int, tile: Tile, residue: int) -> bool:
-        for u, lo, hi in self.windows.get(nid, ()):  # noqa: B006 - tuple default
-            placed = self.place.get(u)
-            if placed is None:
-                continue
-            tu, ru = placed
-            h = self.hops[tu, tile]
-            lo_h = lo + h
-            hi_h = hi - h
-            if lo_h > hi_h:
-                return False
-            # start(nid) - start(u) is congruent to the residue delta and
-            # must land inside [lo_h, hi_h]
-            if (residue - ru - lo_h) % self.ii > hi_h - lo_h:
-                return False
-        return True
-
-    def run(self) -> dict[int, tuple[Tile, int]] | None:
-        if self._place(0):
-            return dict(self.place)
-        return None
-
-    def _place(self, idx: int) -> bool:
-        if idx == len(self.order):
-            return True
+    def _frame(self, idx: int) -> _Frame:
         nid = self.order[idx]
         if idx == 0:
-            tiles = self.first_tiles
-            residues: tuple[int, ...] | range = (0,)
-        else:
-            anchors = [self.place[m][0] for m in self.dfg_neighbors[nid] if m in self.place]
-            hops = self.hops
-            tiles = sorted(self.tiles, key=lambda t: (sum(hops[t, a] for a in anchors), t[0], t[1]))
-            residues = range(self.ii)
+            return _Frame(nid, self.first_tiles, 1, [])  # residue 0 only
+        rows = [self.hop_rows[self.place[m][0]] for m in self.dfg_neighbors[nid] if m in self.place]
+        tiles = self.tiles
+        if rows:
+            # nearest-first to the placed neighbors; a stable sort keeps
+            # (row, col) order among equals, since self.tiles is in it
+            sums = [sum(col) for col in zip(*rows)]
+            tiles = [tiles[i] for i in sorted(range(len(tiles)), key=sums.__getitem__)]
+        # The window partners placed now stay put while this frame lives. A
+        # partner u at (tile_u, r_u) with window [lo, hi], h hops from a
+        # candidate tile, needs start(nid) - start(u) in [lo + h, hi - h]:
+        # the hi - lo - 2h + 1 consecutive residues (mod II) from r_u + lo + h.
+        partners = []
+        for u, lo, hi in self.windows.get(nid, ()):
+            placed = self.place.get(u)
+            if placed is not None:
+                partners.append((placed[0], placed[1] + lo, hi - lo + 1))
+        return _Frame(nid, tiles, (1 << self.ii) - 1, partners)
 
-        for tile in tiles:
-            for residue in residues:
-                if (tile, residue) in self.occupied:
-                    self.slot_failures += 1
-                    continue
-                if not self._window_allows(nid, tile, residue):
-                    self.dep_failures += 1
-                    continue
-                # only full placement attempts draw on the budget; the static
-                # rejections above are two orders of magnitude cheaper
-                self.attempts_left -= 1
-                if self.attempts_left < 0:
-                    raise _BudgetExhausted()
-                undo = self._try_add(nid, tile, residue)
-                if undo is None:
-                    self.dep_failures += 1
-                    continue
-                if self._place(idx + 1):
-                    return True
-                self._undo(nid, tile, residue, undo)
-        return False
+    def _next_residue(self, fr: _Frame) -> int:
+        """The next residue to try for fr.nid, on fr.tile, moving on to the
+        next tile when the current one has none left; -1 when no tile has.
+        Tiles and residues come in ascending try order, and every slot
+        passed over on the way is counted as a slot failure (occupied) or a
+        dependence failure (outside a window) before the next try, so the
+        counters read as a slot-by-slot scan would leave them."""
+        left = fr.left
+        passed = fr.passed  # always the residues below some bound
+        taken = fr.taken
+        slots = deps = 0
+        if not left:
+            full = fr.full
+            rest = full & ~passed  # the current tile's residues after its last try
+            tiles = fr.tiles
+            i = fr.next_tile
+            ii = self.ii
+            hops = self.hops
+            while True:
+                if rest:
+                    n_taken = (rest & taken).bit_count()
+                    slots += n_taken
+                    deps += rest.bit_count() - n_taken
+                if i == len(tiles):
+                    fr.next_tile = i
+                    fr.passed = full
+                    self.slot_failures += slots
+                    self.dep_failures += deps
+                    return -1
+                tile = tiles[i]
+                i += 1
+                taken = self.occupied[tile]
+                left = full & ~taken
+                for tile_u, start, span in fr.partners:
+                    h = hops[tile_u, tile]
+                    width = span - 2 * h
+                    if width < ii:
+                        if width <= 0:
+                            left = 0
+                            break
+                        run = ((1 << width) - 1) << ((start + h) % ii)
+                        left &= run | (run >> ii)
+                if left:
+                    break
+                rest = full
+            fr.tile = tile
+            fr.next_tile = i
+            fr.taken = taken
+            passed = 0
+        low = left & -left
+        fr.left = left ^ low
+        fr.passed = (low << 1) - 1
+        gap = (low - 1) & ~passed
+        if gap:
+            n_taken = (gap & taken).bit_count()
+            slots += n_taken
+            deps += gap.bit_count() - n_taken
+        self.slot_failures += slots
+        self.dep_failures += deps
+        return low.bit_length() - 1
+
+    def run(self) -> dict[int, tuple[Tile, int]] | None:
+        """Depth-first search over the schedule order with an explicit
+        frame stack, one frame per placed node plus the one being tried.
+        Only full placements draw on the budget; the slots the bitmasks
+        rule out are two orders of magnitude cheaper."""
+        stack = [self._frame(0)]
+        while True:
+            fr = stack[-1]
+            residue = self._next_residue(fr)
+            if residue < 0:
+                stack.pop()
+                if not stack:
+                    return None
+                parent = stack[-1]
+                self._undo(parent.nid, parent.tile, parent.residue, parent.undo)
+                continue
+            self.attempts_left -= 1
+            if self.attempts_left < 0:
+                raise _BudgetExhausted()
+            undo = self._try_add(fr.nid, fr.tile, residue)
+            if undo is None:
+                self.dep_failures += 1
+                continue
+            if len(stack) == len(self.order):
+                return dict(self.place)
+            fr.residue = residue
+            fr.undo = undo
+            stack.append(self._frame(len(stack)))
 
     def _edge_weight(self, lat_u: int, d: int, tile_u: Tile, tile_v: Tile, r_u: int, r_v: int) -> int:
         num = lat_u + self.hops[tile_u, tile_v] + r_u - r_v
@@ -386,7 +431,7 @@ class _Attempt:
         """Tentatively place nid; return an undo log, or None if the
         dependence system becomes infeasible (positive cycle)."""
         self.place[nid] = (tile, residue)
-        self.occupied[(tile, residue)] = nid
+        self.occupied[tile] |= 1 << residue
         base = 0
         for u, lat_u, d in self.in_edges[nid]:
             if u in self.place and u != nid:
@@ -424,7 +469,7 @@ class _Attempt:
         for v, old in reversed(undo):
             self.q[v] = old
         del self.place[nid]
-        del self.occupied[(tile, residue)]
+        self.occupied[tile] ^= 1 << residue
         self.q.pop(nid, None)
 
 
@@ -501,21 +546,44 @@ def _schedule_order(k: KernelGraph) -> list[int]:
     return sorted(asap, key=lambda nid: (asap[nid], nid))
 
 
+def fu_kinds_error(k: KernelGraph, f: FabricSpec) -> MapError | None:
+    """MISSING_FU_KIND when some node kind of k has no FU on f; the only
+    check that reads f.fu_kinds."""
+    missing = sorted({n.kind.name for n in k.nodes if n.kind not in f.fu_kinds})
+    if not missing:
+        return None
+    return MapError(
+        "MISSING_FU_KIND",
+        f"fabric lacks FU kind(s): {', '.join(missing)}",
+        hint={"missing_kinds": missing},
+    )
+
+
+def config_depth_error(ii: int, f: FabricSpec) -> MapError | None:
+    """CONFIG_MEM_OVERFLOW when the smallest feasible II does not fit f's
+    config memory; the only check that reads f.config_mem_depth."""
+    if ii <= f.config_mem_depth:
+        return None
+    return MapError(
+        "CONFIG_MEM_OVERFLOW",
+        f"smallest feasible II {ii} exceeds config_mem_depth {f.config_mem_depth}",
+        hint={"required_depth": ii},
+    )
+
+
 def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -> MappingResult | MapError:
     """Map kernel k onto fabric f, or explain why that is impossible.
 
     Deterministic; see module docstring for the search strategy and the
     meaning of each error code. Hints are machine-readable and drive the
-    automatic repair rules.
+    automatic repair rules. The checks run in a fixed order: FU kinds,
+    II bounds, the search, then config memory depth. The search itself
+    reads only k, the budget and f's rows, cols and topology.
     """
     budget = budget or MapBudget()
-    missing = sorted({n.kind.name for n in k.nodes if n.kind not in f.fu_kinds})
-    if missing:
-        return MapError(
-            "MISSING_FU_KIND",
-            f"fabric lacks FU kind(s): {', '.join(missing)}",
-            hint={"missing_kinds": missing},
-        )
+    err = fu_kinds_error(k, f)
+    if err is not None:
+        return err
     res, rec = min_ii_bounds(k, f)
     if res > budget.max_ii:
         census: dict[FuKind, int] = {}
@@ -548,12 +616,9 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
         last_dep_failures = attempt.dep_failures
         if placement is None:
             continue
-        if ii > f.config_mem_depth:
-            return MapError(
-                "CONFIG_MEM_OVERFLOW",
-                f"smallest feasible II {ii} exceeds config_mem_depth {f.config_mem_depth}",
-                hint={"required_depth": ii},
-            )
+        err = config_depth_error(ii, f)
+        if err is not None:
+            return err
         return _build_result(k, f, ii, placement, attempt.q)
     if last_dep_failures > 0 and not budget_hit:
         return MapError(

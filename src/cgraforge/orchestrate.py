@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .agents import (
 )
 from .arch import (
     DesignPoint,
+    FuKind,
     Provenance,
     design_dict,
     design_from_dict,
@@ -65,7 +67,15 @@ from .costs import (
     tool_select,
 )
 from .kernel import KernelGraph, TransformError, apply_sw_params, load_kernel, summarize
-from .mapper import MapBudget, MapError, MappedDesign, map_kernel
+from .mapper import (
+    MapBudget,
+    MapError,
+    MappedDesign,
+    MappingResult,
+    config_depth_error,
+    fu_kinds_error,
+    map_kernel,
+)
 from .mapper import speedup as compute_speedup
 from .selection import SelectionConfig, SelectionState, ToolRound, select_step
 
@@ -89,6 +99,8 @@ def _as_int(val, where: str) -> int:
 def _as_float(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise RunConfigError(f"{where} must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise RunConfigError(f"{where} must be finite, got {val!r}")
     return float(val)
 
 
@@ -418,6 +430,17 @@ class BestRecord:
 
 
 @dataclass
+class _Shape:
+    """What the transforms and the mapping search gave for one design shape
+    (unroll, vectorize, rows, cols, topology): the transformed kernel or
+    the transform's error, then the search outcome, None until searched."""
+
+    kernel: KernelGraph | TransformError
+    search: MappingResult | MapError | None = None
+    speedup: float = 0.0
+
+
+@dataclass
 class RunResult:
     metrics: dict
     best: BestRecord | None
@@ -445,34 +468,54 @@ class _Runner:
         self.drafts_total = 0
         self.mapped_pre_total = 0
         self.mapped_post_total = 0
-        self._map_cache: dict[str, tuple] = {}
+        self._map_cache: dict[tuple, _Shape] = {}
 
     # ----- shared checking -------------------------------------------------
 
+    def _shape(self, d: DesignPoint) -> _Shape:
+        f = d.fabric
+        key = (d.sw.unroll_factor, d.sw.vectorize_factor, f.rows, f.cols, f.topology)
+        shape = self._map_cache.get(key)
+        if shape is None:
+            try:
+                shape = _Shape(apply_sw_params(self.kernel, d.sw.unroll_factor, d.sw.vectorize_factor))
+            except TransformError as e:
+                shape = _Shape(e)
+            self._map_cache[key] = shape
+        return shape
+
     def _check(self, d: DesignPoint) -> FixableError | None:
-        """The repair loop's oracle: structural validation, then the loop
-        transforms, then mapping. Caches successful mappings by design
-        content so repaired duplicates are not re-mapped."""
+        """The repair loop's oracle: structural validation, the loop
+        transforms, the FU kinds, the mapping search, the config memory
+        depth, in that order, as in map_kernel. The transforms and the
+        search read only the design's shape, so the map cache keys on
+        (unroll, vectorize, rows, cols, topology) and holds what each shape
+        gave, failures included: the search runs once per shape, on the
+        fabric with every FU kind and a config memory as deep as max_ii,
+        and the FU-kind and depth checks run per design."""
         violations = validate_design(d)
         if violations:
             return violations
-        key = serialize_design(d)
-        if key in self._map_cache:
-            return None
-        try:
-            tk = apply_sw_params(self.kernel, d.sw.unroll_factor, d.sw.vectorize_factor)
-        except TransformError as e:
-            return e
-        res = map_kernel(tk, d.fabric, self.cfg.budget)
-        if isinstance(res, MapError):
-            return res
-        sp = compute_speedup(self.kernel, res, tk.trip_count)
-        self._map_cache[key] = (res, tk.trip_count, sp)
-        return None
+        shape = self._shape(d)
+        if isinstance(shape.kernel, TransformError):
+            return shape.kernel
+        err = fu_kinds_error(shape.kernel, d.fabric)
+        if err is not None:
+            return err
+        if shape.search is None:
+            budget = self.cfg.budget
+            fabric = dataclasses.replace(d.fabric, fu_kinds=frozenset(FuKind), config_mem_depth=budget.max_ii)
+            shape.search = map_kernel(shape.kernel, fabric, budget)
+            if isinstance(shape.search, MappingResult):
+                shape.speedup = compute_speedup(self.kernel, shape.search, shape.kernel.trip_count)
+        if isinstance(shape.search, MapError):
+            return shape.search
+        return config_depth_error(shape.search.ii, d.fabric)
 
     def _mapped(self, d: DesignPoint) -> MappedDesign:
-        res, trip_after, sp = self._map_cache[serialize_design(d)]
-        return MappedDesign(design=d, mapping=res, trip_after=trip_after, speedup=sp)
+        """The mapping of a design that _check passed."""
+        shape = self._shape(d)
+        return MappedDesign(design=d, mapping=shape.search, trip_after=shape.kernel.trip_count, speedup=shape.speedup)
 
     # ----- live iteration ---------------------------------------------------
 

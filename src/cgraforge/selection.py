@@ -44,8 +44,8 @@ class SelectionConfig:
             raise SelectionConfigError(f"validation_interval={self.validation_interval} must be >= 1")
         if not (0.0 < self.alpha <= 1.0):
             raise SelectionConfigError(f"alpha={self.alpha} outside (0, 1]")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise SelectionConfigError(f"sigma={self.sigma} must be positive")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise SelectionConfigError(f"sigma={self.sigma} must be positive and finite")
         if not (0.0 <= self.initial_confidence <= 1.0):
             raise SelectionConfigError(f"initial_confidence={self.initial_confidence} outside [0, 1]")
 
@@ -63,6 +63,8 @@ class SelectionConfig:
             kind, what = (int, "an integer") if key == "validation_interval" else ((int, float), "a number")
             if isinstance(val, bool) or not isinstance(val, kind):
                 raise SelectionConfigError(f"selection.{key} must be {what}, got {val!r}")
+            if not math.isfinite(val):
+                raise SelectionConfigError(f"selection.{key} must be finite, got {val!r}")
         return SelectionConfig(**data)
 
 
@@ -200,8 +202,9 @@ def load_sim_script(data: dict) -> tuple[SelectionConfig, list[SimStep]]:
         if not isinstance(entry, dict) or sorted(entry) != ["l_score", "t_score"]:
             raise SelectionConfigError(f"steps[{i}] must have exactly t_score and l_score")
         for key in ("t_score", "l_score"):
-            if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
-                raise SelectionConfigError(f"steps[{i}].{key} must be a number")
+            val = entry[key]
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+                raise SelectionConfigError(f"steps[{i}].{key} must be a finite number")
         steps.append(SimStep(t_score=float(entry["t_score"]), l_score=float(entry["l_score"])))
     return cfg, steps
 

@@ -182,6 +182,32 @@ def brute_force_min_ii(k: KernelGraph, f: FabricSpec, max_ii: int) -> int | None
     return None
 
 
+def rec_mii_by_enumeration(k: KernelGraph) -> int:
+    """Recurrence-bound min II: max over elementary dependence cycles of
+    ceil(sum latency / sum distance), 1 without a carried cycle. Every
+    elementary cycle is listed once, from its smallest node id."""
+    lat = _lat(k)
+    adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in k.nodes}
+    for e in k.edges:
+        adj[e.src].append((e.dst, e.distance))
+    best = 1
+
+    def walk(anchor: int, u: int, lat_sum: int, dist_sum: int, on_path: set[int]) -> None:
+        nonlocal best
+        for v, d in adj[u]:
+            if v == anchor:
+                if dist_sum + d > 0:
+                    best = max(best, _ceil_div(lat_sum + lat[u], dist_sum + d))
+            elif v > anchor and v not in on_path:
+                on_path.add(v)
+                walk(anchor, v, lat_sum + lat[u], dist_sum + d, on_path)
+                on_path.discard(v)
+
+    for a in sorted(adj):
+        walk(a, a, 0, 0, {a})
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Iteration-space dependence pairs
 # ---------------------------------------------------------------------------

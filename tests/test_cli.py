@@ -281,6 +281,18 @@ class TestRunAndReport:
         assert code == EXIT_USAGE
         assert "selection.alpha must be a number" in err
 
+    @pytest.mark.parametrize(
+        "config_text",
+        ['{"kernel": "spmv", "objective": {"min_speedup": NaN}}', '{"kernel": "spmv", "selection": {"sigma": Infinity}}'],
+    )
+    def test_run_non_finite_number_is_usage_error(self, capsys, tmp_path, config_text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert "must be finite" in err
+        assert not (tmp_path / "r").exists()
+
     def test_resume_without_history_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--kernel", "spmv", "--iterations", "1", "--out", str(tmp_path / "r"), "--resume"

@@ -1,6 +1,8 @@
 """Modulo scheduler: distances, bounds, search, diagnostics, the checker."""
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -11,7 +13,8 @@ from cgraforge.mapper import (
     MapBudget,
     MapError,
     MappingResult,
-    _rec_by_enumeration,
+    _Attempt,
+    _BudgetExhausted,
     _rec_by_search,
     check_mapping,
     hop_distance,
@@ -21,7 +24,7 @@ from cgraforge.mapper import (
     speedup,
 )
 from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, map_checked, random_dfg
-from oracles import brute_force_min_ii
+from oracles import brute_force_min_ii, rec_mii_by_enumeration
 
 ORACLE_BUDGET = MapBudget(max_ii=4, placement_attempts=500_000)
 
@@ -106,7 +109,19 @@ class TestMinIiBounds:
         rng = random.Random(21)
         for _ in range(150):
             k = random_dfg(rng)
-            assert _rec_by_enumeration(k) == _rec_by_search(k)
+            assert _rec_by_search(k) == rec_mii_by_enumeration(k)
+
+    def test_search_matches_enumeration_on_every_builtin_variant(self):
+        from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
+
+        for name in BUILTIN_KERNELS:
+            for u in range(1, 9):
+                for v in range(1, 5):
+                    try:
+                        k = apply_sw_params(load_kernel(name), u, v)
+                    except TransformError:
+                        continue
+                    assert min_ii_bounds(k, FULL_FABRIC)[1] == rec_mii_by_enumeration(k), (name, u, v)
 
 
 class TestMapKernelSuccess:
@@ -150,6 +165,72 @@ class TestMapKernelSuccess:
                     assert isinstance(got, MapError)
                 else:
                     assert isinstance(got, MappingResult) and got.ii == want
+
+
+# (kernel, unroll, vectorize, rows, cols, topology, II, placement attempts)
+# -> (placement digest, attempts_left, slot_failures, dep_failures), taken
+# from a scan that tests one (tile, residue) slot at a time, so the bitmask
+# scan must try the same slots in the same order and count the same
+# rejections. The digest is the first 16 hex digits of
+# sha256(json.dumps(sorted(placement.items()))); None means the attempt
+# found no placement. Attempts left at -1 mean the budget ran out; "knot"
+# (below) is searched to exhaustion inside its budget.
+SEARCH_GOLDEN = [
+    ("fir", 1, 1, 2, 2, "MESH", 2, 2000, "286dee1e4e19e730", 1951, 174, 144),
+    ("latnrm", 1, 1, 2, 3, "CROSSBAR", 9, 2000, "e71b6ff789e88d46", 1784, 947, 10105),
+    ("ml_mix", 2, 1, 3, 4, "MESH", 6, 2000, "abab856c9d3f439f", 1986, 52, 138),
+    ("conv", 2, 1, 2, 2, "KINGMESH", 6, 2000, "013186beff1271c3", 1992, 25, 42),
+    ("ml_mix", 8, 1, 5, 4, "MESH", 28, 300, "e8fdba819d5b174c", 251, 773, 522),
+    ("fir", 2, 1, 3, 3, "KINGMESH", 4, 2000, None, -1, 13911, 55912),
+    ("embedded_mix", 2, 1, 4, 4, "MESH", 5, 2000, None, -1, 13953, 143664),
+    ("knot", 1, 1, 2, 2, "MESH", 3, 100000, None, 99716, 1073, 2052),
+]
+
+
+def knot_kernel() -> KernelGraph:
+    """Six nodes, two carried edges into one PHI: no placement at II 3 on a
+    2x2 mesh, and the search proves it well inside its budget."""
+    kinds = [("CMP", 3), ("PHI", 1), ("LOAD", 3), ("ADD", 1), ("MUL", 2), ("SUB", 3)]
+    edges = [(1, 2, 0), (0, 3, 0), (1, 3, 0), (1, 4, 0), (1, 5, 0), (3, 5, 0), (4, 5, 0), (0, 1, 2), (5, 1, 2)]
+    return KernelGraph(
+        name="knot",
+        nodes=[DfgNode(id=i, kind=FuKind[kind], latency=lat) for i, (kind, lat) in enumerate(kinds)],
+        edges=[DfgEdge(src=s, dst=d, distance=dist) for s, d, dist in edges],
+        trip_count=32,
+    )
+
+
+class TestSearchGolden:
+    @pytest.mark.parametrize("case", SEARCH_GOLDEN, ids=lambda c: f"{c[0]}-u{c[1]}v{c[2]}-{c[3]}x{c[4]}{c[5]}-ii{c[6]}")
+    def test_placement_and_counters_are_pinned(self, case):
+        from cgraforge.kernel import apply_sw_params, load_kernel
+
+        name, u, v, rows, cols, topo, ii, attempts, digest, left, slots, deps = case
+        k = knot_kernel() if name == "knot" else apply_sw_params(load_kernel(name), u, v)
+        a = _Attempt(k, fabric(rows=rows, cols=cols, topology=Topology[topo]), ii, attempts)
+        try:
+            placement = a.run()
+        except _BudgetExhausted:
+            placement = None
+            assert left == -1
+        got = None if placement is None else hashlib.sha256(json.dumps(sorted(placement.items())).encode()).hexdigest()[:16]
+        assert (got, a.attempts_left, a.slot_failures, a.dep_failures) == (digest, left, slots, deps)
+
+    def test_small_placement_in_full(self):
+        from cgraforge.kernel import load_kernel
+
+        a = _Attempt(load_kernel("fir"), fabric(), 2, 2000)
+        assert a.run() == {0: ((0, 0), 0), 1: ((0, 1), 0), 2: ((0, 1), 1), 3: ((1, 1), 0), 4: ((0, 0), 1)}
+
+
+class TestLargeKernels:
+    def test_long_chain_maps_without_recursion(self):
+        k = chain_kernel(length=1100)
+        f = fabric(rows=8, cols=8, topology=Topology.CROSSBAR, depth=32)
+        m = map_kernel(k, f, MapBudget(max_ii=32, placement_attempts=5000))
+        assert isinstance(m, MappingResult)
+        assert m.ii == 18  # ceil(1100 nodes / 64 tiles)
+        assert check_mapping(k, f, m) == []
 
 
 class TestMapKernelErrors:

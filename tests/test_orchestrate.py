@@ -3,14 +3,15 @@
 import dataclasses
 import json
 import os
+import random
 
 import pytest
 
-from cgraforge.agents import BackendKind
-from cgraforge.arch import parse_design, validate_design
+from cgraforge.agents import BackendKind, error_payload
+from cgraforge.arch import FuKind, Topology, parse_design, validate_design
 from cgraforge.costs import ObjectiveMode
-from cgraforge.kernel import apply_sw_params, load_kernel
-from cgraforge.mapper import MapBudget
+from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
+from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
     BEST_DESIGN_FILE,
     HISTORY_FILE,
@@ -19,12 +20,13 @@ from cgraforge.orchestrate import (
     SCHEMA_VERSION,
     RunConfig,
     RunConfigError,
+    _Runner,
     read_history,
     run,
 )
 from cgraforge.selection import SelectionConfig
 
-from helpers import map_checked
+from helpers import make_design, map_checked
 
 ITER_ENTRY_KEYS = {
     "best_so_far",
@@ -98,6 +100,12 @@ class TestRunConfig:
             {"kernel": "spmv", "selection": {"conf_threshold": True}},
             {"kernel": "spmv", "selection": {"initial_confidence": None}},
             {"kernel": "spmv", "selection": {"sigma": [1.0]}},
+            {"kernel": "spmv", "objective": {"min_speedup": float("nan")}},
+            {"kernel": "spmv", "objective": {"min_speedup": float("inf")}},
+            {"kernel": "spmv", "backend": {"timeout_s": float("inf")}},
+            {"kernel": "spmv", "selection": {"sigma": float("nan")}},
+            {"kernel": "spmv", "selection": {"sigma": float("inf")}},
+            {"kernel": "spmv", "selection": {"alpha": float("nan")}},
         ],
     )
     def test_from_json_rejects_malformed(self, data):
@@ -359,3 +367,92 @@ class TestEmptyIterations:
         run(cfg, part_dir)
         resumed = run(dataclasses.replace(cfg, iterations=3), part_dir, resume=True)
         assert full.history_path.read_bytes() == resumed.history_path.read_bytes()
+
+
+class TestMapCache:
+    """The runner searches each (unroll, vectorize, rows, cols, topology)
+    shape once; every verdict must still be what an uncached map_kernel on
+    the design itself gives."""
+
+    BUDGET = MapBudget(max_ii=12, placement_attempts=200)
+
+    @staticmethod
+    def designs(rng: random.Random, kernel_kinds: set[FuKind]) -> list:
+        """Designs over a few shapes, several per shape, differing in FU
+        kinds (some lack a kind the kernel needs), config memory depth and
+        data memory."""
+        out = []
+        for s in range(4):
+            shape = dict(
+                rows=rng.randint(1, 4),
+                cols=rng.randint(1, 4),
+                topology=rng.choice(list(Topology)),
+                unroll_factor=rng.choice([1, 2, 4, 8]),
+                vectorize_factor=rng.choice([1, 1, 2]),
+            )
+            for j in range(3):
+                kinds = set(kernel_kinds)
+                if rng.random() < 0.25:
+                    kinds.discard(rng.choice(sorted(kinds, key=lambda x: x.name)))
+                kinds |= set(rng.sample(list(FuKind), 2))
+                mem = rng.choice([0, 16])
+                if mem:
+                    kinds |= {FuKind.LOAD, FuKind.STORE}
+                out.append(
+                    make_design(
+                        **shape,
+                        fu_kinds=frozenset(kinds),
+                        config_mem_depth=rng.randint(1, 12),
+                        data_mem_kb=mem,
+                        design_id=f"s{s}d{j}",
+                    )
+                )
+        return out
+
+    @staticmethod
+    def uncached(kernel, d, budget):
+        violations = validate_design(d)
+        if violations:
+            return violations
+        try:
+            tk = apply_sw_params(kernel, d.sw.unroll_factor, d.sw.vectorize_factor)
+        except TransformError as e:
+            return e
+        return map_kernel(tk, d.fabric, budget)
+
+    def test_verdicts_equal_uncached_mapping(self, tmp_path):
+        rng = random.Random(5)
+        codes = set()
+        for name in BUILTIN_KERNELS:
+            runner = _Runner(RunConfig(kernel=name, budget=self.BUDGET), tmp_path)
+            designs = self.designs(rng, {n.kind for n in runner.kernel.nodes})
+            rng.shuffle(designs)
+            for d in designs:
+                got = runner._check(d)
+                want = self.uncached(runner.kernel, d, self.BUDGET)
+                if isinstance(want, MappingResult):
+                    assert got is None, (name, d)
+                    assert runner._mapped(d).mapping == want, (name, d)
+                    codes.add("OK")
+                elif isinstance(want, list):
+                    assert got == want, (name, d)
+                    codes.add("STRUCTURAL")
+                else:
+                    assert error_payload(got) == error_payload(want), (name, d)
+                    codes.add(error_payload(want)["code"])
+            assert len(runner._map_cache) <= 4
+        # the sample reaches every stage of the check
+        assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
+
+    def test_cached_mappings_check_against_the_design_fabric(self, tmp_path):
+        rng = random.Random(6)
+        checked = 0
+        for name in BUILTIN_KERNELS:
+            runner = _Runner(RunConfig(kernel=name, budget=self.BUDGET), tmp_path)
+            for d in self.designs(rng, {n.kind for n in runner.kernel.nodes}):
+                if runner._check(d) is None:
+                    m = runner._mapped(d)
+                    tk = apply_sw_params(runner.kernel, d.sw.unroll_factor, d.sw.vectorize_factor)
+                    assert check_mapping(tk, d.fabric, m.mapping) == [], (name, d)
+                    checked += 1
+        assert checked >= 10

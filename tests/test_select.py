@@ -44,6 +44,8 @@ class TestSelectionConfig:
             {"alpha": 1.5},
             {"sigma": 0.0},
             {"sigma": -2.0},
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
             {"initial_confidence": 2.0},
         ],
     )
@@ -206,6 +208,10 @@ class TestLoadSimScript:
             lambda d: d["selection"].update(beta=1),
             lambda d: d["selection"].update(alpha="0.3"),
             lambda d: d["selection"].update(validation_interval=2.5),
+            lambda d: d["selection"].update(sigma=float("nan")),
+            lambda d: d["selection"].update(sigma=float("inf")),
+            lambda d: d["selection"].update(initial_confidence=float("nan")),
+            lambda d: d.update(steps=[{"t_score": float("nan"), "l_score": 1.0}]),
         ],
     )
     def test_rejects_malformed_scripts(self, mutate):
