@@ -196,6 +196,15 @@ def validate_design(d: DesignPoint) -> list[StructuralViolation]:
     return out
 
 
+# The (row, col) steps to a tile's neighbors on the grid topologies, in
+# ascending order, so that stepping from a tile in this order visits its
+# neighbors in sorted coordinate order.
+GRID_STEPS = {
+    Topology.MESH: ((-1, 0), (0, -1), (0, 1), (1, 0)),
+    Topology.KINGMESH: tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)),
+}
+
+
 def neighbors(f: FabricSpec, tile: tuple[int, int]) -> set[tuple[int, int]]:
     """Tiles directly reachable from `tile` under the fabric topology.
 
@@ -207,12 +216,8 @@ def neighbors(f: FabricSpec, tile: tuple[int, int]) -> set[tuple[int, int]]:
         raise ArchError("OUT_OF_GRID", f"tile {tile} outside {f.rows}x{f.cols} grid")
     if f.topology is Topology.CROSSBAR:
         return {(rr, cc) for rr in range(f.rows) for cc in range(f.cols) if (rr, cc) != tile}
-    if f.topology is Topology.MESH:
-        deltas = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:  # KINGMESH
-        deltas = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
     out = set()
-    for dr, dc in deltas:
+    for dr, dc in GRID_STEPS[f.topology]:
         rr, cc = r + dr, c + dc
         if 0 <= rr < f.rows and 0 <= cc < f.cols:
             out.add((rr, cc))

@@ -23,6 +23,7 @@ min_speedup) score BIG + shortfall so any feasible design beats them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -54,6 +55,12 @@ class ObjectiveMode(Enum):
 class Objective:
     mode: ObjectiveMode
     min_speedup: float = 1.5
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.min_speedup):
+            raise EvalError("BAD_MIN_SPEEDUP", f"min_speedup={self.min_speedup} must be finite")
+        if self.min_speedup <= 0:
+            raise EvalError("BAD_MIN_SPEEDUP", f"min_speedup={self.min_speedup} must be positive")
 
 
 class EvalError(Exception):

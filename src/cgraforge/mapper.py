@@ -19,14 +19,20 @@ assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
 dataflow neighbors) and which backtracks under MapBudget.placement_attempts.
 The search keeps an explicit stack, so kernel size is not limited by the
-interpreter's recursion depth. On each candidate tile the residues to try
-are one bitmask: the free slots of the tile, intersected with the modular
-intervals that the static dependence windows of the already placed cycle
-partners allow; residues are tried in ascending order. Start cycles are
-recovered from the residues by a longest-path solve over the dependence
-difference constraints, so on small instances the search is effectively
-exhaustive and the returned II is optimal. The whole pipeline is
-deterministic: identical inputs give byte-identical results.
+interpreter's recursion depth. Each level of the stack builds, once, a
+table of the residues to try on every tile: one bitmask per tile, the
+tile's free slots intersected with the modular intervals that the static
+dependence windows of the already placed cycle partners allow (one mask
+per partner and hop distance). Residues are tried in ascending order. A
+level whose table is empty on every tile is dead: it is settled in O(1),
+without sorting its tiles, and its rejected slots are counted in one step
+(the occupied ones, one per placed node, then the rest). The kernel's
+schedule order, adjacency and cycles and the fabric's hop table are
+computed once per map_kernel call and shared by all its II attempts.
+Start cycles are recovered from the residues by a longest-path solve over
+the dependence difference constraints, so on small instances the search
+is effectively exhaustive and the returned II is optimal. The whole
+pipeline is deterministic: identical inputs give byte-identical results.
 
 The search reads only the kernel, the budget and the fabric's rows, cols
 and topology. The fabric's FU kinds and config memory depth enter through
@@ -41,7 +47,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .arch import DesignPoint, FabricSpec, FuKind, Topology, neighbors
+from .arch import GRID_STEPS, DesignPoint, FabricSpec, FuKind, Topology, neighbors
 from .kernel import KernelGraph
 
 Tile = tuple[int, int]
@@ -108,17 +114,21 @@ def hop_distance(f: FabricSpec, a: Tile, b: Tile) -> int:
 
 def route_path(f: FabricSpec, a: Tile, b: Tile) -> tuple[Tile, ...]:
     """Deterministic shortest path from a to b: breadth-first search
-    expanding neighbors in sorted coordinate order."""
+    expanding neighbors in sorted coordinate order, each tile reached
+    through the tile that discovered it. On a CROSSBAR every other tile is
+    a neighbor, so the path is the one hop (a, b)."""
     if a == b:
         return (a,)
+    if f.topology is Topology.CROSSBAR:
+        return (a, b)
+    steps = GRID_STEPS[f.topology]
     parent: dict[Tile, Tile] = {a: a}
     queue: deque[Tile] = deque([a])
-    while queue:
-        cur = queue.popleft()
-        if cur == b:
-            break
-        for nxt in sorted(neighbors(f, cur)):
-            if nxt not in parent:
+    while b not in parent:
+        cur = r, c = queue.popleft()
+        for dr, dc in steps:
+            nxt = (r + dr, c + dc)
+            if 0 <= nxt[0] < f.rows and 0 <= nxt[1] < f.cols and nxt not in parent:
                 parent[nxt] = cur
                 queue.append(nxt)
     path = [b]
@@ -202,20 +212,78 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _hop_rows(f: FabricSpec) -> list[list[int]]:
+    """hop_distance between every pair of tiles, by row-major tile index:
+    row a holds the hops from tile a to every tile. Built from each
+    topology's distance formula, not one hop_distance call per pair."""
+    tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
+    if f.topology is Topology.CROSSBAR:
+        return [[int(a != b) for b in tiles] for a in tiles]
+    if f.topology is Topology.MESH:
+        return [[abs(ra - rb) + abs(ca - cb) for rb, cb in tiles] for ra, ca in tiles]
+    return [[max(abs(ra - rb), abs(ca - cb)) for rb, cb in tiles] for ra, ca in tiles]  # KINGMESH
+
+
+class _Tables:
+    """What every II attempt of one map_kernel call reads and none writes:
+    the kernel's schedule order, dependence adjacency and cyclic components,
+    and the fabric's tiles, hop table and first-node tiles. Tiles are
+    row-major indices into `tiles`."""
+
+    def __init__(self, k: KernelGraph, f: FabricSpec):
+        self.k = k
+        self.f = f
+        self.lat = {n.id: n.latency for n in k.nodes}
+        self.order = _schedule_order(k)
+        self.rank = {nid: i for i, nid in enumerate(self.order)}
+        self.tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
+        self.hop_rows = _hop_rows(f)
+        self.max_hop = max(map(max, self.hop_rows))
+        # Symmetry breaking for the root of the search tree. Any feasible
+        # assignment can be rotated (all residues shifted mod II) so the
+        # first node sits at residue 0, and mapped through any
+        # hop-preserving tile symmetry: every crossbar tile is equivalent,
+        # and grid reflections (plus transpose on square grids) preserve
+        # both Manhattan and Chebyshev distances. So the first node only
+        # ever needs residue 0 and one tile per symmetry orbit.
+        if f.topology is Topology.CROSSBAR:
+            self.first_tiles = [0]
+        else:
+            self.first_tiles = [
+                i
+                for i, (r, c) in enumerate(self.tiles)
+                if 2 * r <= f.rows - 1 and 2 * c <= f.cols - 1 and (f.rows != f.cols or r <= c)
+            ]
+        # Dependence adjacency among kernel nodes (u -> v, latency(u), d).
+        self.out_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
+        self.in_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
+        self.dfg_neighbors: dict[int, list[int]] = {n.id: [] for n in k.nodes}
+        for e in k.edges:
+            self.out_edges[e.src].append((e.dst, self.lat[e.src], e.distance))
+            self.in_edges[e.dst].append((e.src, self.lat[e.src], e.distance))
+            if e.src != e.dst:
+                self.dfg_neighbors[e.src].append(e.dst)
+                self.dfg_neighbors[e.dst].append(e.src)
+        succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
+        self.cycles = [comp for comp in _sccs(sorted(succs), succs) if len(comp) > 1]
+
+
 class _Frame:
-    """One level of the search: a node, its candidate tiles in try order, its
-    placed window partners as (tile, r_u + lo, hi - lo + 1), and on the
-    current tile the residues still to try (a bitmask of free slots the
-    windows allow) and those already passed (tried or counted)."""
+    """One level of the search: a node, its candidate tiles in try order,
+    and per tile (by index) the residues it may take, `allow`: free on the
+    tile and inside every placed window partner's interval. A frame whose
+    allow is 0 on every tile is dead and gets no tiles. On the current tile
+    the frame keeps the residues still to try and those already passed
+    (tried or counted)."""
 
-    __slots__ = ("nid", "tiles", "partners", "next_tile", "tile", "full", "taken", "left", "passed", "residue", "undo")
+    __slots__ = ("nid", "tiles", "allow", "next_tile", "tile", "full", "taken", "left", "passed", "residue", "undo")
 
-    def __init__(self, nid: int, tiles: list[Tile], full: int, partners: list[tuple[Tile, int, int]]):
+    def __init__(self, nid: int, tiles: list[int], allow: list[int], full: int):
         self.nid = nid
         self.tiles = tiles
-        self.partners = partners
+        self.allow = allow
         self.next_tile = 0
-        self.tile: Tile | None = None
+        self.tile = -1
         self.full = full  # the residues this level tries on every tile
         self.taken = 0  # occupied residues of the current tile
         self.left = 0
@@ -228,48 +296,22 @@ class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
     longest-path feasibility over the dependence difference constraints."""
 
-    def __init__(self, k: KernelGraph, f: FabricSpec, ii: int, attempts_left: int):
-        self.k = k
-        self.f = f
+    def __init__(self, t: _Tables, ii: int, attempts_left: int):
+        self.t = t
         self.ii = ii
         self.attempts_left = attempts_left
-        self.lat = {n.id: n.latency for n in k.nodes}
-        self.order = _schedule_order(k)
-        self.tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
-        self.hops = {(a, b): hop_distance(f, a, b) for a in self.tiles for b in self.tiles}
-        self.hop_rows = {a: [self.hops[a, b] for b in self.tiles] for a in self.tiles}
-        # Symmetry breaking for the root of the search tree. Any feasible
-        # assignment can be rotated (all residues shifted mod II) so the
-        # first node sits at residue 0, and mapped through any
-        # hop-preserving tile symmetry: every crossbar tile is equivalent,
-        # and grid reflections (plus transpose on square grids) preserve
-        # both Manhattan and Chebyshev distances. So the first node only
-        # ever needs residue 0 and one tile per symmetry orbit.
-        if f.topology is Topology.CROSSBAR:
-            self.first_tiles = self.tiles[:1]
-        else:
-            self.first_tiles = [t for t in self.tiles if 2 * t[0] <= f.rows - 1 and 2 * t[1] <= f.cols - 1]
-            if f.rows == f.cols:
-                self.first_tiles = [t for t in self.first_tiles if t[0] <= t[1]]
-        # Dependence adjacency among kernel nodes (u -> v, latency(u), d).
-        self.out_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.in_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.dfg_neighbors: dict[int, list[int]] = {n.id: [] for n in k.nodes}
-        for e in k.edges:
-            self.out_edges[e.src].append((e.dst, self.lat[e.src], e.distance))
-            self.in_edges[e.dst].append((e.src, self.lat[e.src], e.distance))
-            if e.src != e.dst:
-                self.dfg_neighbors[e.src].append(e.dst)
-                self.dfg_neighbors[e.dst].append(e.src)
-        max_hop = max(f.rows + f.cols, 2)
-        per_edge = math.ceil((max(self.lat.values()) + max_hop + ii - 1) / ii)
-        self.dist_ub = max(1, per_edge * max(1, len(k.edges)))
-        self.place: dict[int, tuple[Tile, int]] = {}  # id -> (tile, residue)
+        self.hop_rows = t.hop_rows
+        self.full = (1 << ii) - 1
+        hop_bound = max(t.f.rows + t.f.cols, 2)
+        per_edge = math.ceil((max(t.lat.values()) + hop_bound + ii - 1) / ii)
+        self.dist_ub = max(1, per_edge * max(1, len(t.k.edges)))
+        self.place: dict[int, tuple[int, int]] = {}  # id -> (tile, residue)
         self.q: dict[int, int] = {}  # id -> longest-path value
-        self.occupied: dict[Tile, int] = dict.fromkeys(self.tiles, 0)  # tile -> bitmask of taken residues
+        self.occupied = [0] * len(t.tiles)  # tile -> bitmask of taken residues
         self.slot_failures = 0
         self.dep_failures = 0
         self.windows = self._pairwise_windows()
+        self.masks: dict[tuple[int, int], list[int]] = {}  # (start, span) -> _window_masks
 
     def _pairwise_windows(self) -> dict[int, list[tuple[int, int, int]]]:
         """Static start-time windows between nodes that share a dependence
@@ -277,18 +319,20 @@ class _Attempt:
         longest paths D[u][v] and D[v][u] bound any schedule:
         D[u][v] <= start(v) - start(u) <= -D[v][u]. Checking a candidate
         slot against these windows refutes a dead branch when the slot is
-        chosen, not levels deeper when the cycle finally closes.
+        chosen, not levels deeper when the cycle finally closes. A window
+        is kept on the later node of the pair in schedule order, whose
+        frame finds the other one placed, as (u, D[u][v], span) with span
+        = -D[v][u] - D[u][v] + 1 the number of start differences it allows.
         """
-        succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
+        out_edges = self.t.out_edges
+        rank = self.t.rank
         windows: dict[int, list[tuple[int, int, int]]] = {}
         neg_inf = float("-inf")
-        for comp in _sccs(sorted(succs), succs):
-            if len(comp) < 2:
-                continue
+        for comp in self.t.cycles:
             dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
             for u in comp:
                 dist[u][u] = 0
-                for v, lat_u, d in self.out_edges[u]:
+                for v, lat_u, d in out_edges[u]:
                     if v in dist[u]:
                         dist[u][v] = max(dist[u][v], lat_u - d * self.ii)
             for w in comp:
@@ -305,41 +349,83 @@ class _Attempt:
             for v in comp:
                 cons = []
                 for u in comp:
-                    if u != v and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
-                        cons.append((u, int(dist[u][v]), -int(dist[v][u])))
+                    if rank[u] < rank[v] and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
+                        lo, hi = int(dist[u][v]), -int(dist[v][u])
+                        cons.append((u, lo, hi - lo + 1))
                 if cons:
                     windows[v] = cons
         return windows
 
+    def _window_masks(self, start: int, span: int) -> list[int]:
+        """The residues a window partner allows, by hop distance h: those in
+        [start + h, start + span - 1 - h] mod II (start = r_u + lo)."""
+        ii = self.ii
+        masks = []
+        for h in range(self.t.max_hop + 1):
+            width = span - 2 * h
+            if width >= ii:
+                masks.append(self.full)
+            elif width <= 0:
+                masks.append(0)
+            else:
+                run = ((1 << width) - 1) << ((start + h) % ii)
+                masks.append((run | (run >> ii)) & self.full)
+        return masks
+
     def _frame(self, idx: int) -> _Frame:
-        nid = self.order[idx]
+        """The frame for the idx-th node of the schedule order. Its per-tile
+        residue table is exact for the frame's whole life: the occupancy
+        and the placed partners it reads stay as they are while it lives,
+        because deeper levels undo their placements before control returns
+        to it. A dead frame's scan is charged here in one step: over all
+        tiles, the occupied slots (one per placed node) are slot failures
+        and every other slot is a dependence failure."""
+        t = self.t
+        nid = t.order[idx]
         if idx == 0:
-            return _Frame(nid, self.first_tiles, 1, [])  # residue 0 only
-        rows = [self.hop_rows[self.place[m][0]] for m in self.dfg_neighbors[nid] if m in self.place]
-        tiles = self.tiles
+            return _Frame(nid, t.first_tiles, [1] * len(t.tiles), 1)  # residue 0 only
+        full = self.full
+        place = self.place
+        occupied = self.occupied
+        allow = None
+        # A partner u at (tile_u, r_u) with window [lo, hi], h hops from a
+        # candidate tile, needs start(nid) - start(u) in [lo + h, hi - h].
+        for u, lo, span in self.windows.get(nid, ()):
+            tile_u, r_u = place[u]
+            key = ((r_u + lo) % self.ii, span)
+            masks = self.masks.get(key)
+            if masks is None:
+                masks = self.masks[key] = self._window_masks(*key)
+            row = self.hop_rows[tile_u]
+            if allow is None:
+                allow = [(full ^ taken) & masks[h] for taken, h in zip(occupied, row)]
+            else:
+                allow = [a & masks[h] for a, h in zip(allow, row)]
+            if not any(allow):
+                break
+        if allow is None:
+            allow = [full ^ taken for taken in occupied]
+        if not any(allow):
+            self.slot_failures += idx
+            self.dep_failures += len(allow) * self.ii - idx
+            return _Frame(nid, [], allow, full)
+        tiles = list(range(len(allow)))
+        rows = [self.hop_rows[place[m][0]] for m in t.dfg_neighbors[nid] if m in place]
         if rows:
             # nearest-first to the placed neighbors; a stable sort keeps
-            # (row, col) order among equals, since self.tiles is in it
+            # row-major order among equals
             sums = [sum(col) for col in zip(*rows)]
-            tiles = [tiles[i] for i in sorted(range(len(tiles)), key=sums.__getitem__)]
-        # The window partners placed now stay put while this frame lives. A
-        # partner u at (tile_u, r_u) with window [lo, hi], h hops from a
-        # candidate tile, needs start(nid) - start(u) in [lo + h, hi - h]:
-        # the hi - lo - 2h + 1 consecutive residues (mod II) from r_u + lo + h.
-        partners = []
-        for u, lo, hi in self.windows.get(nid, ()):
-            placed = self.place.get(u)
-            if placed is not None:
-                partners.append((placed[0], placed[1] + lo, hi - lo + 1))
-        return _Frame(nid, tiles, (1 << self.ii) - 1, partners)
+            tiles.sort(key=sums.__getitem__)
+        return _Frame(nid, tiles, allow, full)
 
     def _next_residue(self, fr: _Frame) -> int:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
         next tile when the current one has none left; -1 when no tile has.
-        Tiles and residues come in ascending try order, and every slot
-        passed over on the way is counted as a slot failure (occupied) or a
-        dependence failure (outside a window) before the next try, so the
-        counters read as a slot-by-slot scan would leave them."""
+        A tile's residues to try are fr.allow[tile], read from the frame's
+        table. Tiles and residues come in ascending try order, and every
+        slot passed over on the way is counted as a slot failure (occupied)
+        or a dependence failure (outside a window) before the next try, so
+        the counters read as a slot-by-slot scan would leave them."""
         left = fr.left
         passed = fr.passed  # always the residues below some bound
         taken = fr.taken
@@ -348,9 +434,9 @@ class _Attempt:
             full = fr.full
             rest = full & ~passed  # the current tile's residues after its last try
             tiles = fr.tiles
+            allow = fr.allow
+            occupied = self.occupied
             i = fr.next_tile
-            ii = self.ii
-            hops = self.hops
             while True:
                 if rest:
                     n_taken = (rest & taken).bit_count()
@@ -364,17 +450,8 @@ class _Attempt:
                     return -1
                 tile = tiles[i]
                 i += 1
-                taken = self.occupied[tile]
-                left = full & ~taken
-                for tile_u, start, span in fr.partners:
-                    h = hops[tile_u, tile]
-                    width = span - 2 * h
-                    if width < ii:
-                        if width <= 0:
-                            left = 0
-                            break
-                        run = ((1 << width) - 1) << ((start + h) % ii)
-                        left &= run | (run >> ii)
+                taken = occupied[tile]
+                left = allow[tile]
                 if left:
                     break
                 rest = full
@@ -397,9 +474,10 @@ class _Attempt:
     def run(self) -> dict[int, tuple[Tile, int]] | None:
         """Depth-first search over the schedule order with an explicit
         frame stack, one frame per placed node plus the one being tried.
-        Only full placements draw on the budget; the slots the bitmasks
-        rule out are two orders of magnitude cheaper."""
+        Only full placements draw on the budget; the slots the per-frame
+        tables rule out are two orders of magnitude cheaper."""
         stack = [self._frame(0)]
+        depth = len(self.t.order)
         while True:
             fr = stack[-1]
             residue = self._next_residue(fr)
@@ -417,23 +495,24 @@ class _Attempt:
             if undo is None:
                 self.dep_failures += 1
                 continue
-            if len(stack) == len(self.order):
-                return dict(self.place)
+            if len(stack) == depth:
+                tiles = self.t.tiles
+                return {nid: (tiles[tile], r) for nid, (tile, r) in self.place.items()}
             fr.residue = residue
             fr.undo = undo
             stack.append(self._frame(len(stack)))
 
-    def _edge_weight(self, lat_u: int, d: int, tile_u: Tile, tile_v: Tile, r_u: int, r_v: int) -> int:
-        num = lat_u + self.hops[tile_u, tile_v] + r_u - r_v
+    def _edge_weight(self, lat_u: int, d: int, tile_u: int, tile_v: int, r_u: int, r_v: int) -> int:
+        num = lat_u + self.hop_rows[tile_u][tile_v] + r_u - r_v
         return -((-num) // self.ii) - d
 
-    def _try_add(self, nid: int, tile: Tile, residue: int) -> list[tuple[int, int]] | None:
+    def _try_add(self, nid: int, tile: int, residue: int) -> list[tuple[int, int]] | None:
         """Tentatively place nid; return an undo log, or None if the
         dependence system becomes infeasible (positive cycle)."""
         self.place[nid] = (tile, residue)
         self.occupied[tile] |= 1 << residue
         base = 0
-        for u, lat_u, d in self.in_edges[nid]:
+        for u, lat_u, d in self.t.in_edges[nid]:
             if u in self.place and u != nid:
                 tu, ru = self.place[u]
                 base = max(base, self.q[u] + self._edge_weight(lat_u, d, tu, tile, ru, residue))
@@ -445,10 +524,11 @@ class _Attempt:
         # past dist_ub) prove a positive cycle.
         update_cap = len(self.place)
         updates: dict[int, int] = {}
+        out_edges = self.t.out_edges
         while queue:
             u = queue.popleft()
             tu, ru = self.place[u]
-            for v, lat_u, d in self.out_edges[u]:
+            for v, lat_u, d in out_edges[u]:
                 if v not in self.place:
                     continue
                 tv, rv = self.place[v]
@@ -465,7 +545,7 @@ class _Attempt:
                     queue.append(v)
         return undo
 
-    def _undo(self, nid: int, tile: Tile, residue: int, undo: list[tuple[int, int]]) -> None:
+    def _undo(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
         for v, old in reversed(undo):
             self.q[v] = old
         del self.place[nid]
@@ -603,10 +683,11 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
         )
     # Extra sound lower bound: n nodes need n distinct (tile, residue) slots.
     lower = max(res, rec, math.ceil(len(k.nodes) / f.tiles))
+    tables = _Tables(k, f)
     last_dep_failures = 0
     budget_hit = False
     for ii in range(lower, budget.max_ii + 1):
-        attempt = _Attempt(k, f, ii, budget.placement_attempts)
+        attempt = _Attempt(tables, ii, budget.placement_attempts)
         try:
             placement = attempt.run()
         except _BudgetExhausted:

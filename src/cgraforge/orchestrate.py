@@ -156,8 +156,6 @@ class RunConfig:
             raise RunConfigError(f"history_window={self.history_window} must be >= 1")
         if self.budget.max_ii < 1 or self.budget.placement_attempts < 1:
             raise RunConfigError("budget fields must be >= 1")
-        if self.objective.min_speedup <= 0:
-            raise RunConfigError(f"min_speedup={self.objective.min_speedup} must be positive")
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
@@ -277,18 +275,31 @@ class RunConfig:
 
 
 class History:
-    """Append-only JSONL event log with a monotone sequence number."""
+    """Append-only JSONL event log with a monotone sequence number.
+
+    Records are appended through one handle, open while the log is used as
+    a context manager (`with history:`), and each is flushed as it is
+    written, so the file always ends with the last record appended."""
 
     def __init__(self, path: Path, seq: int = 0):
         self.path = path
         self.seq = seq
+        self._fh = None
+
+    def __enter__(self) -> "History":
+        self._fh = self.path.open("a", encoding="utf-8")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+        self._fh = None
 
     def append(self, record: dict) -> None:
         self.seq += 1
         full = {"schema_version": SCHEMA_VERSION, "seq": self.seq}
         full.update(record)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(full, sort_keys=True) + "\n")
+        self._fh.write(json.dumps(full, sort_keys=True) + "\n")
+        self._fh.flush()
 
     def truncate(self) -> None:
         """Cut the file back to its first `seq` records, dropping what a
@@ -769,13 +780,14 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
             raise RunConfigError(f"{hist_path} already exists; resume the run or pick a fresh directory")
         start_iter = runner.replay(read_history(hist_path)) + 1
         runner.history.truncate()
-    else:
-        if resume:
-            raise RunConfigError(f"cannot resume: no history at {hist_path}")
-        runner.history.append({"type": "run_header", "config": cfg.to_header_dict()})
+    elif resume:
+        raise RunConfigError(f"cannot resume: no history at {hist_path}")
 
-    for it in range(start_iter, cfg.iterations + 1):
-        runner.run_iteration(it)
+    with runner.history:
+        if runner.history.seq == 0:  # a fresh log starts with its header
+            runner.history.append({"type": "run_header", "config": cfg.to_header_dict()})
+        for it in range(start_iter, cfg.iterations + 1):
+            runner.run_iteration(it)
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE

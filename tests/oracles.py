@@ -5,12 +5,15 @@ the min-II search enumerates (tile, residue) assignments in plain node-id
 order with no ordering heuristics and no symmetry breaking, re-solving the
 dependence system from scratch after every partial assignment, and the
 dependence oracle expands kernels edge by edge into explicit iteration-space
-pairs. Slow but simple beats fast but clever for a referee.
+pairs. Slow but simple beats fast but clever for a referee. The one
+exception is reference_attempt, which must try slots in the mapper's own
+order to check its counters: it keeps that order but scans one slot at a
+time, tests windows by enumeration and re-solves feasibility from scratch.
 """
 
 from __future__ import annotations
 
-from cgraforge.arch import FabricSpec, Topology
+from cgraforge.arch import FabricSpec, Topology, neighbors
 from cgraforge.kernel import KernelGraph
 
 
@@ -22,6 +25,22 @@ def oracle_hops(f: FabricSpec, a: tuple[int, int], b: tuple[int, int]) -> int:
     dr = abs(a[0] - b[0])
     dc = abs(a[1] - b[1])
     return max(dr, dc) if f.topology is Topology.KINGMESH else dr + dc
+
+
+def bfs_routes(f: FabricSpec, a: tuple[int, int]) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """route_path's definition, from a to every tile at once: breadth-first
+    search from a expanding arch.neighbors in sorted coordinate order, each
+    tile's path running back through the tile that discovered it."""
+    paths = {a: (a,)}
+    queue = [a]
+    for cur in queue:
+        if len(paths) == f.tiles:
+            break
+        for nxt in sorted(neighbors(f, cur)):
+            if nxt not in paths:
+                paths[nxt] = paths[cur] + (nxt,)
+                queue.append(nxt)
+    return paths
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -180,6 +199,114 @@ def brute_force_min_ii(k: KernelGraph, f: FabricSpec, max_ii: int) -> int | None
             assert _verified_starts(k, f, ii, placed) is not None, "oracle found an invalid assignment"
             return ii
     return None
+
+
+class _OutOfAttempts(Exception):
+    pass
+
+
+def reference_attempt(
+    k: KernelGraph, f: FabricSpec, ii: int, attempts: int
+) -> tuple[dict[int, tuple[tuple[int, int], int]] | None, int, int, int]:
+    """One II attempt of the mapper's search, scanned one (tile, residue)
+    slot at a time: (placement or None, attempts left, slot failures,
+    dependence failures), attempts left -1 when the budget ran out.
+
+    The search order is the mapper's: nodes by (ASAP level over distance-0
+    edges, id); the first node on residue 0 and one tile per symmetry orbit;
+    every later node on tiles nearest-first to its placed dataflow
+    neighbors (ties in row-major order) and residues ascending. A slot is a
+    slot failure when taken, a dependence failure when it leaves the
+    static window of a placed partner in a dependence cycle, and otherwise
+    a full placement that draws one attempt and is kept only when the
+    placed subgraph has no positive cycle (else one more dependence
+    failure). Windows come from Bellman-Ford longest paths, which needs ii
+    at or above the recurrence bound; feasibility is re-solved from scratch.
+    """
+    lat = _lat(k)
+    ids = sorted(lat)
+    edges = [(e.src, e.dst, e.distance) for e in k.edges]
+    tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
+
+    level = dict.fromkeys(ids, 0)
+    for _ in ids:
+        for u, v, d in edges:
+            if d == 0:
+                level[v] = max(level[v], level[u] + lat[u])
+    order = sorted(ids, key=lambda n: (level[n], n))
+
+    def longest_from(src: int) -> dict[int, int]:
+        dist = {src: 0}
+        for _ in ids:
+            for u, v, d in edges:
+                if u in dist:
+                    cand = dist[u] + lat[u] - d * ii
+                    if v not in dist or cand > dist[v]:
+                        dist[v] = cand
+        return dist
+
+    longest = {n: longest_from(n) for n in ids}
+    windows = {
+        v: [(u, longest[u][v], -longest[v][u]) for u in ids if u != v and v in longest[u] and u in longest[v]]
+        for v in ids
+    }
+
+    if f.topology is Topology.CROSSBAR:
+        first_tiles = [(0, 0)]
+    else:
+        first_tiles = [
+            (r, c) for r, c in tiles if 2 * r < f.rows and 2 * c < f.cols and (f.rows != f.cols or r <= c)
+        ]
+    adjacent = {n: [] for n in ids}
+    for u, v, _ in edges:
+        if u != v:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+
+    placed: dict[int, tuple[tuple[int, int], int]] = {}
+    counts = {"left": attempts, "slots": 0, "deps": 0}
+
+    def in_windows(nid: int, tile: tuple[int, int], r: int) -> bool:
+        for u, lo, hi in windows[nid]:
+            if u in placed:
+                tile_u, r_u = placed[u]
+                h = oracle_hops(f, tile_u, tile)
+                if not any((r - r_u - delta) % ii == 0 for delta in range(lo + h, hi - h + 1)):
+                    return False
+        return True
+
+    def dfs(i: int) -> bool:
+        if i == len(order):
+            return True
+        nid = order[i]
+        if i == 0:
+            candidates = [(tile, 0) for tile in first_tiles]
+        else:
+            near = sorted(tiles, key=lambda t: sum(oracle_hops(f, t, placed[m][0]) for m in adjacent[nid] if m in placed))
+            candidates = [(tile, r) for tile in near for r in range(ii)]
+        for tile, r in candidates:
+            if (tile, r) in placed.values():
+                counts["slots"] += 1
+            elif not in_windows(nid, tile, r):
+                counts["deps"] += 1
+            else:
+                counts["left"] -= 1
+                if counts["left"] < 0:
+                    raise _OutOfAttempts()
+                placed[nid] = (tile, r)
+                if _no_positive_cycle(placed, edges, lat, f, ii):
+                    if dfs(i + 1):
+                        return True
+                else:
+                    counts["deps"] += 1
+                del placed[nid]
+        return False
+
+    try:
+        found = dfs(0)
+    except _OutOfAttempts:
+        found = False
+    return (dict(placed) if found else None), counts["left"], counts["slots"], counts["deps"]
 
 
 def rec_mii_by_enumeration(k: KernelGraph) -> int:

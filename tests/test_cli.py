@@ -149,6 +149,12 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", design_file, "--kernel", "fir", "--objective", "FASTEST")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_min_speedup_is_usage_error(self, capsys, design_file, value):
+        code, out, err = run_cli(capsys, "evaluate", design_file, "--kernel", "fir", f"--min-speedup={value}")
+        assert code == EXIT_USAGE
+        assert out == "" and "min_speedup=" in err
+
     def test_bad_coeffs_file_is_usage_error(self, capsys, design_file, tmp_path):
         coeffs = tmp_path / "c.json"
         coeffs.write_text("{}")
@@ -292,6 +298,14 @@ class TestRunAndReport:
         assert code == EXIT_USAGE
         assert "must be finite" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_run_non_positive_min_speedup_is_usage_error(self, capsys, tmp_path, value):
+        out = tmp_path / "r"
+        code, _, err = run_cli(capsys, "run", "--kernel", "spmv", "--out", str(out), f"--min-speedup={value}")
+        assert code == EXIT_USAGE
+        assert err == f"error: min_speedup={float(value)} must be positive\n"
+        assert not out.exists()
 
     def test_resume_without_history_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(

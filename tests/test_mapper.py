@@ -15,6 +15,8 @@ from cgraforge.mapper import (
     MappingResult,
     _Attempt,
     _BudgetExhausted,
+    _hop_rows,
+    _Tables,
     _rec_by_search,
     check_mapping,
     hop_distance,
@@ -24,7 +26,7 @@ from cgraforge.mapper import (
     speedup,
 )
 from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, map_checked, random_dfg
-from oracles import brute_force_min_ii, rec_mii_by_enumeration
+from oracles import bfs_routes, brute_force_min_ii, rec_mii_by_enumeration, reference_attempt
 
 ORACLE_BUDGET = MapBudget(max_ii=4, placement_attempts=500_000)
 
@@ -69,6 +71,20 @@ class TestHopDistance:
                 assert hop_distance(f, a, b) == dist[b]
 
 
+def every_grid_up_to_8x8():
+    for topo in Topology:
+        for rows in range(1, 9):
+            for cols in range(1, 9):
+                f = fabric(rows=rows, cols=cols, topology=topo)
+                yield f, [(r, c) for r in range(rows) for c in range(cols)]
+
+
+class TestHopTable:
+    def test_equals_hop_distance_on_every_pair(self):
+        for f, tiles in every_grid_up_to_8x8():
+            assert _hop_rows(f) == [[hop_distance(f, a, b) for b in tiles] for a in tiles], f
+
+
 class TestRoutePath:
     def test_endpoints_steps_and_length(self):
         rng = random.Random(4)
@@ -82,6 +98,12 @@ class TestRoutePath:
                 assert len(path) == hop_distance(f, a, b) + 1
                 for u, v in zip(path, path[1:]):
                     assert v in neighbors(f, u)
+
+    def test_equals_breadth_first_definition_on_every_pair(self):
+        for f, tiles in every_grid_up_to_8x8():
+            for a in tiles:
+                paths = bfs_routes(f, a)
+                assert [route_path(f, a, b) for b in tiles] == [paths[b] for b in tiles], (f, a)
 
     def test_deterministic(self):
         f = fabric(rows=4, cols=4)
@@ -184,6 +206,11 @@ SEARCH_GOLDEN = [
     ("fir", 2, 1, 3, 3, "KINGMESH", 4, 2000, None, -1, 13911, 55912),
     ("embedded_mix", 2, 1, 4, 4, "MESH", 5, 2000, None, -1, 13953, 143664),
     ("knot", 1, 1, 2, 2, "MESH", 3, 100000, None, 99716, 1073, 2052),
+    # 8x8 grids where nearly every frame is dead (no tile has a residue
+    # inside all placed window partners' intervals)
+    ("embedded_mix", 6, 1, 8, 8, "MESH", 15, 400, None, -1, 11420, 345059),
+    ("embedded_mix", 8, 1, 8, 8, "KINGMESH", 19, 400, None, -1, 14892, 424558),
+    ("ml_mix", 8, 1, 8, 8, "CROSSBAR", 25, 2000, None, -1, 49696, 3110628),
 ]
 
 
@@ -207,7 +234,7 @@ class TestSearchGolden:
 
         name, u, v, rows, cols, topo, ii, attempts, digest, left, slots, deps = case
         k = knot_kernel() if name == "knot" else apply_sw_params(load_kernel(name), u, v)
-        a = _Attempt(k, fabric(rows=rows, cols=cols, topology=Topology[topo]), ii, attempts)
+        a = _Attempt(_Tables(k, fabric(rows=rows, cols=cols, topology=Topology[topo])), ii, attempts)
         try:
             placement = a.run()
         except _BudgetExhausted:
@@ -219,8 +246,62 @@ class TestSearchGolden:
     def test_small_placement_in_full(self):
         from cgraforge.kernel import load_kernel
 
-        a = _Attempt(load_kernel("fir"), fabric(), 2, 2000)
+        a = _Attempt(_Tables(load_kernel("fir"), fabric()), 2, 2000)
         assert a.run() == {0: ((0, 0), 0), 1: ((0, 1), 0), 2: ((0, 1), 1), 3: ((1, 1), 0), 4: ((0, 0), 1)}
+
+
+def wide_window_kernel() -> KernelGraph:
+    """A PHI/ADD recurrence whose window stays open for several hops at
+    large II, feeding a MUL whose carried self-loop (latency 9) fails every
+    II below 9, so the search scans every tile the window allows."""
+    kinds = [("PHI", 1), ("ADD", 1), ("MUL", 9)]
+    edges = [(0, 1, 0), (1, 0, 1), (1, 2, 0), (2, 2, 1)]
+    return KernelGraph(
+        name="wide",
+        nodes=[DfgNode(id=i, kind=FuKind[kind], latency=lat) for i, (kind, lat) in enumerate(kinds)],
+        edges=[DfgEdge(src=s, dst=d, distance=dist) for s, d, dist in edges],
+        trip_count=8,
+    )
+
+
+def reference_cases():
+    """(kernel, fabric, II, attempts) for the reference comparison."""
+    rng = random.Random(29)
+    for _ in range(150):
+        k = random_dfg(rng, max_nodes=8)
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        attempts = rng.choice([3, 10, 40, 400])
+        for topo in Topology:
+            f = fabric(rows=rows, cols=cols, topology=topo)
+            # from the recurrence bound, where the windows are defined, to
+            # past map_kernel's first II: below it the slots run out
+            res, rec = min_ii_bounds(k, f)
+            for ii in range(rec, max(res, rec, -(-len(k.nodes) // f.tiles)) + 2):
+                yield k, f, ii, attempts
+    k = wide_window_kernel()
+    for rows, cols in [(1, 4), (2, 3), (3, 3)]:
+        for topo in Topology:
+            for ii in range(2, 9):
+                yield k, fabric(rows=rows, cols=cols, topology=topo), ii, 10_000
+
+
+class TestReferenceSearch:
+    def test_attempt_matches_slot_by_slot_reference(self):
+        outcomes = {"placed": 0, "exhausted": 0, "out_of_attempts": 0}
+        for k, f, ii, attempts in reference_cases():
+            want = reference_attempt(k, f, ii, attempts)
+            a = _Attempt(_Tables(k, f), ii, attempts)
+            try:
+                placement = a.run()
+            except _BudgetExhausted:
+                placement = None
+            got = (placement, a.attempts_left, a.slot_failures, a.dep_failures)
+            assert got == want, (k, f, ii, attempts)
+            if placement is not None:
+                outcomes["placed"] += 1
+            else:
+                outcomes["out_of_attempts" if a.attempts_left < 0 else "exhausted"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestLargeKernels:

@@ -18,6 +18,7 @@ from cgraforge.orchestrate import (
     METRICS_FILE,
     RUN_PLACEMENT_ATTEMPTS,
     SCHEMA_VERSION,
+    History,
     RunConfig,
     RunConfigError,
     _Runner,
@@ -161,6 +162,34 @@ class TestReadHistory:
         path = tmp_path / "h.jsonl"
         path.write_text('{"seq": 1}\n{"seq": 2, "ty')
         assert read_history(path) == [{"seq": 1}]
+
+
+class TestHistory:
+    def test_each_record_is_on_disk_when_append_returns(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        with History(path) as h:
+            for i in range(3):
+                h.append({"type": "proposal", "i": i})
+                assert [r["i"] for r in read_history(path)] == list(range(i + 1))
+        assert path.read_text().count("\n") == 3
+
+    def test_handle_is_closed_when_a_run_fails(self, tmp_path, monkeypatch):
+        handles = []
+
+        class Recording(History):
+            def __enter__(self):
+                handles.append(super().__enter__()._fh)
+                return self
+
+        def fail(self, it):
+            raise RuntimeError("killed mid-run")
+
+        monkeypatch.setattr("cgraforge.orchestrate.History", Recording)
+        monkeypatch.setattr(_Runner, "run_iteration", fail)
+        with pytest.raises(RuntimeError, match="killed mid-run"):
+            run(quick_cfg(), tmp_path / "out")
+        assert len(handles) == 1 and handles[0].closed
+        assert [e["type"] for e in read_history(tmp_path / "out" / HISTORY_FILE)] == ["run_header"]
 
 
 class TestRun:
