@@ -22,7 +22,7 @@ from ..arch import (
     StructuralViolation,
     SwParams,
     Topology,
-    serialize_design,
+    design_key,
 )
 from ..costs import BIG, EvalReport, Objective, ObjectiveMode
 from ..kernel import KernelSummary, TransformError
@@ -306,7 +306,7 @@ def _mutate(anchor: DesignPoint, fieldname: str, req: ProposalRequest, rng: rand
 
 
 def propose(req: ProposalRequest, seed: int) -> list[DesignPoint]:
-    """Draft req.count candidates, deduplicated by canonical serialization.
+    """Draft req.count candidates, deduplicated by design_key.
 
     Iteration 1 uses the stratified ladder. Later iterations spend count - 1
     drafts on single-field mutations of the best design seen so far and one
@@ -331,12 +331,12 @@ def propose(req: ProposalRequest, seed: int) -> list[DesignPoint]:
         drafts.append(_random_draft(req, rng))
 
     out: list[DesignPoint] = []
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     attempts = 0
     queue = deque(drafts)
     while queue and len(out) < req.count:
         d = queue.popleft()
-        key = serialize_design(d)
+        key = design_key(d)
         if key not in seen:
             seen.add(key)
             out.append(d)

@@ -28,7 +28,7 @@ from ..arch import (
     SwParams,
     Topology,
     design_dict,
-    serialize_design,
+    design_key,
 )
 from ..costs import EvalReport, Objective
 from ..mapper import MappedDesign
@@ -190,9 +190,9 @@ def propose(req: ProposalRequest, backend: AgentBackend) -> list[DesignPoint]:
         log.warning("LLM proposer failed (%s); falling back to heuristic drafts", e)
 
     out: list[DesignPoint] = []
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     for d in drafts + _heuristic.propose(req, backend.seed):
-        key = serialize_design(d)
+        key = design_key(d)
         if key not in seen:
             seen.add(key)
             out.append(d)

@@ -323,6 +323,23 @@ def serialize_design(d: DesignPoint) -> str:
     return json.dumps(design_dict(d), sort_keys=True, indent=2) + "\n"
 
 
+def design_key(d: DesignPoint) -> tuple:
+    """A hashable key of the file-visible fields: two designs with int
+    fields share a key exactly when serialize_design gives both the same
+    text. For deduplicating drafts without serializing them."""
+    f, sw = d.fabric, d.sw
+    return (
+        f.rows,
+        f.cols,
+        f.fu_kinds,
+        f.config_mem_depth,
+        f.data_mem_kb,
+        f.topology,
+        sw.unroll_factor,
+        sw.vectorize_factor,
+    )
+
+
 def design_fingerprint(d: DesignPoint) -> str:
     """Stable content hash of the file-visible fields (id-independent)."""
     return hashlib.sha256(serialize_design(d).encode("utf-8")).hexdigest()[:12]

@@ -26,13 +26,18 @@ dependence windows of the already placed cycle partners allow (one mask
 per partner and hop distance). Residues are tried in ascending order. A
 level whose table is empty on every tile is dead: it is settled in O(1),
 without sorting its tiles, and its rejected slots are counted in one step
-(the occupied ones, one per placed node, then the rest). The kernel's
-schedule order, adjacency and cycles and the fabric's hop table are
-computed once per map_kernel call and shared by all its II attempts.
-Start cycles are recovered from the residues by a longest-path solve over
-the dependence difference constraints, so on small instances the search
-is effectively exhaustive and the returned II is optimal. The whole
-pipeline is deterministic: identical inputs give byte-identical results.
+(the occupied ones, one per placed node, then the rest). What every
+search of one kernel reads is built once per kernel object: latencies,
+the schedule order, adjacency, cycles, the node kinds and RecMII. What
+every search on one grid reads, tiles and the hop table, is built once
+per (rows, cols, topology). The kernel tables live as long as the kernel
+object, the fabric tables in a memo bounded by their size, so a caller
+that maps one kernel on many fabrics, or many kernels on one grid,
+prepares each half once. Start cycles are recovered from the residues by
+a longest-path solve over the dependence difference constraints, so on
+small instances the search is effectively exhaustive and the returned II
+is optimal. The whole pipeline is deterministic: identical inputs give
+byte-identical results.
 
 The search reads only the kernel, the budget and the fabric's rows, cols
 and topology. The fabric's FU kinds and config memory depth enter through
@@ -44,7 +49,8 @@ and apply those checks per fabric.
 from __future__ import annotations
 
 import math
-from collections import deque
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from .arch import GRID_STEPS, DesignPoint, FabricSpec, FuKind, Topology, neighbors
@@ -153,17 +159,15 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
     The recurrence bound is max over dependence cycles of
     ceil(cycle latency / cycle distance), computed exactly as the smallest
     II under which no cycle has positive weight sum(latency) - II *
-    sum(distance): a binary search over II with a Bellman-Ford check.
+    sum(distance): a binary search over II with a Bellman-Ford check. Both
+    are read from the kernel's tables, so RecMII is searched once per
+    kernel object.
     """
-    census: dict[FuKind, int] = {}
-    for n in k.nodes:
-        census[n.kind] = census.get(n.kind, 0) + 1
-    res = 1
-    for kind, count in census.items():
-        if kind not in f.fu_kinds:
-            raise ValueError(f"node kind {kind.name} not in fabric fu_kinds")
-        res = max(res, math.ceil(count / f.tiles))
-    return res, _rec_mii(k)
+    kt = _kernel_tables(k)
+    if not kt.kinds <= f.fu_kinds:
+        kind = next(kind for kind in kt.census if kind not in f.fu_kinds)
+        raise ValueError(f"node kind {kind.name} not in fabric fu_kinds")
+    return max(1, math.ceil(kt.max_census / f.tiles)), kt.rec_mii
 
 
 def _rec_mii(k: KernelGraph) -> int:
@@ -212,31 +216,62 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _hop_rows(f: FabricSpec) -> list[list[int]]:
+def _hop_rows(f: FabricSpec) -> list[bytes]:
     """hop_distance between every pair of tiles, by row-major tile index:
-    row a holds the hops from tile a to every tile. Built from each
+    row a holds the hops from tile a to every tile, one byte each (a hop
+    count past 255 would take a grid of over 16 000 tiles). Built from each
     topology's distance formula, not one hop_distance call per pair."""
     tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
     if f.topology is Topology.CROSSBAR:
-        return [[int(a != b) for b in tiles] for a in tiles]
+        return [bytes([a != b for b in tiles]) for a in tiles]
     if f.topology is Topology.MESH:
-        return [[abs(ra - rb) + abs(ca - cb) for rb, cb in tiles] for ra, ca in tiles]
-    return [[max(abs(ra - rb), abs(ca - cb)) for rb, cb in tiles] for ra, ca in tiles]  # KINGMESH
+        return [bytes([abs(ra - rb) + abs(ca - cb) for rb, cb in tiles]) for ra, ca in tiles]
+    return [bytes([max(abs(ra - rb), abs(ca - cb)) for rb, cb in tiles]) for ra, ca in tiles]  # KINGMESH
 
 
-class _Tables:
-    """What every II attempt of one map_kernel call reads and none writes:
-    the kernel's schedule order, dependence adjacency and cyclic components,
-    and the fabric's tiles, hop table and first-node tiles. Tiles are
-    row-major indices into `tiles`."""
+class _KernelTables:
+    """What every search of one kernel reads and none writes: latencies,
+    the schedule order and rank, dependence adjacency, cyclic components,
+    the node kinds with their counts, and RecMII. Read by map_kernel,
+    min_ii_bounds and fu_kinds_error through _kernel_tables. Holds no
+    reference to the kernel object itself, so that the tables can go when
+    the kernel does."""
 
-    def __init__(self, k: KernelGraph, f: FabricSpec):
-        self.k = k
-        self.f = f
+    def __init__(self, k: KernelGraph):
+        self.edges = k.edges
         self.lat = {n.id: n.latency for n in k.nodes}
+        self.max_lat = max(self.lat.values(), default=0)
+        self.census: dict[FuKind, int] = {}  # kind -> node count, in first-node order
+        for n in k.nodes:
+            self.census[n.kind] = self.census.get(n.kind, 0) + 1
+        self.kinds = frozenset(self.census)
+        self.max_census = max(self.census.values(), default=0)
+        self.rec_mii = _rec_mii(k)
         self.order = _schedule_order(k)
         self.rank = {nid: i for i, nid in enumerate(self.order)}
-        self.tiles = [(r, c) for r in range(f.rows) for c in range(f.cols)]
+        # Dependence adjacency among kernel nodes (u -> v, latency(u), d).
+        self.out_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
+        self.in_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
+        self.dfg_neighbors: dict[int, list[int]] = {n.id: [] for n in k.nodes}
+        for e in k.edges:
+            self.out_edges[e.src].append((e.dst, self.lat[e.src], e.distance))
+            self.in_edges[e.dst].append((e.src, self.lat[e.src], e.distance))
+            if e.src != e.dst:
+                self.dfg_neighbors[e.src].append(e.dst)
+                self.dfg_neighbors[e.dst].append(e.src)
+        succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
+        self.cycles = [comp for comp in _sccs(sorted(succs), succs) if len(comp) > 1]
+
+
+class _FabricTables:
+    """What every search on one grid reads and none writes: the tile count,
+    the hop table and the first node's tiles. Built from f's rows, cols and
+    topology alone. Tiles are row-major indices, tile (r, c) is r * cols + c."""
+
+    def __init__(self, f: FabricSpec):
+        self.rows = f.rows
+        self.cols = f.cols
+        self.tiles = f.rows * f.cols
         self.hop_rows = _hop_rows(f)
         self.max_hop = max(map(max, self.hop_rows))
         # Symmetry breaking for the root of the search tree. Any feasible
@@ -250,22 +285,55 @@ class _Tables:
             self.first_tiles = [0]
         else:
             self.first_tiles = [
-                i
-                for i, (r, c) in enumerate(self.tiles)
+                r * f.cols + c
+                for r in range(f.rows)
+                for c in range(f.cols)
                 if 2 * r <= f.rows - 1 and 2 * c <= f.cols - 1 and (f.rows != f.cols or r <= c)
             ]
-        # Dependence adjacency among kernel nodes (u -> v, latency(u), d).
-        self.out_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.in_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.dfg_neighbors: dict[int, list[int]] = {n.id: [] for n in k.nodes}
-        for e in k.edges:
-            self.out_edges[e.src].append((e.dst, self.lat[e.src], e.distance))
-            self.in_edges[e.dst].append((e.src, self.lat[e.src], e.distance))
-            if e.src != e.dst:
-                self.dfg_neighbors[e.src].append(e.dst)
-                self.dfg_neighbors[e.dst].append(e.src)
-        succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
-        self.cycles = [comp for comp in _sccs(sorted(succs), succs) if len(comp) > 1]
+
+
+class _FabricMemo:
+    """Fabric tables by (rows, cols, topology), least recently used out
+    first, bounded by the hop-table cells (tiles squared) kept in total. A
+    grid whose table alone passes the bound is built but not kept."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.cells = 0
+        self.entries: OrderedDict[tuple, _FabricTables] = OrderedDict()
+
+    def get(self, f: FabricSpec) -> _FabricTables:
+        key = (f.rows, f.cols, f.topology)
+        ft = self.entries.get(key)
+        if ft is not None:
+            self.entries.move_to_end(key)
+            return ft
+        ft = _FabricTables(f)
+        if ft.tiles**2 <= self.capacity:
+            self.entries[key] = ft
+            self.cells += ft.tiles**2
+            while self.cells > self.capacity:
+                self.cells -= self.entries.popitem(last=False)[1].tiles ** 2
+        return ft
+
+
+# Kernel tables by id(kernel), each dropped when its kernel is: a run holds
+# one kernel object per (unroll, vectorize) it transforms, so a run's
+# tables live as long as the run does.
+_KERNEL_TABLES: dict[int, _KernelTables] = {}
+# Every grid up to 6x6 in all three topologies takes 24 843 cells, one 16x16
+# grid 65 536.
+_FABRIC_TABLES = _FabricMemo(1 << 16)
+
+
+def _kernel_tables(k: KernelGraph) -> _KernelTables:
+    # Keyed by identity, not by value: hashing a kernel hashes every node.
+    # The entry leaves while k is freed, before its id can be reused.
+    kt = _KERNEL_TABLES.get(id(k))
+    if kt is None:
+        kt = _KERNEL_TABLES[id(k)] = _KernelTables(k)
+        weakref.finalize(k, _KERNEL_TABLES.pop, id(k), None)
+    return kt
 
 
 class _Frame:
@@ -296,18 +364,19 @@ class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
     longest-path feasibility over the dependence difference constraints."""
 
-    def __init__(self, t: _Tables, ii: int, attempts_left: int):
-        self.t = t
+    def __init__(self, kt: _KernelTables, ft: _FabricTables, ii: int, attempts_left: int):
+        self.kt = kt
+        self.ft = ft
         self.ii = ii
         self.attempts_left = attempts_left
-        self.hop_rows = t.hop_rows
+        self.hop_rows = ft.hop_rows
         self.full = (1 << ii) - 1
-        hop_bound = max(t.f.rows + t.f.cols, 2)
-        per_edge = math.ceil((max(t.lat.values()) + hop_bound + ii - 1) / ii)
-        self.dist_ub = max(1, per_edge * max(1, len(t.k.edges)))
+        hop_bound = max(ft.rows + ft.cols, 2)
+        per_edge = math.ceil((kt.max_lat + hop_bound + ii - 1) / ii)
+        self.dist_ub = max(1, per_edge * max(1, len(kt.edges)))
         self.place: dict[int, tuple[int, int]] = {}  # id -> (tile, residue)
         self.q: dict[int, int] = {}  # id -> longest-path value
-        self.occupied = [0] * len(t.tiles)  # tile -> bitmask of taken residues
+        self.occupied = [0] * ft.tiles  # tile -> bitmask of taken residues
         self.slot_failures = 0
         self.dep_failures = 0
         self.windows = self._pairwise_windows()
@@ -324,11 +393,11 @@ class _Attempt:
         frame finds the other one placed, as (u, D[u][v], span) with span
         = -D[v][u] - D[u][v] + 1 the number of start differences it allows.
         """
-        out_edges = self.t.out_edges
-        rank = self.t.rank
+        out_edges = self.kt.out_edges
+        rank = self.kt.rank
         windows: dict[int, list[tuple[int, int, int]]] = {}
         neg_inf = float("-inf")
-        for comp in self.t.cycles:
+        for comp in self.kt.cycles:
             dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
             for u in comp:
                 dist[u][u] = 0
@@ -361,7 +430,7 @@ class _Attempt:
         [start + h, start + span - 1 - h] mod II (start = r_u + lo)."""
         ii = self.ii
         masks = []
-        for h in range(self.t.max_hop + 1):
+        for h in range(self.ft.max_hop + 1):
             width = span - 2 * h
             if width >= ii:
                 masks.append(self.full)
@@ -380,10 +449,11 @@ class _Attempt:
         to it. A dead frame's scan is charged here in one step: over all
         tiles, the occupied slots (one per placed node) are slot failures
         and every other slot is a dependence failure."""
-        t = self.t
-        nid = t.order[idx]
+        kt = self.kt
+        nid = kt.order[idx]
         if idx == 0:
-            return _Frame(nid, t.first_tiles, [1] * len(t.tiles), 1)  # residue 0 only
+            ft = self.ft
+            return _Frame(nid, ft.first_tiles, [1] * ft.tiles, 1)  # residue 0 only
         full = self.full
         place = self.place
         occupied = self.occupied
@@ -410,7 +480,7 @@ class _Attempt:
             self.dep_failures += len(allow) * self.ii - idx
             return _Frame(nid, [], allow, full)
         tiles = list(range(len(allow)))
-        rows = [self.hop_rows[place[m][0]] for m in t.dfg_neighbors[nid] if m in place]
+        rows = [self.hop_rows[place[m][0]] for m in kt.dfg_neighbors[nid] if m in place]
         if rows:
             # nearest-first to the placed neighbors; a stable sort keeps
             # row-major order among equals
@@ -477,7 +547,7 @@ class _Attempt:
         Only full placements draw on the budget; the slots the per-frame
         tables rule out are two orders of magnitude cheaper."""
         stack = [self._frame(0)]
-        depth = len(self.t.order)
+        depth = len(self.kt.order)
         while True:
             fr = stack[-1]
             residue = self._next_residue(fr)
@@ -496,8 +566,8 @@ class _Attempt:
                 self.dep_failures += 1
                 continue
             if len(stack) == depth:
-                tiles = self.t.tiles
-                return {nid: (tiles[tile], r) for nid, (tile, r) in self.place.items()}
+                cols = self.ft.cols
+                return {nid: (divmod(tile, cols), r) for nid, (tile, r) in self.place.items()}
             fr.residue = residue
             fr.undo = undo
             stack.append(self._frame(len(stack)))
@@ -512,7 +582,7 @@ class _Attempt:
         self.place[nid] = (tile, residue)
         self.occupied[tile] |= 1 << residue
         base = 0
-        for u, lat_u, d in self.t.in_edges[nid]:
+        for u, lat_u, d in self.kt.in_edges[nid]:
             if u in self.place and u != nid:
                 tu, ru = self.place[u]
                 base = max(base, self.q[u] + self._edge_weight(lat_u, d, tu, tile, ru, residue))
@@ -524,7 +594,7 @@ class _Attempt:
         # past dist_ub) prove a positive cycle.
         update_cap = len(self.place)
         updates: dict[int, int] = {}
-        out_edges = self.t.out_edges
+        out_edges = self.kt.out_edges
         while queue:
             u = queue.popleft()
             tu, ru = self.place[u]
@@ -628,10 +698,12 @@ def _schedule_order(k: KernelGraph) -> list[int]:
 
 def fu_kinds_error(k: KernelGraph, f: FabricSpec) -> MapError | None:
     """MISSING_FU_KIND when some node kind of k has no FU on f; the only
-    check that reads f.fu_kinds."""
-    missing = sorted({n.kind.name for n in k.nodes if n.kind not in f.fu_kinds})
-    if not missing:
+    check that reads f.fu_kinds. The kernel's kinds are read from its
+    tables, so each call compares two sets of at most 12 kinds."""
+    kinds = _kernel_tables(k).kinds
+    if kinds <= f.fu_kinds:
         return None
+    missing = sorted(kind.name for kind in kinds - f.fu_kinds)
     return MapError(
         "MISSING_FU_KIND",
         f"fabric lacks FU kind(s): {', '.join(missing)}",
@@ -664,16 +736,13 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
     err = fu_kinds_error(k, f)
     if err is not None:
         return err
+    kt = _kernel_tables(k)
     res, rec = min_ii_bounds(k, f)
     if res > budget.max_ii:
-        census: dict[FuKind, int] = {}
-        for n in k.nodes:
-            census[n.kind] = census.get(n.kind, 0) + 1
-        required = max(math.ceil(c / budget.max_ii) for c in census.values())
         return MapError(
             "INSUFFICIENT_TILES",
             f"resource-bound min II {res} exceeds max_ii {budget.max_ii}",
-            hint={"required_tiles": required},
+            hint={"required_tiles": math.ceil(kt.max_census / budget.max_ii)},
         )
     if rec > budget.max_ii:
         return MapError(
@@ -683,11 +752,11 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
         )
     # Extra sound lower bound: n nodes need n distinct (tile, residue) slots.
     lower = max(res, rec, math.ceil(len(k.nodes) / f.tiles))
-    tables = _Tables(k, f)
+    ft = _FABRIC_TABLES.get(f)
     last_dep_failures = 0
     budget_hit = False
     for ii in range(lower, budget.max_ii + 1):
-        attempt = _Attempt(tables, ii, budget.placement_attempts)
+        attempt = _Attempt(kt, ft, ii, budget.placement_attempts)
         try:
             placement = attempt.run()
         except _BudgetExhausted:
@@ -700,7 +769,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
         err = config_depth_error(ii, f)
         if err is not None:
             return err
-        return _build_result(k, f, ii, placement, attempt.q)
+        return _build_result(kt, f, ii, placement, attempt.q)
     if last_dep_failures > 0 and not budget_hit:
         return MapError(
             "ROUTING_FAILURE",
@@ -715,7 +784,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
 
 
 def _build_result(
-    k: KernelGraph,
+    kt: _KernelTables,
     f: FabricSpec,
     ii: int,
     placement: dict[int, tuple[Tile, int]],
@@ -725,10 +794,9 @@ def _build_result(
     for nid in sorted(placement):
         tile, residue = placement[nid]
         schedule[nid] = (tile, residue + ii * q[nid])
-    lat = {n.id: n.latency for n in k.nodes}
-    schedule_len = max(start + lat[nid] for nid, (_, start) in schedule.items())
+    schedule_len = max(start + kt.lat[nid] for nid, (_, start) in schedule.items())
     routes = tuple(
-        route_path(f, schedule[e.src][0], schedule[e.dst][0]) for e in k.edges
+        route_path(f, schedule[e.src][0], schedule[e.dst][0]) for e in kt.edges
     )
     return MappingResult(ii=ii, schedule=schedule, routes=routes, schedule_len=schedule_len)
 

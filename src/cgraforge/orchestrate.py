@@ -444,7 +444,8 @@ class BestRecord:
 class _Shape:
     """What the transforms and the mapping search gave for one design shape
     (unroll, vectorize, rows, cols, topology): the transformed kernel or
-    the transform's error, then the search outcome, None until searched."""
+    the transform's error, one object shared by every shape of that
+    (unroll, vectorize), then the search outcome, None until searched."""
 
     kernel: KernelGraph | TransformError
     search: MappingResult | MapError | None = None
@@ -479,31 +480,42 @@ class _Runner:
         self.drafts_total = 0
         self.mapped_pre_total = 0
         self.mapped_post_total = 0
+        self._transforms: dict[tuple[int, int], KernelGraph | TransformError] = {}
         self._map_cache: dict[tuple, _Shape] = {}
 
     # ----- shared checking -------------------------------------------------
+
+    def _transformed(self, unroll: int, vectorize: int) -> KernelGraph | TransformError:
+        key = (unroll, vectorize)
+        kernel = self._transforms.get(key)
+        if kernel is None:
+            try:
+                kernel = apply_sw_params(self.kernel, unroll, vectorize)
+            except TransformError as e:
+                kernel = e
+            self._transforms[key] = kernel
+        return kernel
 
     def _shape(self, d: DesignPoint) -> _Shape:
         f = d.fabric
         key = (d.sw.unroll_factor, d.sw.vectorize_factor, f.rows, f.cols, f.topology)
         shape = self._map_cache.get(key)
         if shape is None:
-            try:
-                shape = _Shape(apply_sw_params(self.kernel, d.sw.unroll_factor, d.sw.vectorize_factor))
-            except TransformError as e:
-                shape = _Shape(e)
-            self._map_cache[key] = shape
+            shape = self._map_cache[key] = _Shape(self._transformed(d.sw.unroll_factor, d.sw.vectorize_factor))
         return shape
 
     def _check(self, d: DesignPoint) -> FixableError | None:
         """The repair loop's oracle: structural validation, the loop
         transforms, the FU kinds, the mapping search, the config memory
-        depth, in that order, as in map_kernel. The transforms and the
-        search read only the design's shape, so the map cache keys on
-        (unroll, vectorize, rows, cols, topology) and holds what each shape
-        gave, failures included: the search runs once per shape, on the
-        fabric with every FU kind and a config memory as deep as max_ii,
-        and the FU-kind and depth checks run per design."""
+        depth, in that order, as in map_kernel. The transforms read only
+        (unroll, vectorize) and run once per pair, failures included; every
+        shape of a pair shares the one kernel object, so the mapper builds
+        that kernel's tables once. The search reads only the design's
+        shape, so the map cache keys on (unroll, vectorize, rows, cols,
+        topology) and holds what each shape gave, failures included: the
+        search runs once per shape, on the fabric with every FU kind and a
+        config memory as deep as max_ii, and the FU-kind and depth checks
+        run per design."""
         violations = validate_design(d)
         if violations:
             return violations
@@ -695,8 +707,12 @@ class _Runner:
         """Rebuild runner state from an event log through the fold; returns
         the last complete iteration. An unfinished last iteration is left
         out and History.seq set to the last event kept, so that the caller
-        can cut the file back and run that iteration again."""
-        if not events or events[0].get("type") != "run_header":
+        can cut the file back and run that iteration again. A log with no
+        whole record (a kill tore the header line) rebuilds nothing: the
+        file is cut back to empty and the run starts afresh."""
+        if not events:
+            return 0
+        if events[0].get("type") != "run_header":
             raise RunConfigError("history is missing its run_header record")
         header = events[0].get("config")
         if header != self.cfg.to_header_dict():

@@ -30,6 +30,7 @@ from cgraforge.arch import (
     StructuralViolation,
     SwParams,
     Topology,
+    design_key,
     serialize_design,
     validate_design,
 )
@@ -141,6 +142,26 @@ class TestPropose:
                 assert 4 <= d.fabric.config_mem_depth <= 8
                 assert 1 <= d.sw.unroll_factor <= 2
                 assert heuristic.clamp_design(d, bounds) == d
+
+    def test_dedup_by_key_equals_dedup_by_serialization(self, monkeypatch):
+        """design_key drops the same drafts as deduplicating on the
+        serialized text did, so the batch is the same, in the same order."""
+        rng = random.Random(17)
+        cases = []
+        for _ in range(60):
+            window = []
+            if rng.random() < 0.7:
+                anchor = make_design(rows=rng.randint(1, 3), cols=rng.randint(1, 3), design_id="w")
+                window.append(DesignOutcome(iteration=rng.randint(1, 5), design=anchor, score=1.0, feasible=True))
+            bounds = DesignSpaceBounds(rows=(1, rng.randint(1, 3)), cols=(1, 2), config_mem_depth=(4, 6))
+            cases.append((request(count=rng.randint(1, 8), window=window, bounds=bounds), rng.randrange(999)))
+        keyed = []
+        monkeypatch.setattr(heuristic, "design_key", lambda d: keyed.append(d) or design_key(d))
+        got = [heuristic.propose(req, seed) for req, seed in cases]
+        monkeypatch.setattr(heuristic, "design_key", serialize_design)
+        want = [heuristic.propose(req, seed) for req, seed in cases]
+        assert got == want
+        assert len(keyed) > sum(map(len, got))  # some drafts were dropped as duplicates
 
     def test_drafts_for_memory_kernel_include_loadstore(self):
         req = request(count=6, kernel=load_kernel("fir"))
@@ -573,6 +594,21 @@ class TestLlmPropose:
         out = llm.propose(req, LLM_BACKEND)
         want = heuristic.propose(req, LLM_BACKEND.seed)
         assert [serialize_design(d) for d in out] == [serialize_design(d) for d in want]
+
+    def test_dedup_by_key_equals_dedup_by_serialization(self, monkeypatch):
+        import json as _json
+
+        entry = {"rows": 3, "cols": 3, "fu_kinds": ["ADD", "PHI"], "config_mem_depth": 8, "topology": "MESH"}
+        reordered = {**entry, "fu_kinds": ["PHI", "ADD"], "unroll_factor": 1}
+        other = {**entry, "config_mem_depth": 9}
+        content = _json.dumps({"designs": [entry, reordered, other, entry]})
+        req = request(count=5)
+        patch_post(monkeypatch, _FakePost(content))
+        got = llm.propose(req, LLM_BACKEND)
+        monkeypatch.setattr(llm, "design_key", serialize_design)
+        patch_post(monkeypatch, _FakePost(content))
+        assert llm.propose(req, LLM_BACKEND) == got
+        assert [d.fabric.config_mem_depth for d in got[:2]] == [8, 9]
 
     def test_draft_fields_are_clamped(self, monkeypatch):
         import json as _json

@@ -15,6 +15,7 @@ from cgraforge.arch import (
     SwParams,
     Topology,
     design_fingerprint,
+    design_key,
     neighbors,
     parse_design,
     serialize_design,
@@ -208,3 +209,34 @@ class TestSerializeDesign:
         d = make_design(rows=2)
         e = make_design(rows=3)
         assert design_fingerprint(d) != design_fingerprint(e)
+
+    def test_key_separates_exactly_what_serialization_separates(self):
+        """Over a pool of designs that often agree on all but one field, or
+        on every field but id, note and provenance, two designs share a
+        design_key exactly when they serialize to the same text."""
+        rng = random.Random(13)
+        kind_sets = [frozenset({FuKind.ADD}), frozenset({FuKind.ADD, FuKind.MUL}), frozenset({FuKind.MUL, FuKind.ADD, FuKind.LOAD})]
+        pool = []
+        for i in range(80):
+            pool.append(
+                DesignPoint(
+                    fabric=FabricSpec(
+                        rows=rng.randint(1, 2),
+                        cols=rng.randint(1, 2),
+                        fu_kinds=frozenset(rng.choice(kind_sets)),
+                        config_mem_depth=rng.choice([4, 8]),
+                        data_mem_kb=rng.choice([0, 16]),
+                        topology=rng.choice([Topology.MESH, Topology.CROSSBAR]),
+                    ),
+                    sw=SwParams(unroll_factor=rng.randint(1, 2), vectorize_factor=rng.randint(1, 2)),
+                    id=f"d{i}",
+                    provenance=rng.choice(list(Provenance)),
+                    note=rng.choice(["", "x"]),
+                )
+            )
+        same = 0
+        for a in pool:
+            for b in pool:
+                assert (design_key(a) == design_key(b)) == (serialize_design(a) == serialize_design(b)), (a, b)
+                same += a is not b and design_key(a) == design_key(b)
+        assert same > 0

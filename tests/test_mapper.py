@@ -1,12 +1,14 @@
 """Modulo scheduler: distances, bounds, search, diagnostics, the checker."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 
 import pytest
 
+from cgraforge import mapper
 from cgraforge.arch import FabricSpec, FuKind, Topology, neighbors
 from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph
 from cgraforge.mapper import (
@@ -15,8 +17,9 @@ from cgraforge.mapper import (
     MappingResult,
     _Attempt,
     _BudgetExhausted,
+    _FabricTables,
     _hop_rows,
-    _Tables,
+    _KernelTables,
     _rec_by_search,
     check_mapping,
     hop_distance,
@@ -82,7 +85,7 @@ def every_grid_up_to_8x8():
 class TestHopTable:
     def test_equals_hop_distance_on_every_pair(self):
         for f, tiles in every_grid_up_to_8x8():
-            assert _hop_rows(f) == [[hop_distance(f, a, b) for b in tiles] for a in tiles], f
+            assert [list(row) for row in _hop_rows(f)] == [[hop_distance(f, a, b) for b in tiles] for a in tiles], f
 
 
 class TestRoutePath:
@@ -134,16 +137,8 @@ class TestMinIiBounds:
             assert _rec_by_search(k) == rec_mii_by_enumeration(k)
 
     def test_search_matches_enumeration_on_every_builtin_variant(self):
-        from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
-
-        for name in BUILTIN_KERNELS:
-            for u in range(1, 9):
-                for v in range(1, 5):
-                    try:
-                        k = apply_sw_params(load_kernel(name), u, v)
-                    except TransformError:
-                        continue
-                    assert min_ii_bounds(k, FULL_FABRIC)[1] == rec_mii_by_enumeration(k), (name, u, v)
+        for k in builtin_variants():
+            assert min_ii_bounds(k, FULL_FABRIC)[1] == rec_mii_by_enumeration(k), k.name
 
 
 class TestMapKernelSuccess:
@@ -234,7 +229,8 @@ class TestSearchGolden:
 
         name, u, v, rows, cols, topo, ii, attempts, digest, left, slots, deps = case
         k = knot_kernel() if name == "knot" else apply_sw_params(load_kernel(name), u, v)
-        a = _Attempt(_Tables(k, fabric(rows=rows, cols=cols, topology=Topology[topo])), ii, attempts)
+        f = fabric(rows=rows, cols=cols, topology=Topology[topo])
+        a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
         try:
             placement = a.run()
         except _BudgetExhausted:
@@ -246,7 +242,7 @@ class TestSearchGolden:
     def test_small_placement_in_full(self):
         from cgraforge.kernel import load_kernel
 
-        a = _Attempt(_Tables(load_kernel("fir"), fabric()), 2, 2000)
+        a = _Attempt(_KernelTables(load_kernel("fir")), _FabricTables(fabric()), 2, 2000)
         assert a.run() == {0: ((0, 0), 0), 1: ((0, 1), 0), 2: ((0, 1), 1), 3: ((1, 1), 0), 4: ((0, 0), 1)}
 
 
@@ -290,7 +286,7 @@ class TestReferenceSearch:
         outcomes = {"placed": 0, "exhausted": 0, "out_of_attempts": 0}
         for k, f, ii, attempts in reference_cases():
             want = reference_attempt(k, f, ii, attempts)
-            a = _Attempt(_Tables(k, f), ii, attempts)
+            a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
             try:
                 placement = a.run()
             except _BudgetExhausted:
@@ -302,6 +298,107 @@ class TestReferenceSearch:
             else:
                 outcomes["out_of_attempts" if a.attempts_left < 0 else "exhausted"] += 1
         assert min(outcomes.values()) > 0, outcomes
+
+
+def builtin_variants() -> list[KernelGraph]:
+    """Every legal (unroll, vectorize) variant of every built-in kernel."""
+    from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
+
+    out = []
+    for name in BUILTIN_KERNELS:
+        base = load_kernel(name)
+        for u in range(1, 9):
+            for v in range(1, 5):
+                try:
+                    out.append(apply_sw_params(base, u, v))
+                except TransformError:
+                    continue
+    return out
+
+
+class TestPreparedTables:
+    """map_kernel reads kernel tables kept per kernel object and fabric
+    tables kept per (rows, cols, topology); sharing them must not change a
+    result, kernel tables must go with their kernel, and the fabric memo
+    may not outgrow its bound."""
+
+    BUDGET = MapBudget(max_ii=10, placement_attempts=60)
+    FABRICS = (
+        fabric(rows=2, cols=3, topology=Topology.MESH),
+        fabric(rows=1, cols=2, topology=Topology.KINGMESH),
+        fabric(rows=2, cols=3, topology=Topology.CROSSBAR, kinds=ALL_KINDS - {FuKind.DIV}),
+    )
+
+    CAPACITY = mapper._FABRIC_TABLES.capacity
+
+    @staticmethod
+    def fresh_memos(monkeypatch, capacity=CAPACITY):
+        monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
+        monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(capacity))
+
+    def test_shared_tables_map_as_fresh_ones(self, monkeypatch):
+        kernels = builtin_variants()
+        assert len(kernels) == 113
+        # Reference: a fresh copy of each kernel, and a fabric memo that
+        # keeps nothing.
+        self.fresh_memos(monkeypatch, 0)
+        want = {
+            (i, j): map_kernel(dataclasses.replace(k), f, self.BUDGET)
+            for i, k in enumerate(kernels)
+            for j, f in enumerate(self.FABRICS)
+        }
+        self.fresh_memos(monkeypatch)
+        builds = []
+
+        class Counted(mapper._KernelTables):
+            def __init__(self, k):
+                builds.append(id(k))
+                super().__init__(k)
+
+        monkeypatch.setattr(mapper, "_KernelTables", Counted)
+        # Groups of kernels, each kernel on every fabric in turn and each
+        # fabric on every kernel of the group, starting at a rotating fabric.
+        codes = set()
+        for start in range(0, len(kernels), 10):
+            group = list(enumerate(kernels))[start : start + 10]
+            for step in range(len(self.FABRICS)):
+                for i, k in group:
+                    j = (i + step) % len(self.FABRICS)
+                    got = map_kernel(k, self.FABRICS[j], self.BUDGET)
+                    assert got == want[i, j], (k.name, j)
+                    codes.add(getattr(got, "code", "OK"))
+        assert sorted(builds) == sorted(map(id, kernels))  # one build per kernel object
+        assert {"OK", "MISSING_FU_KIND", "INSUFFICIENT_TILES", "II_BOUND_EXCEEDED"} <= codes, codes
+
+    def test_kernel_tables_go_with_their_kernel(self, monkeypatch):
+        self.fresh_memos(monkeypatch)
+        memo = mapper._KERNEL_TABLES
+        for _ in range(40):
+            assert isinstance(map_kernel(chain_kernel(length=3), FULL_FABRIC), MappingResult)
+            gc.collect()
+            assert memo == {}
+        kernels = [chain_kernel(length=3) for _ in range(40)]
+        for k in kernels:
+            assert isinstance(map_kernel(k, FULL_FABRIC), MappingResult)
+        assert sorted(memo) == sorted(map(id, kernels))
+        del k, kernels
+        gc.collect()
+        assert memo == {}
+
+    def test_fabric_memo_keeps_at_most_its_bound(self, monkeypatch):
+        self.fresh_memos(monkeypatch)
+        memo = mapper._FABRIC_TABLES
+        k = chain_kernel(length=2)
+        shapes = [(r, c, topo) for topo in Topology for r in range(1, 9) for c in range(1, 9)]
+        assert sum((r * c) ** 2 for r, c, _ in shapes) > memo.capacity
+        for r, c, topo in shapes:
+            assert isinstance(map_kernel(k, fabric(rows=r, cols=c, topology=topo)), MappingResult)
+            assert memo.cells == sum(ft.tiles**2 for ft in memo.entries.values()) <= memo.capacity
+        assert 0 < len(memo.entries) < len(shapes)
+        # a grid whose hop table alone exceeds the bound is mapped but not kept
+        before = list(memo.entries)
+        assert isinstance(map_kernel(k, fabric(rows=17, cols=17)), MappingResult)
+        assert list(memo.entries) == before
 
 
 class TestLargeKernels:

@@ -287,14 +287,16 @@ class TestResume:
             run(changed, out, resume=True)
 
     def test_resume_after_kill_at_any_point(self, tmp_path):
-        """A kill at any line boundary after the header, or inside the last
-        line, resumes to the bytes and metrics of the uninterrupted run."""
+        """A kill at any line boundary after the header, inside the last
+        line, or inside the header line itself, resumes to the bytes and
+        metrics of the uninterrupted run."""
         full = run(quick_cfg(), tmp_path / "full")
         data = full.history_path.read_bytes()
         expected = dict(full.metrics)
         expected.pop("meta")
         ends = [i + 1 for i, b in enumerate(data) if b == ord("\n")]
-        cuts = ends + [ends[-1] - 10]
+        assert ends[0] > 40
+        cuts = ends + [ends[-1] - 10, 40]
         for n, cut in enumerate(cuts):
             out = tmp_path / f"cut{n}"
             out.mkdir()
@@ -472,6 +474,47 @@ class TestMapCache:
             assert len(runner._map_cache) <= 4
         # the sample reaches every stage of the check
         assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
+
+    def test_each_software_setting_is_prepared_once(self, tmp_path, monkeypatch):
+        """In one run, the transforms and the mapper's kernel tables run
+        once per distinct (unroll, vectorize) the run validates, however
+        many fabric shapes it maps that setting on."""
+        from cgraforge import mapper, orchestrate
+
+        validated, transforms, kernels_ok, built = [], [], [], []
+        real_validate, real_transform = orchestrate.validate_design, orchestrate.apply_sw_params
+
+        def validate(d):
+            out = real_validate(d)
+            if not out:
+                validated.append((d.sw.unroll_factor, d.sw.vectorize_factor, d.fabric.rows, d.fabric.cols, d.fabric.topology))
+            return out
+
+        def transform(k, u, v):
+            transforms.append((u, v))
+            out = real_transform(k, u, v)
+            kernels_ok.append(id(out))
+            return out
+
+        class Counted(mapper._KernelTables):
+            def __init__(self, k):
+                built.append(id(k))
+                super().__init__(k)
+
+        monkeypatch.setattr(orchestrate, "validate_design", validate)
+        monkeypatch.setattr(orchestrate, "apply_sw_params", transform)
+        monkeypatch.setattr(mapper, "_KernelTables", Counted)
+        run(RunConfig(kernel="fft", iterations=12, proposals_per_iteration=6, seed=3), tmp_path / "out")
+        settings = {shape[:2] for shape in validated}
+        assert len({shape for shape in validated}) > len(settings)  # settings met several shapes
+        assert sorted(transforms) == sorted(settings)
+        assert sorted(built) == sorted(kernels_ok)
+        # A failed transform is kept too: unroll 5 does not divide fft's 192 trips.
+        runner = _Runner(RunConfig(kernel="fft"), tmp_path / "direct")
+        transforms.clear()
+        for rows in (1, 2, 3):
+            assert isinstance(runner._check(make_design(rows=rows, unroll_factor=5)), TransformError)
+        assert transforms == [(5, 1)]
 
     def test_cached_mappings_check_against_the_design_fabric(self, tmp_path):
         rng = random.Random(6)
