@@ -13,11 +13,12 @@ Both backends implement the same four roles behind one interface:
 
 The heuristic backend is fully deterministic given its seed. The LLM backend
 degrades to the heuristic one on any transport, parse, or validation
-failure, so the pipeline never aborts because an agent misbehaved. Agent
-calls are issued sequentially in candidate order (the pipeline stays
-deterministic; independent calls could be parallelized without changing
-results). History and the lesson store have a single writer: the
-orchestrator.
+failure, so the pipeline never aborts because an agent misbehaved. Only a
+call that dispatches to the LLM backend imports its module, so a heuristic
+run never loads it. Agent calls are issued sequentially in candidate order
+(the pipeline stays deterministic; independent calls could be parallelized
+without changing results). History and the lesson store have a single
+writer: the orchestrator.
 """
 
 from __future__ import annotations
@@ -189,9 +190,11 @@ def propose(req: ProposalRequest, backend: AgentBackend) -> list[DesignPoint]:
     """Draft up to req.count design points (placeholder ids; the orchestrator
     assigns run-unique ids). Drafts need not be valid; fields are clamped
     into bounds but cross-field invariants are validation's job."""
-    from . import heuristic, llm
+    from . import heuristic
 
     if backend.kind is BackendKind.LLM:
+        from . import llm
+
         return llm.propose(req, backend)
     return heuristic.propose(req, backend.seed)
 
@@ -209,11 +212,13 @@ def fix_design(
     success or the next error to fix. Repaired designs keep their id and are
     marked REPAIRED with a note chain of applied rules.
     """
-    from . import heuristic, llm
+    from . import heuristic
 
     cur, cur_err = d, err
     for _ in range(max_rounds):
         if backend.kind is BackendKind.LLM:
+            from . import llm
+
             nxt = llm.repair_once(cur, cur_err, backend)
         else:
             nxt = heuristic.repair_once(cur, cur_err)
@@ -233,17 +238,21 @@ def coarse_judge(
     """Top-k mapped candidates, best first. The heuristic backend ranks by
     the pinned proxy (ties on design id); the LLM backend may reorder but is
     validated against the candidate set and falls back to the proxy."""
-    from . import heuristic, llm
+    from . import heuristic
 
     if backend.kind is BackendKind.LLM:
+        from . import llm
+
         return llm.coarse_rank(cands, obj, backend)[:k]
     return heuristic.coarse_rank(cands)[:k]
 
 
 def make_fine_judge(backend: AgentBackend, obj: Objective) -> FineJudge:
-    from . import heuristic, llm
+    from . import heuristic
 
     if backend.kind is BackendKind.LLM:
+        from . import llm
+
         return llm.LlmFineJudge(backend, obj)
     return heuristic.HeuristicFineJudge(obj)
 

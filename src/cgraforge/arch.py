@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 ROWS_MIN, ROWS_MAX = 1, 16
 COLS_MIN, COLS_MAX = 1, 16
@@ -300,21 +301,22 @@ def design_from_dict(
     fields: dict, design_id: str, provenance: Provenance = Provenance.PROPOSED, note: str = ""
 ) -> DesignPoint:
     """Rebuild a design from design_dict output (no checks: the dict is
-    trusted, e.g. read back from a run's own history)."""
-    return DesignPoint(
-        fabric=FabricSpec(
-            rows=fields["rows"],
-            cols=fields["cols"],
-            fu_kinds=frozenset(FuKind[k] for k in fields["fu_kinds"]),
-            config_mem_depth=fields["config_mem_depth"],
-            data_mem_kb=fields["data_mem_kb"],
-            topology=Topology[fields["topology"]],
-        ),
-        sw=SwParams(unroll_factor=fields["unroll_factor"], vectorize_factor=fields["vectorize_factor"]),
-        id=design_id,
-        provenance=provenance,
-        note=note,
+    trusted, e.g. read back from a run's own history). The fabric and
+    software parameters come from a bounded memo on the field values."""
+    f = fields
+    fabric, sw = _fabric_and_sw(
+        f["rows"], f["cols"], tuple(f["fu_kinds"]), f["config_mem_depth"], f["data_mem_kb"], f["topology"],
+        f["unroll_factor"], f["vectorize_factor"],
     )
+    return DesignPoint(fabric=fabric, sw=sw, id=design_id, provenance=provenance, note=note)
+
+
+@lru_cache(maxsize=256, typed=True)  # typed: 2 and 2.0 give different JSON
+def _fabric_and_sw(rows, cols, fu_kinds, config_mem_depth, data_mem_kb, topology, unroll, vectorize):
+    # Both classes are frozen, so designs read back from equal fields can share them.
+    kinds = frozenset(FuKind[k] for k in fu_kinds)
+    fabric = FabricSpec(rows, cols, kinds, config_mem_depth, data_mem_kb, Topology[topology])
+    return fabric, SwParams(unroll_factor=unroll, vectorize_factor=vectorize)
 
 
 def serialize_design(d: DesignPoint) -> str:

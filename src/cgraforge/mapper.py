@@ -19,14 +19,16 @@ assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
 dataflow neighbors) and which backtracks under MapBudget.placement_attempts.
 The search keeps an explicit stack, so kernel size is not limited by the
-interpreter's recursion depth. Each level of the stack builds, once, a
-table of the residues to try on every tile: one bitmask per tile, the
-tile's free slots intersected with the modular intervals that the static
-dependence windows of the already placed cycle partners allow (one mask
-per partner and hop distance). Residues are tried in ascending order. A
-level whose table is empty on every tile is dead: it is settled in O(1),
-without sorting its tiles, and its rejected slots are counted in one step
-(the occupied ones, one per placed node, then the rest). What every
+interpreter's recursion depth. Occupancy is one int of tiles * II bits,
+tile-major (bit tile * II + r for slot (tile, r)). Each level of the
+stack builds, once, a table of the residues to try, in the same layout:
+the free slots ANDed with one wide mask per already placed cycle partner,
+the modular interval its static dependence window allows at each tile's
+hop distance, memoized per attempt. Residues are tried in ascending
+order. A level whose table is 0 is dead: it is never pushed, the
+placement that led to it is undone at once, and its rejected slots are
+counted in one step (the occupied ones, one per placed node, then the
+rest), so the counters read as if it had been scanned. What every
 search of one kernel reads is built once per kernel object: latencies,
 the schedule order, adjacency, cycles, the node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
@@ -338,15 +340,15 @@ def _kernel_tables(k: KernelGraph) -> _KernelTables:
 
 class _Frame:
     """One level of the search: a node, its candidate tiles in try order,
-    and per tile (by index) the residues it may take, `allow`: free on the
-    tile and inside every placed window partner's interval. A frame whose
-    allow is 0 on every tile is dead and gets no tiles. On the current tile
-    the frame keeps the residues still to try and those already passed
-    (tried or counted)."""
+    and `allow`, one wide bitset of the residues it may take, in the same
+    tile-major layout as the attempt's occupancy: bit tile * II + r is set
+    when residue r is free on the tile and inside every placed window
+    partner's interval. On the current tile the frame keeps the residues
+    still to try and those already passed (tried or counted)."""
 
     __slots__ = ("nid", "tiles", "allow", "next_tile", "tile", "full", "taken", "left", "passed", "residue", "undo")
 
-    def __init__(self, nid: int, tiles: list[int], allow: list[int], full: int):
+    def __init__(self, nid: int, tiles: list[int], allow: int, full: int):
         self.nid = nid
         self.tiles = tiles
         self.allow = allow
@@ -362,7 +364,9 @@ class _Frame:
 
 class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
-    longest-path feasibility over the dependence difference constraints."""
+    longest-path feasibility over the dependence difference constraints.
+    Occupancy is one int of tiles * II bits, tile-major: bit tile * II + r
+    is set while slot (tile, r) is taken."""
 
     def __init__(self, kt: _KernelTables, ft: _FabricTables, ii: int, attempts_left: int):
         self.kt = kt
@@ -371,16 +375,17 @@ class _Attempt:
         self.attempts_left = attempts_left
         self.hop_rows = ft.hop_rows
         self.full = (1 << ii) - 1
+        self.wide = (1 << (ft.tiles * ii)) - 1  # every slot of every tile
         hop_bound = max(ft.rows + ft.cols, 2)
         per_edge = math.ceil((kt.max_lat + hop_bound + ii - 1) / ii)
         self.dist_ub = max(1, per_edge * max(1, len(kt.edges)))
         self.place: dict[int, tuple[int, int]] = {}  # id -> (tile, residue)
         self.q: dict[int, int] = {}  # id -> longest-path value
-        self.occupied = [0] * ft.tiles  # tile -> bitmask of taken residues
+        self.occ = 0  # taken slots, tile-major
         self.slot_failures = 0
         self.dep_failures = 0
         self.windows = self._pairwise_windows()
-        self.masks: dict[tuple[int, int], list[int]] = {}  # (start, span) -> _window_masks
+        self.wide_masks: dict[tuple[int, int, int], int] = {}  # (tile_u, start, span) -> _wide_mask
 
     def _pairwise_windows(self) -> dict[int, list[tuple[int, int, int]]]:
         """Static start-time windows between nodes that share a dependence
@@ -441,61 +446,64 @@ class _Attempt:
                 masks.append((run | (run >> ii)) & self.full)
         return masks
 
-    def _frame(self, idx: int) -> _Frame:
-        """The frame for the idx-th node of the schedule order. Its per-tile
-        residue table is exact for the frame's whole life: the occupancy
-        and the placed partners it reads stay as they are while it lives,
-        because deeper levels undo their placements before control returns
-        to it. A dead frame's scan is charged here in one step: over all
-        tiles, the occupied slots (one per placed node) are slot failures
-        and every other slot is a dependence failure."""
+    def _wide_mask(self, tile_u: int, start: int, span: int) -> int:
+        """The slots a window partner on tile_u allows, as one wide bitset:
+        tile t's field holds the _window_masks row at t's hop distance."""
+        masks = self._window_masks(start, span)
+        ii = self.ii
+        wide = 0
+        for h in reversed(self.hop_rows[tile_u]):
+            wide = (wide << ii) | masks[h]
+        return wide
+
+    def _frame(self, idx: int) -> _Frame | None:
+        """The frame for the idx-th node of the schedule order, or None when
+        it is dead. Its residue table is exact for the frame's whole life:
+        the occupancy and the placed partners it reads stay as they are
+        while it lives, because deeper levels undo their placements before
+        control returns to it. A frame is dead when its table is empty; its
+        scan is charged here in one step: over all tiles, the occupied slots
+        (one per placed node) are slot failures and every other slot is a
+        dependence failure."""
         kt = self.kt
         nid = kt.order[idx]
         if idx == 0:
-            ft = self.ft
-            return _Frame(nid, ft.first_tiles, [1] * ft.tiles, 1)  # residue 0 only
-        full = self.full
+            return _Frame(nid, self.ft.first_tiles, self.wide, 1)  # residue 0 only
         place = self.place
-        occupied = self.occupied
-        allow = None
+        allow = self.wide ^ self.occ
         # A partner u at (tile_u, r_u) with window [lo, hi], h hops from a
         # candidate tile, needs start(nid) - start(u) in [lo + h, hi - h].
         for u, lo, span in self.windows.get(nid, ()):
             tile_u, r_u = place[u]
-            key = ((r_u + lo) % self.ii, span)
-            masks = self.masks.get(key)
-            if masks is None:
-                masks = self.masks[key] = self._window_masks(*key)
-            row = self.hop_rows[tile_u]
-            if allow is None:
-                allow = [(full ^ taken) & masks[h] for taken, h in zip(occupied, row)]
-            else:
-                allow = [a & masks[h] for a, h in zip(allow, row)]
-            if not any(allow):
+            key = (tile_u, (r_u + lo) % self.ii, span)
+            mask = self.wide_masks.get(key)
+            if mask is None:
+                mask = self.wide_masks[key] = self._wide_mask(*key)
+            allow &= mask
+            if not allow:
                 break
-        if allow is None:
-            allow = [full ^ taken for taken in occupied]
-        if not any(allow):
+        if not allow:
             self.slot_failures += idx
-            self.dep_failures += len(allow) * self.ii - idx
-            return _Frame(nid, [], allow, full)
-        tiles = list(range(len(allow)))
+            self.dep_failures += self.ft.tiles * self.ii - idx
+            return None
+        tiles = list(range(self.ft.tiles))
         rows = [self.hop_rows[place[m][0]] for m in kt.dfg_neighbors[nid] if m in place]
         if rows:
             # nearest-first to the placed neighbors; a stable sort keeps
             # row-major order among equals
             sums = [sum(col) for col in zip(*rows)]
             tiles.sort(key=sums.__getitem__)
-        return _Frame(nid, tiles, allow, full)
+        return _Frame(nid, tiles, allow, self.full)
 
     def _next_residue(self, fr: _Frame) -> int:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
         next tile when the current one has none left; -1 when no tile has.
-        A tile's residues to try are fr.allow[tile], read from the frame's
-        table. Tiles and residues come in ascending try order, and every
-        slot passed over on the way is counted as a slot failure (occupied)
-        or a dependence failure (outside a window) before the next try, so
-        the counters read as a slot-by-slot scan would leave them."""
+        A tile's residues to try are its field of fr.allow, bits tile * II
+        up, read with a shift. Tiles and residues come in ascending try
+        order, and every slot passed over on the way is counted as a slot
+        failure (occupied) or a dependence failure (outside a window) before
+        the next try, so the counters read as a slot-by-slot scan would
+        leave them."""
         left = fr.left
         passed = fr.passed  # always the residues below some bound
         taken = fr.taken
@@ -505,7 +513,8 @@ class _Attempt:
             rest = full & ~passed  # the current tile's residues after its last try
             tiles = fr.tiles
             allow = fr.allow
-            occupied = self.occupied
+            occ = self.occ
+            ii = self.ii
             i = fr.next_tile
             while True:
                 if rest:
@@ -520,8 +529,9 @@ class _Attempt:
                     return -1
                 tile = tiles[i]
                 i += 1
-                taken = occupied[tile]
-                left = allow[tile]
+                shift = tile * ii
+                taken = (occ >> shift) & full
+                left = (allow >> shift) & full
                 if left:
                     break
                 rest = full
@@ -544,8 +554,10 @@ class _Attempt:
     def run(self) -> dict[int, tuple[Tile, int]] | None:
         """Depth-first search over the schedule order with an explicit
         frame stack, one frame per placed node plus the one being tried.
-        Only full placements draw on the budget; the slots the per-frame
-        tables rule out are two orders of magnitude cheaper."""
+        A placement whose next frame is dead is undone at once, and the
+        search goes on with the current frame; the dead frame is never
+        pushed. Only full placements draw on the budget; the slots the
+        per-frame tables rule out are two orders of magnitude cheaper."""
         stack = [self._frame(0)]
         depth = len(self.kt.order)
         while True:
@@ -568,59 +580,70 @@ class _Attempt:
             if len(stack) == depth:
                 cols = self.ft.cols
                 return {nid: (divmod(tile, cols), r) for nid, (tile, r) in self.place.items()}
+            nxt = self._frame(len(stack))
+            if nxt is None:
+                self._undo(fr.nid, fr.tile, residue, undo)
+                continue
             fr.residue = residue
             fr.undo = undo
-            stack.append(self._frame(len(stack)))
-
-    def _edge_weight(self, lat_u: int, d: int, tile_u: int, tile_v: int, r_u: int, r_v: int) -> int:
-        num = lat_u + self.hop_rows[tile_u][tile_v] + r_u - r_v
-        return -((-num) // self.ii) - d
+            stack.append(nxt)
 
     def _try_add(self, nid: int, tile: int, residue: int) -> list[tuple[int, int]] | None:
         """Tentatively place nid; return an undo log, or None if the
-        dependence system becomes infeasible (positive cycle)."""
-        self.place[nid] = (tile, residue)
-        self.occupied[tile] |= 1 << residue
+        dependence system becomes infeasible (positive cycle). An edge
+        u -> v of latency lat_u and distance d weighs
+        ceil((lat_u + hops + r_u - r_v) / II) - d in the longest-path
+        system over the placed nodes."""
+        place = self.place
+        q = self.q
+        ii = self.ii
+        hop_rows = self.hop_rows
+        place[nid] = (tile, residue)
+        self.occ |= 1 << (tile * ii + residue)
         base = 0
         for u, lat_u, d in self.kt.in_edges[nid]:
-            if u in self.place and u != nid:
-                tu, ru = self.place[u]
-                base = max(base, self.q[u] + self._edge_weight(lat_u, d, tu, tile, ru, residue))
-        self.q[nid] = base
+            if u in place and u != nid:
+                tu, ru = place[u]
+                w = -((residue - lat_u - hop_rows[tu][tile] - ru) // ii) - d
+                base = max(base, q[u] + w)
+        q[nid] = base
         undo: list[tuple[int, int]] = []
         queue: deque[int] = deque([nid])
         # A longest simple path over the placed subgraph updates each node
         # fewer than len(place) times; more frequent updates (or a distance
         # past dist_ub) prove a positive cycle.
-        update_cap = len(self.place)
+        update_cap = len(place)
+        dist_ub = self.dist_ub
         updates: dict[int, int] = {}
         out_edges = self.kt.out_edges
         while queue:
             u = queue.popleft()
-            tu, ru = self.place[u]
+            tu, ru = place[u]
+            row = hop_rows[tu]
             for v, lat_u, d in out_edges[u]:
-                if v not in self.place:
+                if v not in place:
                     continue
-                tv, rv = self.place[v]
-                w = self._edge_weight(lat_u, d, tu, tv, ru, rv)
-                cand = self.q[u] + w
-                if cand > self.q[v]:
+                tv, rv = place[v]
+                # q[u] is read per edge: a self-loop on u may raise it here
+                cand = q[u] - ((rv - lat_u - row[tv] - ru) // ii) - d
+                if cand > q[v]:
                     seen = updates.get(v, 0) + 1
-                    if cand > self.dist_ub or seen > update_cap:  # positive cycle
+                    if cand > dist_ub or seen > update_cap:  # positive cycle
                         self._undo(nid, tile, residue, undo)
                         return None
                     updates[v] = seen
-                    undo.append((v, self.q[v]))
-                    self.q[v] = cand
+                    undo.append((v, q[v]))
+                    q[v] = cand
                     queue.append(v)
         return undo
 
     def _undo(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
+        q = self.q
         for v, old in reversed(undo):
-            self.q[v] = old
+            q[v] = old
         del self.place[nid]
-        self.occupied[tile] ^= 1 << residue
-        self.q.pop(nid, None)
+        self.occ ^= 1 << (tile * self.ii + residue)
+        q.pop(nid, None)
 
 
 def _sccs(ids: list[int], succs: dict[int, list[int]]) -> list[list[int]]:

@@ -1,7 +1,11 @@
 """Agent layer: proposal, repair, coarse ranking, and the fine judges."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +321,24 @@ class TestFixDesign:
         assert out.rounds == 3
         assert out.error is err
         assert out.design.provenance is Provenance.REPAIRED
+
+
+class TestBackendImports:
+    def test_heuristic_run_never_imports_the_llm_module(self, tmp_path):
+        """Every dispatch imports the LLM module only on the LLM backend, so
+        a fresh process running the heuristic loop never loads it."""
+        script = (
+            "import sys\n"
+            "from cgraforge import RunConfig, run\n"
+            "run(RunConfig(kernel='spmv', iterations=1), sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cgraforge.agents.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['cgraforge.agents.heuristic']"
 
 
 class TestCoarseRank:

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, exit codes, JSON output shapes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,4 +343,17 @@ class TestErrorHandling:
             text=True,
         )
         assert proc.returncode == 0
+        assert "fir" in proc.stdout
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgraforge", "kernels"],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
         assert "fir" in proc.stdout

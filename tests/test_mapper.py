@@ -299,6 +299,46 @@ class TestReferenceSearch:
                 outcomes["out_of_attempts" if a.attempts_left < 0 else "exhausted"] += 1
         assert min(outcomes.values()) > 0, outcomes
 
+    # (rows, cols, topology, II) where the knot kernel's search settles
+    # many dead frames: 20 of 45 frames on the 1x2 mesh, where it is
+    # searched to exhaustion, and 6 of 13 and 16 of 23 where it places.
+    BUDGET_EDGE = [(1, 2, "MESH", 3), (2, 2, "KINGMESH", 4), (3, 3, "CROSSBAR", 4)]
+
+    def test_every_budget_up_to_the_search_matches_reference(self, monkeypatch):
+        """Every placement_attempts value from 1 up to the placements the
+        search needs, so that the budget runs out next to each dead frame in
+        turn: the one-step charge and the in-place undo must leave the
+        counters where the slot-by-slot scan leaves them."""
+        dead = []  # per frame built, whether it was dead
+        real_frame = _Attempt._frame
+
+        def frame(self, idx):
+            fr = real_frame(self, idx)
+            dead.append(fr is None)
+            return fr
+
+        monkeypatch.setattr(_Attempt, "_frame", frame)
+        k = knot_kernel()
+        out_next_to_dead = 0
+        for rows, cols, topo, ii in self.BUDGET_EDGE:
+            f = fabric(rows=rows, cols=cols, topology=Topology[topo])
+            for attempts in range(1, 100):
+                want = reference_attempt(k, f, ii, attempts)
+                a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
+                try:
+                    placement = a.run()
+                except _BudgetExhausted:
+                    placement = None
+                assert (placement, a.attempts_left, a.slot_failures, a.dep_failures) == want, (f, ii, attempts)
+                if a.attempts_left >= 0:  # the search ended inside its budget
+                    break
+                out_next_to_dead += dead[-1]
+            else:
+                pytest.fail(f"search on {f} at II {ii} needs over 99 placements")
+        # every one of the 42 dead frames but the last on the 1x2 mesh, after
+        # which that search ends without another placement
+        assert out_next_to_dead == 41
+
 
 def builtin_variants() -> list[KernelGraph]:
     """Every legal (unroll, vectorize) variant of every built-in kernel."""

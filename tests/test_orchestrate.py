@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cgraforge.agents import BackendKind, error_payload
-from cgraforge.arch import FuKind, Topology, parse_design, validate_design
+from cgraforge.arch import FuKind, Topology, design_dict, design_from_dict, parse_design, validate_design
 from cgraforge.costs import ObjectiveMode
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
 from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
@@ -474,6 +474,17 @@ class TestMapCache:
             assert len(runner._map_cache) <= 4
         # the sample reaches every stage of the check
         assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
+
+    def test_designs_read_back_from_their_fields(self):
+        """The fold rebuilds each design from its history fields; the
+        seeded designs come back equal, and equal fields share one fabric."""
+        rng = random.Random(5)
+        for name in BUILTIN_KERNELS:
+            for d in self.designs(rng, {n.kind for n in load_kernel(name).nodes}):
+                back = design_from_dict(design_dict(d), d.id, d.provenance, d.note)
+                assert back == d, (name, d)
+                again = design_from_dict(json.loads(json.dumps(design_dict(d))), "other")
+                assert again.fabric is back.fabric and again.sw is back.sw
 
     def test_each_software_setting_is_prepared_once(self, tmp_path, monkeypatch):
         """In one run, the transforms and the mapper's kernel tables run
