@@ -178,6 +178,9 @@ class FineJudge(Protocol):
         """Absorb a lesson; the only way lessons enter the judge."""
         ...
 
+    def restore(self, theta: list[float], lessons: Sequence[Lesson]) -> None:
+        """Set the learned state, `theta` and `lessons`, from a checkpoint."""
+
 
 def proxy_score(cand: MappedDesign) -> float:
     """The pinned coarse proxy: mapper speedup over the structural power

@@ -543,6 +543,10 @@ class HeuristicFineJudge:
             agreed=tool_choice == judge_choice,
         )
 
+    def restore(self, theta: list[float], lessons: Sequence[Lesson]) -> None:
+        """Set theta and the lesson store, as a run's checkpoint saved them."""
+        self.theta, self.lessons = theta, deque(lessons, maxlen=LESSON_CAP)
+
     def replay(self, lesson: Lesson) -> None:
         """Absorb a lesson into the store and take one fitting step per
         feasible candidate. Lessons are self-contained, so replaying a run's

@@ -265,6 +265,10 @@ class LlmFineJudge:
     def lessons(self):
         return self.shadow.lessons
 
+    @property
+    def theta(self):
+        return self.shadow.theta
+
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]:
         ids = {c.design.id for c in cands}
         try:
@@ -308,3 +312,6 @@ class LlmFineJudge:
 
     def replay(self, lesson: Lesson) -> None:
         self.shadow.replay(lesson)
+
+    def restore(self, theta: list[float], lessons: Sequence[Lesson]) -> None:
+        self.shadow.restore(theta, lessons)

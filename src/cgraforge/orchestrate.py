@@ -7,7 +7,11 @@ the single source of truth, and the run state (the proposal window, the
 judge's lessons, the controller state, the SR counters and the best-so-far
 record) is a fold over it: a live iteration only emits events and folds
 them in when it ends, and a resume folds in the logged iterations through
-the same code. A run killed at any point resumes cleanly: an unfinished
+the same code. A run ends with a checkpoint of that state (state.json),
+tied to the history bytes it covers by their length and sha256; a resume
+whose history starts with those bytes restores it and folds only the
+events after them, and folds the whole log otherwise, so the checkpoint
+is a cache. A run killed at any point resumes cleanly: an unfinished
 last iteration and a torn last line are cut from the file and the
 iteration runs again, and since proposal randomness is re-derived per
 iteration (never carried across events), the events equal those of a run
@@ -15,13 +19,14 @@ that was never stopped.
 
 History records carry no timestamps; wall-clock data lives only in the
 metrics file's meta block, so logs from identical runs are identical files.
-Metrics and the best design are written through a temp file and renamed
-into place, so a kill never leaves either of them torn.
+Metrics, the best design and the checkpoint are written through a temp
+file and renamed into place, so a kill never leaves any of them torn.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -84,6 +89,7 @@ SCHEMA_VERSION = 1
 HISTORY_FILE = "history.jsonl"
 METRICS_FILE = "metrics.json"
 BEST_DESIGN_FILE = "best_design.json"
+STATE_FILE = "state.json"
 
 
 class RunConfigError(ValueError):
@@ -279,15 +285,18 @@ class History:
 
     Records are appended through one handle, open while the log is used as
     a context manager (`with history:`), and each is flushed as it is
-    written, so the file always ends with the last record appended."""
+    written, so the file always ends with the last record appended. It keeps
+    the size and a running sha256 of its bytes, for the run's checkpoint."""
 
     def __init__(self, path: Path, seq: int = 0):
         self.path = path
         self.seq = seq
+        self.size = 0
+        self.sha = hashlib.sha256()
         self._fh = None
 
     def __enter__(self) -> "History":
-        self._fh = self.path.open("a", encoding="utf-8")
+        self._fh = self.path.open("ab")
         return self
 
     def __exit__(self, *exc) -> None:
@@ -298,40 +307,39 @@ class History:
         self.seq += 1
         full = {"schema_version": SCHEMA_VERSION, "seq": self.seq}
         full.update(record)
-        self._fh.write(json.dumps(full, sort_keys=True) + "\n")
+        line = (json.dumps(full, sort_keys=True) + "\n").encode()
+        self._fh.write(line)
         self._fh.flush()
-
-    def truncate(self) -> None:
-        """Cut the file back to its first `seq` records, dropping what a
-        kill left behind them: an unfinished iteration, a torn last line."""
-        with self.path.open("r+b") as fh:
-            size = kept = 0
-            for line in fh:
-                if kept == self.seq:
-                    break
-                size += len(line)
-                kept += bool(line.strip())
-            fh.truncate(size)
+        self.size += len(line)
+        self.sha.update(line)
 
 
-def read_history(path: Path) -> list[dict]:
-    """The events of a history file. A last line without its newline was
-    torn by a kill mid-write and is left out; any other bad line raises."""
-    events = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RunConfigError(f"{path}:{lineno}: invalid history line: {e}") from None
-            if rec.get("seq") != len(events) + 1:
-                raise RunConfigError(f"{path}:{lineno}: history sequence broken")
-            events.append(rec)
+def read_history(path: Path, start: int = 0, seq: int = 0, data: bytes | None = None,
+                 ends: list[int] | None = None) -> list[dict]:
+    """The events of a history file from byte offset `start` on, where the
+    events before `start` end at sequence number `seq`. `data` holds the
+    file's bytes if the caller has read them already; `ends`, if given,
+    receives the offset just past each event's line. A last line without
+    its newline was torn by a kill mid-write and is left out; any other
+    bad line raises, naming the file and line."""
+    data = path.read_bytes() if data is None else data
+    events: list[dict] = []
+    pos = start
+    while (end := data.find(b"\n", pos)) >= 0:
+        line, pos = data[pos:end], end + 1
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError as e:  # a JSON or a UTF-8 decoding error
+            raise RunConfigError(f"{path}:{data.count(10, 0, end) + 1}: invalid history line: {e}") from None
+        if not isinstance(rec, dict):
+            raise RunConfigError(f"{path}:{data.count(10, 0, end) + 1}: history line is not an object")
+        if rec.get("seq") != seq + len(events) + 1:
+            raise RunConfigError(f"{path}:{data.count(10, 0, end) + 1}: history sequence broken")
+        events.append(rec)
+        if ends is not None:
+            ends.append(pos)
     return events
 
 
@@ -344,6 +352,11 @@ def _design_event(kind: str, it: int, d: DesignPoint) -> dict:
         "provenance": d.provenance.name,
         "note": d.note,
     }
+
+
+def _event_design(ev: dict) -> DesignPoint:
+    """The design a _design_event (or a record built like one) names."""
+    return design_from_dict(ev["design"], ev["design_id"], Provenance[ev["provenance"]], ev["note"])
 
 
 def _map_ok_event(it: int, m: MappedDesign) -> dict:
@@ -460,6 +473,9 @@ class RunResult:
     history_path: Path
     metrics_path: Path
     best_design_path: Path | None
+
+
+_COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "mapped_post_total")
 
 
 class _Runner:
@@ -648,7 +664,7 @@ class _Runner:
             kind = ev["type"]
             did = ev.get("design_id")
             if kind in ("proposal", "fix"):
-                designs[did] = design_from_dict(ev["design"], did, Provenance[ev["provenance"]], ev["note"])
+                designs[did] = _event_design(ev)
             if kind == "map_result" and ev["ok"]:
                 mapped_pre += 1
                 mapped.add(did)
@@ -685,6 +701,7 @@ class _Runner:
                     error_code=fail_code.get(did),
                 )
             )
+        del self.outcomes[: -self.cfg.history_window]  # proposals see only this window
         # A TOOL round's tool_score is its pick's eval score, so one lookup
         # serves both modes.
         final_choice = None if trace is None else trace["final_choice"]
@@ -701,15 +718,53 @@ class _Runner:
             }
         )
 
-    # ----- replay (resume) ---------------------------------------------------
+    # ----- resume -------------------------------------------------------------
 
-    def replay(self, events: list[dict]) -> int:
-        """Rebuild runner state from an event log through the fold; returns
-        the last complete iteration. An unfinished last iteration is left
-        out and History.seq set to the last event kept, so that the caller
-        can cut the file back and run that iteration again. A log with no
-        whole record (a kill tore the header line) rebuilds nothing: the
-        file is cut back to empty and the run starts afresh."""
+    def resume(self) -> int:
+        """Rebuild the run state from the history file, read once, cut the
+        file back to its last complete iteration, and return that iteration.
+        Only the events after the checkpoint's prefix are folded, or all of
+        them if there is no checkpoint to restore."""
+        data = self.history.path.read_bytes()
+        done, seq, start, sha = self._restore_checkpoint(data)
+        ends: list[int] = []
+        events = read_history(self.history.path, start, seq, data, ends)
+        if start:
+            events.insert(0, json.loads(data[: data.index(b"\n")]))  # the run header
+        done = self.replay(events, done, seq)
+        kept = self.history.seq - seq  # events kept after `start`: no unfinished iteration, no torn line
+        cut = ends[kept - 1] if kept else start
+        os.truncate(self.history.path, cut)
+        sha.update(data[start:cut])
+        self.history.size, self.history.sha = cut, sha
+        return done
+
+    def _restore_checkpoint(self, data: bytes):
+        """Restore the checkpoint beside the history if it covers a prefix of
+        `data` (same length and sha256); return its iterations, seq, length
+        and that prefix's sha256. It is a cache: one that is missing, torn,
+        of another schema or of other bytes gives (0, 0, 0, sha256())."""
+        try:
+            state = json.loads(self.history.path.with_name(STATE_FILE).read_bytes())
+            size, seq = state["bytes"], state["seq"]
+            ints = all(type(state[k]) is int for k in ("bytes", "seq", "iterations"))
+            if ints and state["schema_version"] == SCHEMA_VERSION and 0 < size <= len(data):
+                sha = hashlib.sha256(data[:size])
+                if sha.hexdigest() == state["sha256"]:
+                    return self.restore(state), seq, size, sha
+        except (OSError, ValueError, LookupError, TypeError):
+            pass
+        return 0, 0, 0, hashlib.sha256()
+
+    def replay(self, events: list[dict], done: int = 0, seq: int = 0) -> int:
+        """Rebuild runner state through the fold; returns the last complete
+        iteration. `events` is the whole log, or the run header and the
+        events after a restored checkpoint of `done` iterations ending at
+        `seq`. An unfinished last iteration is left out and History.seq set
+        to the last event kept, so that the caller can cut the file back and
+        run that iteration again. A log with no whole record (a kill tore
+        the header line) rebuilds nothing: the file is cut back to empty and
+        the run starts afresh."""
         if not events:
             return 0
         if events[0].get("type") != "run_header":
@@ -725,19 +780,60 @@ class _Runner:
                 raise RunConfigError(f"history event seq={ev.get('seq')} has no iteration")
             if groups and groups[-1][0] == it:
                 groups[-1][1].append(ev)
-            elif it == (groups[-1][0] + 1 if groups else 1):
+            elif it == (groups[-1][0] + 1 if groups else done + 1):
                 groups.append((it, [ev]))
             else:
                 raise RunConfigError(f"history iterations are not contiguous at iteration {it}")
 
-        if groups and not _closed(groups[-1][1]):
-            groups.pop()
         for it, evts in groups:
-            if not _closed(evts):
-                raise RunConfigError(f"history iteration {it} is incomplete")
-            self._apply(it, evts)
-        self.history.seq = groups[-1][1][-1]["seq"] if groups else events[0]["seq"]
-        return len(groups)
+            try:
+                closed = _closed(evts)
+                if closed:
+                    self._apply(it, evts)
+            except (AttributeError, LookupError, TypeError, ValueError) as e:
+                seqs = f"{evts[0]['seq']}-{evts[-1]['seq']}"
+                raise RunConfigError(f"{self.history.path}: bad event in iteration {it} (seq {seqs}): {e!r}") from None
+            if not closed:
+                if it != groups[-1][0]:
+                    raise RunConfigError(f"history iteration {it} is incomplete")
+                groups.pop()
+        self.history.seq = groups[-1][1][-1]["seq"] if groups else seq or events[0]["seq"]
+        return done + len(groups)
+
+    # ----- checkpoint -----------------------------------------------------------
+
+    def checkpoint(self) -> dict:
+        """The run state, tied to the history bytes folded into it by their
+        length and sha256. Floats round-trip exactly through JSON repr."""
+        h, best = self.history, self.best
+        return {
+            "schema_version": SCHEMA_VERSION, "bytes": h.size, "sha256": h.sha.hexdigest(), "seq": h.seq,
+            "iterations": len(self.iter_entries), "sel_state": dataclasses.asdict(self.sel_state),
+            "theta": self.judge.theta,
+            "lessons": [_lesson_dict(lesson) for lesson in self.judge.lessons],
+            "outcomes": [{**_design_event("outcome", o.iteration, o.design), "score": o.score,
+                          "feasible": o.feasible, "error_code": o.error_code} for o in self.outcomes],
+            "best": best and {**_design_event("best", best.iteration, best.design), "report": best.report},
+            "iter_entries": self.iter_entries,
+            **{name: getattr(self, name) for name in _COUNTERS},
+        }
+
+    def restore(self, state: dict) -> int:
+        """Take the run state from a checkpoint and return its iterations.
+        All of it is decoded before any is set, so one that fails to decode
+        leaves the state as it was."""
+        best = state["best"]
+        fields = {
+            "sel_state": SelectionState(**state["sel_state"]),
+            "outcomes": [DesignOutcome(o["iteration"], _event_design(o), o["score"], o["feasible"], o["error_code"])
+                         for o in state["outcomes"]],
+            "best": best and BestRecord(best["design_id"], best["iteration"], _event_design(best), best["report"]),
+            "iter_entries": state["iter_entries"],
+            **{name: state[name] for name in _COUNTERS},
+        }
+        self.judge.restore(list(state["theta"]), [_lesson_from_dict(lesson) for lesson in state["lessons"]])
+        vars(self).update(fields)
+        return state["iterations"]
 
     # ----- metrics ------------------------------------------------------------
 
@@ -794,8 +890,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     if hist_path.exists() and hist_path.stat().st_size > 0:
         if not resume:
             raise RunConfigError(f"{hist_path} already exists; resume the run or pick a fresh directory")
-        start_iter = runner.replay(read_history(hist_path)) + 1
-        runner.history.truncate()
+        start_iter = runner.resume() + 1
     elif resume:
         raise RunConfigError(f"cannot resume: no history at {hist_path}")
 
@@ -813,6 +908,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     if runner.best is not None:
         best_path = out / BEST_DESIGN_FILE
         _write_atomic(best_path, serialize_design(runner.best.design))
+    _write_atomic(out / STATE_FILE, json.dumps(runner.checkpoint(), sort_keys=True) + "\n")
 
     return RunResult(
         metrics=metrics,

@@ -315,6 +315,29 @@ class TestRunAndReport:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "index, spoil, where",
+        [
+            (2, lambda line: b"5\n", ":3: history line is not an object"),
+            (2, lambda line: b"[1, 2]\n", ":3: history line is not an object"),
+            (2, lambda line: line.replace(b'"type"', b'"typ\xff"'), ":3: invalid history line: 'utf-8' codec"),
+            (1, lambda line: line.replace(b'"design": {', b'"shape": {'), ": bad event in iteration 1 (seq 2-"),
+        ],
+        ids=["number", "list", "not_utf8", "proposal_without_design"],
+    )
+    def test_resume_of_a_malformed_history_is_usage_error(self, capsys, tmp_path, index, spoil, where):
+        out = tmp_path / "r"
+        args = ("run", "--kernel", "spmv", "--out", str(out))
+        assert run_cli(capsys, *args, "--iterations", "2")[0] == EXIT_OK
+        history = out / "history.jsonl"
+        lines = history.read_bytes().splitlines(keepends=True)
+        assert spoil(lines[index]) != lines[index]
+        lines[index] = spoil(lines[index])
+        history.write_bytes(b"".join(lines))
+        code, _, err = run_cli(capsys, *args, "--iterations", "3", "--resume")
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {history}{where}"), err
+
     def test_report_missing_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))
         assert code == EXIT_USAGE

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cgraforge.agents import BackendKind, error_payload
+from cgraforge.agents import AgentBackend, BackendKind, error_payload, llm
 from cgraforge.arch import FuKind, Topology, design_dict, design_from_dict, parse_design, validate_design
 from cgraforge.costs import ObjectiveMode
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
@@ -18,9 +18,11 @@ from cgraforge.orchestrate import (
     METRICS_FILE,
     RUN_PLACEMENT_ATTEMPTS,
     SCHEMA_VERSION,
+    STATE_FILE,
     History,
     RunConfig,
     RunConfigError,
+    _COUNTERS,
     _Runner,
     read_history,
     run,
@@ -290,10 +292,30 @@ class TestResume:
         """A kill at any line boundary after the header, inside the last
         line, or inside the header line itself, resumes to the bytes and
         metrics of the uninterrupted run."""
+        self._resume_every_cut(tmp_path, checkpoint=None)
+
+    @pytest.mark.parametrize("checkpoint", ["full", "two_iterations"])
+    def test_resume_after_kill_at_any_point_beside_a_checkpoint(self, tmp_path, monkeypatch, checkpoint):
+        """The same cuts with a state.json beside each: the full run's, stale
+        for every shorter cut, or a 2-iteration run's, which every longer
+        cut resumes from, folding only the events after it."""
+        restored = []
+        restore = _Runner.restore
+        monkeypatch.setattr(_Runner, "restore", lambda self, state: restored.append(state) or restore(self, state))
+        self._resume_every_cut(tmp_path, checkpoint, restored)
+
+    @staticmethod
+    def _resume_every_cut(tmp_path, checkpoint, restored=None):
         full = run(quick_cfg(), tmp_path / "full")
         data = full.history_path.read_bytes()
         expected = dict(full.metrics)
         expected.pop("meta")
+        state = None
+        if checkpoint is not None:
+            src = full if checkpoint == "full" else run(quick_cfg(iterations=2), tmp_path / "two")
+            state = (src.out_dir / STATE_FILE).read_bytes()
+            covered = json.loads(state)["bytes"]
+            assert data[:covered] == src.history_path.read_bytes()
         ends = [i + 1 for i, b in enumerate(data) if b == ord("\n")]
         assert ends[0] > 40
         cuts = ends + [ends[-1] - 10, 40]
@@ -301,11 +323,17 @@ class TestResume:
             out = tmp_path / f"cut{n}"
             out.mkdir()
             (out / HISTORY_FILE).write_bytes(data[:cut])
+            if state is not None:
+                (out / STATE_FILE).write_bytes(state)
+                restored.clear()
             resumed = run(quick_cfg(), out, resume=True)
             assert resumed.history_path.read_bytes() == data, f"cut at byte {cut}"
             got = dict(resumed.metrics)
             got.pop("meta")
             assert got == expected, f"cut at byte {cut}"
+            if state is not None:
+                assert len(restored) == (cut >= covered), f"cut at byte {cut}"
+            assert (out / STATE_FILE).read_bytes() == (full.out_dir / STATE_FILE).read_bytes()
 
     def test_resume_rejects_incomplete_inner_iteration(self, tmp_path):
         out = tmp_path / "out"
@@ -333,6 +361,130 @@ class TestResume:
         after = (out / METRICS_FILE).read_text()
         assert after == before
         assert json.loads(after)["iterations_run"] == 2
+
+
+def _fold_state(runner: _Runner) -> tuple:
+    """Everything a resumed run carries on from."""
+    judge = runner.judge
+    return (
+        runner.sel_state,
+        judge.theta,
+        list(judge.lessons),
+        runner.outcomes,
+        runner.best,
+        runner.iter_entries,
+        [getattr(runner, name) for name in _COUNTERS],
+        (runner.history.seq, runner.history.size, runner.history.sha.hexdigest()),
+    )
+
+
+def _edited(state: bytes, **fields) -> bytes:
+    return json.dumps({**json.loads(state), **fields}).encode()
+
+
+CHAIN_CONFIGS = {
+    "heuristic_spmv": dict(history_window=6),
+    "llm_fallback": dict(backend=AgentBackend(kind=BackendKind.LLM, seed=1), history_window=6),
+    "empty_fir": dict(
+        kernel="fir",
+        proposals_per_iteration=3,
+        max_fix_rounds=2,
+        budget=MapBudget(max_ii=1, placement_attempts=RUN_PLACEMENT_ATTEMPTS),
+        history_window=4,
+    ),
+    "tool_llm_alternating": dict(
+        selection=SelectionConfig(conf_threshold=0.0, validation_interval=2, initial_confidence=1.0),
+        history_window=6,
+    ),
+}
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("name", sorted(CHAIN_CONFIGS))
+    def test_chain_restores_the_state_of_a_full_fold(self, tmp_path, monkeypatch, name):
+        """A run built one iteration per resume. After each step, the state
+        restored from the checkpoint, with no tail or with the last
+        iteration as its tail, equals a full fold of the same file."""
+        monkeypatch.delenv(llm.ENV_URL, raising=False)
+        monkeypatch.delenv(llm.ENV_MODEL, raising=False)
+        applied = []
+        apply = _Runner._apply
+        monkeypatch.setattr(_Runner, "_apply", lambda self, it, evts: applied.append(it) or apply(self, it, evts))
+        iterations = 6
+        cfg = quick_cfg(iterations=iterations, **CHAIN_CONFIGS[name])
+        chain = tmp_path / "chain"
+        previous = None
+        for it in range(1, iterations + 1):
+            step = dataclasses.replace(cfg, iterations=it)
+            run(step, chain, resume=it > 1)
+            history = (chain / HISTORY_FILE).read_bytes()
+            state = (chain / STATE_FILE).read_bytes()
+            saved = json.loads(state)
+            assert len(saved["outcomes"]) == min(cfg.history_window, saved["drafts_total"])
+            folds = {}
+            for way, ckpt in (("full", None), ("checkpoint", state), ("tail", previous)):
+                if it == 1 and way == "tail":
+                    continue
+                out = tmp_path / f"{way}{it}"
+                out.mkdir()
+                (out / HISTORY_FILE).write_bytes(history)
+                if ckpt is not None:
+                    (out / STATE_FILE).write_bytes(ckpt)
+                runner = _Runner(step, out)
+                applied.clear()
+                assert runner.resume() == it
+                assert applied == {"full": list(range(1, it + 1)), "checkpoint": [], "tail": [it]}[way]
+                folds[way] = _fold_state(runner)
+            assert all(f == folds["full"] for f in folds.values()), f"iteration {it}"
+            previous = state
+        assert saved["drafts_total"] > 2 * cfg.history_window  # the window was cut
+        uninterrupted = run(cfg, tmp_path / "uninterrupted")
+        assert uninterrupted.history_path.read_bytes() == (chain / HISTORY_FILE).read_bytes()
+        assert (uninterrupted.out_dir / STATE_FILE).read_bytes() == (chain / STATE_FILE).read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (b'"seq": 5,', b'"seq": 6,', "history sequence broken"),
+            (b'"seed": 1,', b'"seed": 2,', "config does not match"),
+            (b'"seq": 7,', b'"seq"! 7,', "invalid history line"),
+        ],
+    )
+    def test_a_changed_byte_under_the_checkpoint_still_refuses(self, tmp_path, old, new, error):
+        out = tmp_path / "out"
+        run(quick_cfg(), out)
+        data = (out / HISTORY_FILE).read_bytes()
+        assert data.count(old) == 1 and json.loads((out / STATE_FILE).read_bytes())["bytes"] == len(data)
+        (out / HISTORY_FILE).write_bytes(data.replace(old, new))
+        with pytest.raises(RunConfigError, match=error):
+            run(quick_cfg(iterations=4), out, resume=True)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda state: b"garbage",
+            lambda state: state[: len(state) // 2],
+            lambda state: b"[1, 2]\n",
+            lambda state: _edited(state, schema_version=99),
+            lambda state: _edited(state, sha256="0" * 64),
+            lambda state: _edited(state, seq=str(json.loads(state)["seq"])),
+        ],
+        ids=["garbage", "torn", "not_an_object", "other_schema", "other_digest", "non_integer_seq"],
+    )
+    def test_a_spoiled_checkpoint_is_ignored(self, tmp_path, monkeypatch, spoil):
+        restored = []
+        restore = _Runner.restore
+        monkeypatch.setattr(_Runner, "restore", lambda self, state: restored.append(state) or restore(self, state))
+        full = run(quick_cfg(iterations=4), tmp_path / "full")
+        out = tmp_path / "out"
+        run(quick_cfg(iterations=2), out)
+        state = (out / STATE_FILE).read_bytes()
+        assert spoil(state) != state
+        (out / STATE_FILE).write_bytes(spoil(state))
+        resumed = run(quick_cfg(iterations=4), out, resume=True)
+        assert restored == []
+        assert resumed.history_path.read_bytes() == full.history_path.read_bytes()
+        assert (out / STATE_FILE).read_bytes() == (full.out_dir / STATE_FILE).read_bytes()
 
 
 class TestSelectionModesInHistory:
