@@ -48,8 +48,8 @@ from ..mapper import MapError, MappedDesign
 #: structural constants, deliberately independent of the cost model config.
 PROXY_WIRING = {Topology.MESH: 1.0, Topology.KINGMESH: 1.2, Topology.CROSSBAR: 1.5}
 
-#: Lesson store capacity (FIFO eviction).
-LESSON_CAP = 256
+#: Lesson store capacity (FIFO eviction): the lessons the LLM judge shows.
+LESSON_CAP = 6
 
 
 class BackendKind(Enum):

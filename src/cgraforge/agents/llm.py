@@ -272,7 +272,6 @@ class LlmFineJudge:
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]:
         ids = {c.design.id for c in cands}
         try:
-            recent = list(self.shadow.lessons)[-6:]
             prompt = _render(
                 "fine_judge.txt",
                 objective=json.dumps(_objective_dict(self.shadow.objective), indent=2),
@@ -285,7 +284,7 @@ class LlmFineJudge:
                             "agreed": les.agreed,
                             "tool_scores": {lc.design_id: lc.tool_score for lc in les.candidates},
                         }
-                        for les in recent
+                        for les in self.shadow.lessons
                     ],
                     indent=2,
                 ),

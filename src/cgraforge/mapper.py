@@ -28,9 +28,14 @@ hop distance, memoized per attempt. Residues are tried in ascending
 order. A level whose table is 0 is dead: it is never pushed, the
 placement that led to it is undone at once, and its rejected slots are
 counted in one step (the occupied ones, one per placed node, then the
-rest), so the counters read as if it had been scanned. What every
+rest), so the counters read as if it had been scanned. A level is
+doomed when its node's placements cannot fail and the next node's table
+is 0 before it places; when the budget covers its candidates, it is
+settled the same way, its placements and dead children charged at once.
+What every
 search of one kernel reads is built once per kernel object: latencies,
-the schedule order, adjacency, cycles, the node kinds and RecMII. What
+the schedule order, adjacency, cycles, the static windows per II, the
+node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
 per (rows, cols, topology). The kernel tables live as long as the kernel
 object, the fabric tables in a memo bounded by their size, so a caller
@@ -69,7 +74,8 @@ class MapBudget:
     II attempt. Only full placements count against it: a (node, tile,
     residue) triple that passes the slot and window checks and goes on to
     the longest-path update. Triples those checks reject are free, so one
-    attempt can cost far more than placement_attempts probes.
+    attempt can cost far more than placement_attempts probes. A doomed
+    level's placements, settled unmade, count as made.
     """
 
     max_ii: int = 32
@@ -263,6 +269,57 @@ class _KernelTables:
                 self.dfg_neighbors[e.dst].append(e.src)
         succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
         self.cycles = [comp for comp in _sccs(sorted(succs), succs) if len(comp) > 1]
+        # Nodes whose out-edges, self-loops aside, all go to later nodes in
+        # schedule order: placing one propagates to no placed node, and a
+        # self-loop holds at any II from RecMII up, so its _try_add cannot fail.
+        self.forward_only = frozenset(
+            u for u, outs in self.out_edges.items() if all(v == u or self.rank[v] > self.rank[u] for v, _, _ in outs)
+        )
+        self._windows: dict[int, dict[int, list[tuple[int, int, int]]]] = {}  # II -> windows(II)
+
+    def windows(self, ii: int) -> dict[int, list[tuple[int, int, int]]]:
+        """Static start-time windows between nodes that share a dependence
+        cycle, built once per II. For u, v in one strongly connected
+        component, the zero-hop longest paths D[u][v] and D[v][u] bound any
+        schedule: D[u][v] <= start(v) - start(u) <= -D[v][u]. Checking a
+        candidate slot against these windows refutes a dead branch when the
+        slot is chosen, not levels deeper when the cycle finally closes. A
+        window is kept on the later node of the pair in schedule order,
+        whose frame finds the other one placed, as (u, D[u][v], span) with
+        span = -D[v][u] - D[u][v] + 1 the number of start differences it
+        allows. Callers only read the result."""
+        if ii in self._windows:
+            return self._windows[ii]
+        windows = {}
+        neg_inf = float("-inf")
+        for comp in self.cycles:
+            dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
+            for u in comp:
+                dist[u][u] = 0
+                for v, lat_u, d in self.out_edges[u]:
+                    if v in dist[u]:
+                        dist[u][v] = max(dist[u][v], lat_u - d * ii)
+            for w in comp:
+                dw = dist[w]
+                for u in comp:
+                    duw = dist[u][w]
+                    if duw == neg_inf:
+                        continue
+                    du = dist[u]
+                    for v in comp:
+                        cand = duw + dw[v]
+                        if cand > du[v]:
+                            du[v] = cand
+            for v in comp:
+                cons = []
+                for u in comp:
+                    if self.rank[u] < self.rank[v] and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
+                        lo, hi = int(dist[u][v]), -int(dist[v][u])
+                        cons.append((u, lo, hi - lo + 1))
+                if cons:
+                    windows[v] = cons
+        self._windows[ii] = windows
+        return windows
 
 
 class _FabricTables:
@@ -375,7 +432,8 @@ class _Attempt:
         self.attempts_left = attempts_left
         self.hop_rows = ft.hop_rows
         self.full = (1 << ii) - 1
-        self.wide = (1 << (ft.tiles * ii)) - 1  # every slot of every tile
+        self.slots = ft.tiles * ii
+        self.wide = (1 << self.slots) - 1  # every slot of every tile
         hop_bound = max(ft.rows + ft.cols, 2)
         per_edge = math.ceil((kt.max_lat + hop_bound + ii - 1) / ii)
         self.dist_ub = max(1, per_edge * max(1, len(kt.edges)))
@@ -384,51 +442,8 @@ class _Attempt:
         self.occ = 0  # taken slots, tile-major
         self.slot_failures = 0
         self.dep_failures = 0
-        self.windows = self._pairwise_windows()
+        self.windows = kt.windows(ii)
         self.wide_masks: dict[tuple[int, int, int], int] = {}  # (tile_u, start, span) -> _wide_mask
-
-    def _pairwise_windows(self) -> dict[int, list[tuple[int, int, int]]]:
-        """Static start-time windows between nodes that share a dependence
-        cycle. For u, v in one strongly connected component, the zero-hop
-        longest paths D[u][v] and D[v][u] bound any schedule:
-        D[u][v] <= start(v) - start(u) <= -D[v][u]. Checking a candidate
-        slot against these windows refutes a dead branch when the slot is
-        chosen, not levels deeper when the cycle finally closes. A window
-        is kept on the later node of the pair in schedule order, whose
-        frame finds the other one placed, as (u, D[u][v], span) with span
-        = -D[v][u] - D[u][v] + 1 the number of start differences it allows.
-        """
-        out_edges = self.kt.out_edges
-        rank = self.kt.rank
-        windows: dict[int, list[tuple[int, int, int]]] = {}
-        neg_inf = float("-inf")
-        for comp in self.kt.cycles:
-            dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
-            for u in comp:
-                dist[u][u] = 0
-                for v, lat_u, d in out_edges[u]:
-                    if v in dist[u]:
-                        dist[u][v] = max(dist[u][v], lat_u - d * self.ii)
-            for w in comp:
-                dw = dist[w]
-                for u in comp:
-                    duw = dist[u][w]
-                    if duw == neg_inf:
-                        continue
-                    du = dist[u]
-                    for v in comp:
-                        cand = duw + dw[v]
-                        if cand > du[v]:
-                            du[v] = cand
-            for v in comp:
-                cons = []
-                for u in comp:
-                    if rank[u] < rank[v] and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
-                        lo, hi = int(dist[u][v]), -int(dist[v][u])
-                        cons.append((u, lo, hi - lo + 1))
-                if cons:
-                    windows[v] = cons
-        return windows
 
     def _window_masks(self, start: int, span: int) -> list[int]:
         """The residues a window partner allows, by hop distance h: those in
@@ -458,34 +473,39 @@ class _Attempt:
 
     def _frame(self, idx: int) -> _Frame | None:
         """The frame for the idx-th node of the schedule order, or None when
-        it is dead. Its residue table is exact for the frame's whole life:
-        the occupancy and the placed partners it reads stay as they are
-        while it lives, because deeper levels undo their placements before
-        control returns to it. A frame is dead when its table is empty; its
-        scan is charged here in one step: over all tiles, the occupied slots
-        (one per placed node) are slot failures and every other slot is a
-        dependence failure."""
+        it is dead or doomed. Its residue table is exact for the frame's
+        whole life: the occupancy and the placed partners it reads stay as
+        they are while it lives, because deeper levels undo their
+        placements before control returns to it. A frame is dead when its
+        table is empty; its scan is charged here in one step: over all
+        tiles, the occupied slots (one per placed node) are slot failures
+        and every other slot is a dependence failure. A doomed frame's
+        whole search is charged here too (one-level forward checking,
+        Haralick & Elliott 1980)."""
         kt = self.kt
         nid = kt.order[idx]
         if idx == 0:
             return _Frame(nid, self.ft.first_tiles, self.wide, 1)  # residue 0 only
-        place = self.place
-        allow = self.wide ^ self.occ
-        # A partner u at (tile_u, r_u) with window [lo, hi], h hops from a
-        # candidate tile, needs start(nid) - start(u) in [lo + h, hi - h].
-        for u, lo, span in self.windows.get(nid, ()):
-            tile_u, r_u = place[u]
-            key = (tile_u, (r_u + lo) % self.ii, span)
-            mask = self.wide_masks.get(key)
-            if mask is None:
-                mask = self.wide_masks[key] = self._wide_mask(*key)
-            allow &= mask
-            if not allow:
-                break
+        allow = self._table(nid)
         if not allow:
             self.slot_failures += idx
-            self.dep_failures += self.ft.tiles * self.ii - idx
+            self.dep_failures += self.slots - idx
             return None
+        if idx + 1 < len(kt.order) and nid in kt.forward_only:
+            k = allow.bit_count()
+            # Doomed: the next node's table, empty before nid's slot and
+            # window join it, makes every child dead. The scan would place
+            # each of the k candidates (none can fail), settle a dead child
+            # and undo it: its own scan rejects idx occupied slots and
+            # T - idx - k others (T = tiles * II), each child idx + 1 and
+            # T - idx - 1. With fewer than k attempts left the budget runs
+            # out inside that scan, so the frame is searched as usual.
+            if self.attempts_left >= k and not self._table(kt.order[idx + 1]):
+                self.attempts_left -= k
+                self.slot_failures += idx + k * (idx + 1)
+                self.dep_failures += (self.slots - idx - k) + k * (self.slots - idx - 1)
+                return None
+        place = self.place
         tiles = list(range(self.ft.tiles))
         rows = [self.hop_rows[place[m][0]] for m in kt.dfg_neighbors[nid] if m in place]
         if rows:
@@ -494,6 +514,26 @@ class _Attempt:
             sums = [sum(col) for col in zip(*rows)]
             tiles.sort(key=sums.__getitem__)
         return _Frame(nid, tiles, allow, self.full)
+
+    def _table(self, nid: int) -> int:
+        """The free slots ANDed with the wide mask of each placed window
+        partner of nid: a partner u at (tile_u, r_u) with window [lo, hi], h
+        hops from a tile, needs start(nid) - start(u) in [lo + h, hi - h]."""
+        place = self.place
+        allow = self.wide ^ self.occ
+        for u, lo, span in self.windows.get(nid, ()):
+            placed = place.get(u)
+            if placed is None:
+                continue
+            tile_u, r_u = placed
+            key = (tile_u, (r_u + lo) % self.ii, span)
+            mask = self.wide_masks.get(key)
+            if mask is None:
+                mask = self.wide_masks[key] = self._wide_mask(*key)
+            allow &= mask
+            if not allow:
+                break
+        return allow
 
     def _next_residue(self, fr: _Frame) -> int:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
@@ -554,10 +594,11 @@ class _Attempt:
     def run(self) -> dict[int, tuple[Tile, int]] | None:
         """Depth-first search over the schedule order with an explicit
         frame stack, one frame per placed node plus the one being tried.
-        A placement whose next frame is dead is undone at once, and the
-        search goes on with the current frame; the dead frame is never
-        pushed. Only full placements draw on the budget; the slots the
-        per-frame tables rule out are two orders of magnitude cheaper."""
+        A placement whose next frame is dead or doomed is undone at once,
+        and the search goes on with the current frame; that frame is never
+        pushed. Only full placements draw on the budget, a doomed frame's
+        settled ones included; the slots the per-frame tables rule out are
+        two orders of magnitude cheaper."""
         stack = [self._frame(0)]
         depth = len(self.kt.order)
         while True:

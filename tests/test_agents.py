@@ -753,6 +753,34 @@ class TestLlmFineJudge:
         fresh.replay(lesson)
         assert fresh.shadow.theta == judge.shadow.theta
 
+    def test_prompt_lists_the_last_six_lessons(self, monkeypatch):
+        import json as _json
+
+        fake = _FakePost(_json.dumps({"choice": "p9", "score": 1.0}))
+        patch_post(monkeypatch, fake)
+        judge = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        cands = []
+        for i in range(10):
+            c = candidate(f"p{i}", speedup=2.0 + i / 10, rows=2, cols=2)
+            report = EvalReport(
+                design_id=f"p{i}",
+                speedup=c.speedup,
+                power_mw=9.0 + i,
+                area_kum2=1.0,
+                power_efficiency=0.2,
+                score=9.0 + i,
+                feasible=True,
+            )
+            judge.replay(judge.lesson([c], [report], tool_choice=f"p{i}", judge_choice="p0"))
+            cands.append(c)
+        assert judge.select(cands) == ("p9", 1.0)
+        prompt = fake.calls[0]["payload"]["messages"][0]["content"]
+        block = prompt.split("learn from disagreements):\n", 1)[1].split("\n\nReply with", 1)[0]
+        assert _json.loads(block) == [
+            {"tool_choice": f"p{i}", "judge_choice": "p0", "agreed": i == 0, "tool_scores": {f"p{i}": 9.0 + i}}
+            for i in range(4, 10)
+        ]
+
     def test_factory_returns_llm_judge(self):
         judge = make_fine_judge(LLM_BACKEND, OBJ)
         assert isinstance(judge, llm.LlmFineJudge)

@@ -10,7 +10,7 @@ import pytest
 
 from cgraforge import mapper
 from cgraforge.arch import FabricSpec, FuKind, Topology, neighbors
-from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph
+from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph, apply_sw_params, load_kernel
 from cgraforge.mapper import (
     MapBudget,
     MapError,
@@ -338,6 +338,83 @@ class TestReferenceSearch:
         # every one of the 42 dead frames but the last on the 1x2 mesh, after
         # which that search ends without another placement
         assert out_next_to_dead == 41
+
+
+def tangle_kernel() -> KernelGraph:
+    """Five nodes in one cycle component. Node 3 feeds nodes 0 and 2 back,
+    so it is not forward_only: at II 5 on a 1x3 mesh the next node's table
+    is empty before node 3 places, yet some of its placements fail the
+    longest-path check, so its frame must be searched, not settled."""
+    lats = [2, 2, 1, 2, 3]
+    edges = [(0, 2, 0), (0, 4, 0), (1, 3, 0), (2, 0, 1), (2, 1, 1), (3, 0, 2), (3, 2, 1), (4, 0, 1)]
+    return KernelGraph(
+        name="tangle",
+        nodes=[DfgNode(id=i, kind=FuKind.ADD, latency=lat) for i, lat in enumerate(lats)],
+        edges=[DfgEdge(src=s, dst=d, distance=dist) for s, d, dist in edges],
+        trip_count=32,
+    )
+
+
+class TestDoomedFrames:
+    """A frame is doomed when its node is forward_only, so that none of its
+    placements can fail, and the next node's table is empty before it
+    places: every child it would push is dead. With the budget for all its
+    candidates left it is settled in one step; with less it is searched as
+    usual, so the budget runs out on the slot it always did."""
+
+    # (kernel, fabric, II, budgets): every budget in the range, compared with
+    # the slot-by-slot reference. fir at unroll 2 settles a doomed frame of
+    # 30 candidates after every 31 placements (the golden case above runs
+    # out of its 2 000 after 64 of them); 1-130 covers the first four. The
+    # random kernel is searched to exhaustion in 44 placements and settles
+    # 6 doomed frames on the way. The tangle places in 12.
+    CASES = [
+        (lambda: apply_sw_params(load_kernel("fir"), 2, 1), fabric(3, 3, Topology.KINGMESH), 4, range(1, 131)),
+        (lambda: random_dfg(random.Random(155), max_nodes=8), fabric(rows=2, cols=2), 2, range(1, 46)),
+        (tangle_kernel, fabric(rows=1, cols=3), 5, range(1, 14)),
+    ]
+
+    def test_every_budget_next_to_a_settle_matches_reference(self, monkeypatch):
+        fired = {"settled": 0, "searched": 0}  # doomed frames, by how they ended
+        real_frame = _Attempt._frame
+
+        def frame(self, idx):
+            left = self.attempts_left
+            fr = real_frame(self, idx)
+            if fr is None:
+                fired["settled"] += self.attempts_left < left
+            elif (
+                idx + 1 < len(self.kt.order)
+                and fr.nid in self.kt.forward_only
+                and not self._table(self.kt.order[idx + 1])
+            ):
+                assert self.attempts_left < fr.allow.bit_count()
+                fired["searched"] += 1
+            return fr
+
+        monkeypatch.setattr(_Attempt, "_frame", frame)
+        for make, f, ii, budgets in self.CASES:
+            k = make()
+            ended_inside = False
+            for attempts in budgets:
+                want = reference_attempt(k, f, ii, attempts)
+                a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
+                try:
+                    placement = a.run()
+                except _BudgetExhausted:
+                    placement = None
+                assert (placement, a.attempts_left, a.slot_failures, a.dep_failures) == want, (k.name, attempts)
+                ended_inside = a.attempts_left >= 0
+            assert ended_inside == (k.name != "fir.u2")
+        assert fired == {"settled": 332, "searched": 151}, fired
+
+    def test_forward_only_nodes_send_no_edge_back(self):
+        k = knot_kernel()  # order 0, 1, 2, 4, 3, 5; node 5 feeds PHI 1 back
+        kt = _KernelTables(k)
+        assert kt.order == [0, 1, 2, 4, 3, 5]
+        assert kt.forward_only == {0, 1, 2, 3, 4}
+        # a self-loop does not count against its node
+        assert _KernelTables(accumulator_kernel()).forward_only == {0}
 
 
 def builtin_variants() -> list[KernelGraph]:
