@@ -21,6 +21,7 @@ from importlib import resources
 from typing import Callable, Sequence
 
 from ..arch import (
+    ArchError,
     DesignPoint,
     FabricSpec,
     FuKind,
@@ -150,7 +151,7 @@ def _draft_from_entry(entry: object) -> DesignPoint | None:
             unroll_factor=int(entry.get("unroll_factor", 1)),
             vectorize_factor=int(entry.get("vectorize_factor", 1)),
         )
-    except (KeyError, TypeError, ValueError):
+    except (ArchError, KeyError, TypeError, ValueError, OverflowError):
         return None
     return DesignPoint(fabric=fabric, sw=sw, id="draft", provenance=Provenance.PROPOSED, note="proposal:llm")
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
+from .decode import Fields, InputError, loads, member
+
 ROWS_MIN, ROWS_MAX = 1, 16
 COLS_MIN, COLS_MAX = 1, 16
 UNROLL_MIN, UNROLL_MAX = 1, 8
@@ -52,10 +54,7 @@ class FuKind(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "FuKind":
-        try:
-            return cls[token.strip().upper()]
-        except KeyError:
-            raise ParseError("UNKNOWN_ENUM", f"unknown FU kind {token!r}") from None
+        return member(cls, token, ParseError, "FU kind")
 
 
 class Topology(Enum):
@@ -68,10 +67,7 @@ class Topology(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "Topology":
-        try:
-            return cls[token.strip().upper()]
-        except KeyError:
-            raise ParseError("UNKNOWN_ENUM", f"unknown topology {token!r}") from None
+        return member(cls, token, ParseError, "topology")
 
 
 class Provenance(Enum):
@@ -79,13 +75,8 @@ class Provenance(Enum):
     REPAIRED = "REPAIRED"
 
 
-class ArchError(Exception):
+class ArchError(InputError):
     """Base error for this module; carries a machine-readable code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 class ParseError(ArchError):
@@ -229,16 +220,6 @@ def neighbors(f: FabricSpec, tile: tuple[int, int]) -> set[tuple[int, int]]:
 # File format
 # ---------------------------------------------------------------------------
 
-_INT_FIELDS = ("rows", "cols", "config_mem_depth", "data_mem_kb", "unroll_factor", "vectorize_factor")
-
-
-def _require_int(payload: dict, key: str) -> int:
-    v = payload[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError("BAD_TYPE", f"field {key!r} must be an integer, got {type(v).__name__}")
-    return v
-
-
 def parse_design(text: str) -> DesignPoint:
     """Parse an architecture JSON document into a DesignPoint.
 
@@ -247,35 +228,16 @@ def parse_design(text: str) -> DesignPoint:
     validate_design's job, so out-of-range drafts can still be loaded and
     repaired. The id is a stable hash of the canonical serialization.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError("SYNTAX", f"invalid JSON: {e.msg}", line=e.lineno, col=e.colno) from None
-    if not isinstance(payload, dict):
-        raise ParseError("SYNTAX", "architecture file must contain a JSON object")
-    unknown = sorted(set(payload) - set(ARCH_FILE_KEYS))
-    if unknown:
-        raise ParseError("UNKNOWN_FIELD", f"unknown field(s): {', '.join(unknown)}")
-    missing = sorted(k for k in ARCH_FILE_KEYS if k not in payload and k != "data_mem_kb")
-    if missing:
-        raise ParseError("MISSING_FIELD", f"missing field(s): {', '.join(missing)}")
-    payload.setdefault("data_mem_kb", 0)
-    ints = {k: _require_int(payload, k) for k in _INT_FIELDS}
-    raw_kinds = payload["fu_kinds"]
-    if not isinstance(raw_kinds, list) or not all(isinstance(s, str) for s in raw_kinds):
-        raise ParseError("BAD_TYPE", "fu_kinds must be an array of strings")
-    kinds = frozenset(FuKind.parse(s) for s in raw_kinds)
-    if not isinstance(payload["topology"], str):
-        raise ParseError("BAD_TYPE", "topology must be a string")
+    f = Fields(loads(text, ParseError), ParseError, ARCH_FILE_KEYS)
     fabric = FabricSpec(
-        rows=ints["rows"],
-        cols=ints["cols"],
-        fu_kinds=kinds,
-        config_mem_depth=ints["config_mem_depth"],
-        data_mem_kb=ints["data_mem_kb"],
-        topology=Topology.parse(payload["topology"]),
+        rows=f.integer("rows"),
+        cols=f.integer("cols"),
+        fu_kinds=frozenset(f.enums("fu_kinds", FuKind)),
+        config_mem_depth=f.integer("config_mem_depth"),
+        data_mem_kb=f.integer("data_mem_kb", 0),
+        topology=f.enum("topology", Topology),
     )
-    sw = SwParams(unroll_factor=ints["unroll_factor"], vectorize_factor=ints["vectorize_factor"])
+    sw = SwParams(unroll_factor=f.integer("unroll_factor"), vectorize_factor=f.integer("vectorize_factor"))
     design = DesignPoint(fabric=fabric, sw=sw, id="", note="parsed")
     return replace(design, id=f"d{design_fingerprint(design)}")
 

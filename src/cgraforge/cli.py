@@ -1,9 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 internal error, 2 configuration or usage error,
-3 domain failure (no feasible design, unmappable design, or structural
-violations). With --json every command prints exactly one JSON document to
-stdout and nothing else there; diagnostics go to stderr.
+Exit codes: 0 success, 1 internal error, 2 configuration or usage error
+(any InputError, so every malformed input file, and any OSError, such as an
+output directory that cannot be written), 3 domain failure (no feasible
+design, unmappable design, or structural violations). With --json
+every command prints exactly one JSON document to stdout and nothing else
+there; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
-from .arch import ArchError, DesignPoint, parse_design, validate_design
-from .costs import EvalError, Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
-from .kernel import BUILTIN_KERNELS, KernelError, TransformError, apply_sw_params, load_kernel, summarize
+from .arch import DesignPoint, parse_design, validate_design
+from .costs import Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
+from .decode import InputError, loads, read_text
+from .kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, summarize
 from .mapper import MapBudget, MapError, MappedDesign, map_kernel
 from .mapper import speedup as compute_speedup
 from .orchestrate import RunConfig, RunConfigError, run
@@ -43,32 +47,26 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _about(what: str):
+    """Name the input behind an input error raised inside: its message
+    gets `what: ` in front. main() turns the error into exit 2."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {e}") from None
+        yield
+    except InputError as e:
+        e.args = (f"{what}: {e}",)
+        raise
 
 
 def _load_design(path: str) -> DesignPoint:
-    try:
-        return parse_design(_read_text(path))
-    except ArchError as e:
-        raise CliError(EXIT_USAGE, f"{path}: {e}") from None
+    text = read_text(path)
+    with _about(path):
+        return parse_design(text)
 
 
 def _load_kernel(name: str):
-    try:
+    with _about(f"kernel {name!r}"):
         return load_kernel(name)
-    except KernelError as e:
-        raise CliError(EXIT_USAGE, f"kernel {name!r}: {e}") from None
-
-
-def _parse_objective(mode: str, min_speedup: float) -> Objective:
-    try:
-        return Objective(mode=ObjectiveMode.parse(mode), min_speedup=min_speedup)
-    except EvalError as e:
-        raise CliError(EXIT_USAGE, str(e)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,32 +124,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     data: dict = {}
     if args.config:
-        try:
-            data = json.loads(_read_text(args.config))
-        except json.JSONDecodeError as e:
-            raise CliError(EXIT_USAGE, f"{args.config}: invalid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise CliError(EXIT_USAGE, f"{args.config}: run config must be a JSON object")
+        text = read_text(args.config)
+        with _about(args.config):
+            data = loads(text, RunConfigError)
+            if not isinstance(data, dict):
+                raise RunConfigError("run config must be a JSON object", "BAD_TYPE")
     if args.kernel:
         data["kernel"] = args.kernel
     if args.iterations is not None:
         data["iterations"] = args.iterations
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.objective or args.min_speedup is not None:
-        obj = dict(data.get("objective", {}))
+    obj = data.setdefault("objective", {})
+    if isinstance(obj, dict):  # RunConfig.from_json rejects anything else
         if args.objective:
             obj["mode"] = args.objective
         if args.min_speedup is not None:
             obj["min_speedup"] = args.min_speedup
-        data["objective"] = obj
     if "kernel" not in data:
         raise CliError(EXIT_USAGE, "a kernel is required (--kernel or config file)")
 
-    try:
-        cfg = RunConfig.from_json(data)
-    except (RunConfigError, EvalError) as e:
-        raise CliError(EXIT_USAGE, str(e)) from None
+    cfg = RunConfig.from_json(data)
 
     out = args.out
     if out is None:
@@ -160,11 +153,7 @@ def _cmd_run(args) -> int:
     if args.verbose:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    try:
-        result = run(cfg, out, resume=args.resume)
-    except (RunConfigError, KernelError, EvalError, ArchError) as e:
-        raise CliError(EXIT_USAGE, str(e)) from None
-
+    result = run(cfg, out, resume=args.resume)
     m = result.metrics
     if args.json:
         _print_json(m)
@@ -253,11 +242,9 @@ def _cmd_map(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     d, tk, res = _map_design(args.design, args.kernel, 32, 50_000)
-    obj = _parse_objective(args.objective, args.min_speedup)
-    try:
+    obj = Objective(mode=ObjectiveMode.parse(args.objective), min_speedup=args.min_speedup)
+    with _about("cost coefficients"):
         coeffs = load_cost_coeffs(args.coeffs)
-    except (EvalError, OSError) as e:
-        raise CliError(EXIT_USAGE, f"cost coefficients: {e}") from None
     k = _load_kernel(args.kernel)
     sp = compute_speedup(k, res, tk.trip_count)
     cand = MappedDesign(design=d, mapping=res, trip_after=tk.trip_count, speedup=sp)
@@ -285,17 +272,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_select_sim(args) -> int:
     if Path(args.script).exists():
-        text = _read_text(args.script)
+        text = read_text(args.script)
     elif args.script in _BUNDLED_SCRIPTS:
         text = resources.files("cgraforge.data.scripts").joinpath(f"{args.script}.json").read_text("utf-8")
     else:
         raise CliError(EXIT_USAGE, f"no such script file or bundled script: {args.script}")
-    try:
-        cfg, steps = load_sim_script(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_USAGE, f"script is not valid JSON: {e}") from None
-    except SelectionConfigError as e:
-        raise CliError(EXIT_USAGE, str(e)) from None
+    with _about(args.script):
+        cfg, steps = load_sim_script(loads(text, SelectionConfigError))
     trace = run_selection(cfg, steps)
     if args.json:
         _print_json({"trace": [r.to_dict() for r in trace]})
@@ -306,29 +289,37 @@ def _cmd_select_sim(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.run_dir) / "metrics.json"
+    text = read_text(path)
+    with _about(str(path)):
+        m = loads(text)
     try:
-        m = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_USAGE, f"{path}: invalid JSON: {e}") from None
+        lines = _report_lines(m)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InputError("BAD_VALUE", f"cannot read {path} as the metrics of a run: {e!r}") from None
     if args.json:
         _print_json(m)
-        return EXIT_OK
-    print(f"kernel={m['kernel']} objective={m['objective']['mode']} seed={m['seed']} iterations={m['iterations_run']}")
-    print(f"sr1={m['sr1']:.3f} sr2={m['sr2']:.3f} tool_rounds={m['tool_rounds']} llm_rounds={m['llm_rounds']}")
+    else:
+        print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(m: dict) -> list[str]:
+    lines = [
+        f"kernel={m['kernel']} objective={m['objective']['mode']} seed={m['seed']} iterations={m['iterations_run']}",
+        f"sr1={m['sr1']:.3f} sr2={m['sr2']:.3f} tool_rounds={m['tool_rounds']} llm_rounds={m['llm_rounds']}",
+    ]
     if m.get("feasible") and m.get("best"):
         b = m["best"]
-        print(f"best: {b['design_id']} score={b['score']:.6g} speedup={b['speedup']:.3f} power={b['power_mw']:.4f}mW")
+        lines.append(f"best: {b['design_id']} score={b['score']:.6g} speedup={b['speedup']:.3f} power={b['power_mw']:.4f}mW")
     else:
-        print("no feasible design")
+        lines.append("no feasible design")
     for entry in m.get("iterations", []):
         best = "-" if entry["best_so_far"] is None else f"{entry['best_so_far']:.6g}"
-        print(
+        lines.append(
             f"  it {entry['iteration']:>3}: mapped {entry['mapped_pre']}/{entry['proposals']} "
             f"(+repair {entry['mapped_post'] - entry['mapped_pre']}) mode={entry['mode'] or '-'} best={best}"
         )
-    return EXIT_OK
+    return lines
 
 
 def _cmd_kernels(args) -> int:
@@ -375,6 +366,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except (InputError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as e:  # noqa: BLE001 - last-resort guard for exit code 1
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

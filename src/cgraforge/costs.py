@@ -22,7 +22,7 @@ min_speedup) score BIG + shortfall so any feasible design beats them.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .arch import DesignPoint, FuKind, Topology
+from .decode import Fields, InputError, loads, member, read_text
 from .kernel import KernelGraph
 from .mapper import MappedDesign, MappingResult, speedup as compute_speedup
 
@@ -44,11 +45,7 @@ class ObjectiveMode(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "ObjectiveMode":
-        normalized = token.strip().upper().replace("-", "_")
-        try:
-            return cls[normalized]
-        except KeyError:
-            raise EvalError("UNKNOWN_OBJECTIVE", f"unknown objective {token!r}") from None
+        return member(cls, token, EvalError, "objective")
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,8 @@ class Objective:
             raise EvalError("BAD_MIN_SPEEDUP", f"min_speedup={self.min_speedup} must be positive")
 
 
-class EvalError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+class EvalError(InputError):
+    """Bad objective or cost model input, or evaluation misuse."""
 
 
 class CostConfigError(EvalError):
@@ -107,72 +101,31 @@ def load_cost_coeffs(path: str | Path | None = None) -> CostCoeffs:
     if path is None:
         text = resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CostConfigError("SYNTAX", f"invalid cost coefficient JSON: {e.msg}") from None
-    required = {
-        "fu_power_mw",
-        "fu_area_kum2",
-        "tile_base_power_mw",
-        "tile_base_area_kum2",
-        "ctx_power_mw",
-        "ctx_area_kum2",
-        "data_mem_area_kum2_per_kb",
-        "wiring_mult",
-        "lane_power_slope",
-        "lane_area_slope",
-        "activity_power_mw_per_op",
-    }
-    unknown = sorted(set(payload) - required)
-    if unknown:
-        raise CostConfigError("UNKNOWN_FIELD", f"unknown coefficient field(s): {', '.join(unknown)}")
-    missing = sorted(required - set(payload))
-    if missing:
-        raise CostConfigError("MISSING_FIELD", f"missing coefficient field(s): {', '.join(missing)}")
+        text = read_text(path, CostConfigError)
+    f = Fields(loads(text, CostConfigError), CostConfigError, [x.name for x in dataclasses.fields(CostCoeffs)])
 
-    def per_kind(key: str) -> dict[FuKind, float]:
-        raw = payload[key]
-        out = {}
-        for kind in FuKind:
-            if kind.name not in raw:
-                raise CostConfigError("MISSING_FIELD", f"{key} missing kind {kind.name}")
-            v = float(raw[kind.name])
-            if v <= 0:
-                raise CostConfigError("BAD_VALUE", f"{key}[{kind.name}] must be > 0")
-            out[kind] = v
-        extra = sorted(set(raw) - {k.name for k in FuKind})
-        if extra:
-            raise CostConfigError("UNKNOWN_FIELD", f"{key} has unknown kind(s): {', '.join(extra)}")
-        return out
+    def table(key: str, cls: type[Enum], positive: bool) -> dict:
+        t = f.object(key, cls.__members__)
+        return {m: float(t.number(m.name, positive=positive)) for m in cls}
 
-    def positive(key: str) -> float:
-        v = float(payload[key])
-        if v <= 0:
-            raise CostConfigError("BAD_VALUE", f"{key} must be > 0")
-        return v
+    def scalar(key: str) -> float:
+        return float(f.number(key, positive=True))
 
-    wiring_raw = payload["wiring_mult"]
-    wiring = {}
-    for topo in Topology:
-        if topo.name not in wiring_raw:
-            raise CostConfigError("MISSING_FIELD", f"wiring_mult missing {topo.name}")
-        wiring[topo] = float(wiring_raw[topo.name])
+    wiring = table("wiring_mult", Topology, positive=False)
     if not (0 < wiring[Topology.MESH] < wiring[Topology.KINGMESH] < wiring[Topology.CROSSBAR]):
         raise CostConfigError("BAD_VALUE", "wiring_mult must satisfy MESH < KINGMESH < CROSSBAR, all > 0")
     return CostCoeffs(
-        fu_power_mw=per_kind("fu_power_mw"),
-        fu_area_kum2=per_kind("fu_area_kum2"),
-        tile_base_power_mw=positive("tile_base_power_mw"),
-        tile_base_area_kum2=positive("tile_base_area_kum2"),
-        ctx_power_mw=positive("ctx_power_mw"),
-        ctx_area_kum2=positive("ctx_area_kum2"),
-        data_mem_area_kum2_per_kb=positive("data_mem_area_kum2_per_kb"),
+        fu_power_mw=table("fu_power_mw", FuKind, positive=True),
+        fu_area_kum2=table("fu_area_kum2", FuKind, positive=True),
+        tile_base_power_mw=scalar("tile_base_power_mw"),
+        tile_base_area_kum2=scalar("tile_base_area_kum2"),
+        ctx_power_mw=scalar("ctx_power_mw"),
+        ctx_area_kum2=scalar("ctx_area_kum2"),
+        data_mem_area_kum2_per_kb=scalar("data_mem_area_kum2_per_kb"),
         wiring_mult=wiring,
-        lane_power_slope=positive("lane_power_slope"),
-        lane_area_slope=positive("lane_area_slope"),
-        activity_power_mw_per_op=positive("activity_power_mw_per_op"),
+        lane_power_slope=scalar("lane_power_slope"),
+        lane_area_slope=scalar("lane_area_slope"),
+        activity_power_mw_per_op=scalar("activity_power_mw_per_op"),
     )
 
 

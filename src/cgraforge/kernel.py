@@ -24,12 +24,12 @@ Both transforms require the factor to divide trip_count exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .arch import FuKind
+from .decode import Fields, InputError, loads, read_text
 
 LATENCY_MIN, LATENCY_MAX = 1, 8
 
@@ -51,13 +51,8 @@ BUILTIN_KERNELS = (
 )
 
 
-class KernelError(Exception):
+class KernelError(InputError):
     """Malformed kernel graph or file."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 class TransformError(KernelError):
@@ -300,48 +295,18 @@ def apply_sw_params(k: KernelGraph, unroll_factor: int, vectorize_factor: int) -
 
 def parse_kernel(text: str) -> KernelGraph:
     """Parse a kernel JSON document and validate the resulting graph."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise KernelError("SYNTAX", f"invalid JSON: {e.msg} (line {e.lineno})") from None
-    if not isinstance(payload, dict):
-        raise KernelError("SYNTAX", "kernel file must contain a JSON object")
-    allowed = {"name", "trip_count", "nodes", "edges"}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise KernelError("UNKNOWN_FIELD", f"unknown field(s): {', '.join(unknown)}")
-    missing = sorted(allowed - set(payload))
-    if missing:
-        raise KernelError("MISSING_FIELD", f"missing field(s): {', '.join(missing)}")
-    if not isinstance(payload["name"], str):
-        raise KernelError("BAD_TYPE", "name must be a string")
-
-    def _int(value: object, what: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise KernelError("BAD_TYPE", f"{what} must be an integer, got {value!r}")
-        return value
-
-    if not isinstance(payload["nodes"], list) or not isinstance(payload["edges"], list):
-        raise KernelError("BAD_TYPE", "nodes and edges must be lists")
-    nodes = []
-    for raw in payload["nodes"]:
-        if not isinstance(raw, dict) or set(raw) != {"id", "kind", "latency"}:
-            raise KernelError("BAD_NODE", f"node entries need exactly id/kind/latency: {raw!r}")
-        nodes.append(
-            DfgNode(id=_int(raw["id"], "node id"), kind=FuKind.parse(raw["kind"]), latency=_int(raw["latency"], "latency"))
-        )
-    edges = []
-    for raw in payload["edges"]:
-        if not isinstance(raw, dict) or set(raw) != {"src", "dst", "distance"}:
-            raise KernelError("BAD_EDGE", f"edge entries need exactly src/dst/distance: {raw!r}")
-        edges.append(
-            DfgEdge(src=_int(raw["src"], "edge src"), dst=_int(raw["dst"], "edge dst"), distance=_int(raw["distance"], "distance"))
-        )
+    f = Fields(loads(text, KernelError), KernelError, ("name", "trip_count", "nodes", "edges"))
     k = KernelGraph(
-        name=payload["name"],
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        trip_count=_int(payload["trip_count"], "trip_count"),
+        name=f.string("name"),
+        nodes=tuple(
+            DfgNode(id=n.integer("id"), kind=n.enum("kind", FuKind), latency=n.integer("latency"))
+            for n in f.objects("nodes", ("id", "kind", "latency"))
+        ),
+        edges=tuple(
+            DfgEdge(src=e.integer("src"), dst=e.integer("dst"), distance=e.integer("distance"))
+            for e in f.objects("edges", ("src", "dst", "distance"))
+        ),
+        trip_count=f.integer("trip_count"),
     )
     validate_graph(k)
     return k
@@ -354,7 +319,7 @@ def load_kernel(name_or_path: str) -> KernelGraph:
         return parse_kernel(text)
     p = Path(name_or_path)
     if p.suffix == ".json" and p.exists():
-        return parse_kernel(p.read_text("utf-8"))
+        return parse_kernel(read_text(p, KernelError))
     raise UnknownKernelError(name_or_path)
 
 

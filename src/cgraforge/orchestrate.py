@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -71,6 +70,7 @@ from .costs import (
     tool_evaluate,
     tool_select,
 )
+from .decode import Fields, InputError
 from .kernel import KernelGraph, TransformError, apply_sw_params, load_kernel, summarize
 from .mapper import (
     MapBudget,
@@ -82,7 +82,7 @@ from .mapper import (
     map_kernel,
 )
 from .mapper import speedup as compute_speedup
-from .selection import SelectionConfig, SelectionState, ToolRound, select_step
+from .selection import SelectionConfig, SelectionConfigError, SelectionState, ToolRound, select_step
 
 SCHEMA_VERSION = 1
 
@@ -92,36 +92,11 @@ BEST_DESIGN_FILE = "best_design.json"
 STATE_FILE = "state.json"
 
 
-class RunConfigError(ValueError):
+class RunConfigError(InputError, ValueError):
     """Malformed run config, or a resume that does not match its history."""
 
-
-def _as_int(val, where: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise RunConfigError(f"{where} must be an integer, got {val!r}")
-    return val
-
-
-def _as_float(val, where: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise RunConfigError(f"{where} must be a number, got {val!r}")
-    if not math.isfinite(val):
-        raise RunConfigError(f"{where} must be finite, got {val!r}")
-    return float(val)
-
-
-def _as_str(val, where: str) -> str:
-    if not isinstance(val, str):
-        raise RunConfigError(f"{where} must be a string, got {val!r}")
-    return val
-
-
-def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(data, dict):
-        raise RunConfigError(f"{where} must be an object")
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise RunConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    def __init__(self, message: str, code: str = "BAD_CONFIG"):
+        super().__init__(code, message)
 
 
 # Runs map many candidate designs per iteration, so their default budget
@@ -165,88 +140,42 @@ class RunConfig:
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
-        _check_keys(
-            data,
-            {
-                "kernel",
-                "objective",
-                "iterations",
-                "proposals_per_iteration",
-                "top_k",
-                "seed",
-                "backend",
-                "selection",
-                "budget",
-                "max_fix_rounds",
-                "history_window",
-                "cost_coeffs",
-            },
-            "run config",
-        )
-        if "kernel" not in data:
-            raise RunConfigError("run config needs a kernel")
-        kernel = _as_str(data["kernel"], "kernel")
-        seed = _as_int(data.get("seed", 0), "seed")
-
-        obj_data = data.get("objective", {})
-        _check_keys(obj_data, {"mode", "min_speedup"}, "objective")
-        objective = Objective(
-            mode=ObjectiveMode.parse(_as_str(obj_data.get("mode", "MIN_POWER"), "objective.mode")),
-            min_speedup=_as_float(obj_data.get("min_speedup", 1.5), "objective.min_speedup"),
-        )
-
-        backend_data = data.get("backend", {})
-        _check_keys(
-            backend_data,
-            {"kind", "base_url", "model", "temperature", "timeout_s", "max_retries"},
-            "backend",
-        )
-        kind_token = _as_str(backend_data.get("kind", "HEURISTIC"), "backend.kind").strip().upper()
-        try:
-            kind = BackendKind[kind_token]
-        except KeyError:
-            raise RunConfigError(f"backend.kind must be HEURISTIC or LLM, got {kind_token!r}") from None
-        base_url = backend_data.get("base_url")
-        model = backend_data.get("model")
-        backend = AgentBackend(
-            kind=kind,
-            seed=seed,
-            base_url=None if base_url is None else _as_str(base_url, "backend.base_url"),
-            model=None if model is None else _as_str(model, "backend.model"),
-            temperature=_as_float(backend_data.get("temperature", 0.2), "backend.temperature"),
-            timeout_s=_as_float(backend_data.get("timeout_s", 30.0), "backend.timeout_s"),
-            max_retries=_as_int(backend_data.get("max_retries", 2), "backend.max_retries"),
-        )
-
+        f = Fields(data, RunConfigError, [x.name for x in dataclasses.fields(RunConfig)])
+        obj = f.object("objective", ("mode", "min_speedup"), {})
+        backend = f.object("backend", ("kind", "base_url", "model", "temperature", "timeout_s", "max_retries"), {})
+        budget = f.object("budget", ("max_ii", "placement_attempts"), {})
         try:
             selection = SelectionConfig.from_dict(data.get("selection", {}))
-        except ValueError as e:
-            raise RunConfigError(str(e)) from None
-
-        budget_data = data.get("budget", {})
-        _check_keys(budget_data, {"max_ii", "placement_attempts"}, "budget")
-        budget = MapBudget(
-            max_ii=_as_int(budget_data.get("max_ii", 32), "budget.max_ii"),
-            placement_attempts=_as_int(
-                budget_data.get("placement_attempts", RUN_PLACEMENT_ATTEMPTS),
-                "budget.placement_attempts",
-            ),
-        )
-
-        coeffs = data.get("cost_coeffs")
+        except SelectionConfigError as e:
+            raise RunConfigError(str(e), e.code) from None
+        seed = f.integer("seed", 0)
         return RunConfig(
-            kernel=kernel,
-            objective=objective,
-            iterations=_as_int(data.get("iterations", 10), "iterations"),
-            proposals_per_iteration=_as_int(data.get("proposals_per_iteration", 8), "proposals_per_iteration"),
-            top_k=_as_int(data.get("top_k", 3), "top_k"),
+            kernel=f.string("kernel"),
+            objective=Objective(
+                mode=obj.enum("mode", ObjectiveMode, ObjectiveMode.MIN_POWER),
+                min_speedup=float(obj.number("min_speedup", 1.5)),
+            ),
+            iterations=f.integer("iterations", 10),
+            proposals_per_iteration=f.integer("proposals_per_iteration", 8),
+            top_k=f.integer("top_k", 3),
             seed=seed,
-            backend=backend,
+            backend=AgentBackend(
+                kind=backend.enum("kind", BackendKind, BackendKind.HEURISTIC),
+                seed=seed,
+                base_url=backend.string("base_url", None),
+                model=backend.string("model", None),
+                temperature=float(backend.number("temperature", 0.2)),
+                timeout_s=float(backend.number("timeout_s", 30.0)),
+                max_retries=backend.integer("max_retries", 2),
+            ),
             selection=selection,
-            budget=budget,
-            max_fix_rounds=_as_int(data.get("max_fix_rounds", 4), "max_fix_rounds"),
-            history_window=_as_int(data.get("history_window", 24), "history_window"),
-            cost_coeffs=None if coeffs is None else _as_str(coeffs, "cost_coeffs"),
+            budget=MapBudget(
+                max_ii=budget.integer("max_ii", 32),
+                placement_attempts=budget.integer("placement_attempts", RUN_PLACEMENT_ATTEMPTS),
+            ),
+            max_fix_rounds=f.integer("max_fix_rounds", 4),
+            history_window=f.integer("history_window", 24),
+            cost_coeffs=f.string("cost_coeffs", None),
         )
 
     def to_header_dict(self) -> dict:

@@ -12,12 +12,14 @@ validation_interval-th iteration so a drifting judge is always caught.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .costs import EvalReport
+from .decode import Fields, InputError
 
 #: Relative similarity scale used when sigma is not pinned in config: the
 #: score gap is measured against 20% of the tool score's magnitude.
@@ -25,8 +27,11 @@ RELATIVE_SIGMA_FRACTION = 0.2
 SIGMA_FLOOR = 1e-6
 
 
-class SelectionConfigError(ValueError):
+class SelectionConfigError(InputError, ValueError):
     """Malformed selection config or simulation script."""
+
+    def __init__(self, message: str, code: str = "BAD_VALUE"):
+        super().__init__(code, message)
 
 
 @dataclass(frozen=True)
@@ -51,21 +56,15 @@ class SelectionConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SelectionConfig":
-        if not isinstance(data, dict):
-            raise SelectionConfigError("selection config must be an object")
-        allowed = {"conf_threshold", "validation_interval", "alpha", "sigma", "initial_confidence"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise SelectionConfigError(f"unknown selection config keys: {', '.join(unknown)}")
-        for key, val in data.items():
-            if key == "sigma" and val is None:
-                continue
-            kind, what = (int, "an integer") if key == "validation_interval" else ((int, float), "a number")
-            if isinstance(val, bool) or not isinstance(val, kind):
-                raise SelectionConfigError(f"selection.{key} must be {what}, got {val!r}")
-            if not math.isfinite(val):
-                raise SelectionConfigError(f"selection.{key} must be finite, got {val!r}")
-        return SelectionConfig(**data)
+        """Numbers keep their JSON type: an int alpha stays an int."""
+        f = Fields(data, SelectionConfigError, [x.name for x in dataclasses.fields(SelectionConfig)], "selection")
+        return SelectionConfig(
+            conf_threshold=f.number("conf_threshold", SelectionConfig.conf_threshold),
+            validation_interval=f.integer("validation_interval", SelectionConfig.validation_interval),
+            alpha=f.number("alpha", SelectionConfig.alpha),
+            sigma=f.number("sigma", None),
+            initial_confidence=f.number("initial_confidence", SelectionConfig.initial_confidence),
+        )
 
 
 @dataclass(frozen=True)
@@ -188,24 +187,14 @@ class SimStep:
 def load_sim_script(data: dict) -> tuple[SelectionConfig, list[SimStep]]:
     """Decode a scripted controller run: {"selection": {...}, "steps":
     [{"t_score": x, "l_score": y}, ...]}."""
-    if not isinstance(data, dict):
-        raise SelectionConfigError("simulation script must be an object")
-    unknown = sorted(set(data) - {"selection", "steps"})
-    if unknown:
-        raise SelectionConfigError(f"unknown script keys: {', '.join(unknown)}")
+    f = Fields(data, SelectionConfigError, ("selection", "steps"))
     cfg = SelectionConfig.from_dict(data.get("selection", {}))
-    raw_steps = data.get("steps")
-    if not isinstance(raw_steps, list) or not raw_steps:
+    steps = [
+        SimStep(t_score=float(s.number("t_score")), l_score=float(s.number("l_score")))
+        for s in f.objects("steps", ("t_score", "l_score"))
+    ]
+    if not steps:
         raise SelectionConfigError("script needs a non-empty steps list")
-    steps = []
-    for i, entry in enumerate(raw_steps):
-        if not isinstance(entry, dict) or sorted(entry) != ["l_score", "t_score"]:
-            raise SelectionConfigError(f"steps[{i}] must have exactly t_score and l_score")
-        for key in ("t_score", "l_score"):
-            val = entry[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise SelectionConfigError(f"steps[{i}].{key} must be a finite number")
-        steps.append(SimStep(t_score=float(entry["t_score"]), l_score=float(entry["l_score"])))
     return cfg, steps
 
 

@@ -610,6 +610,17 @@ class TestLlmPropose:
         assert (out[0].fabric.rows, out[0].fabric.cols) == (3, 3)
         assert all(d.note == "proposal:stratified" for d in out[1:])
 
+    @pytest.mark.parametrize("field, value", [("fu_kinds", ["ADD", "FOO"]), ("topology", "FOO"), ("rows", float("inf"))])
+    def test_a_junk_draft_before_a_good_one_drops_only_itself(self, monkeypatch, field, value):
+        import json as _json
+
+        good = {"rows": 3, "cols": 3, "fu_kinds": ["ADD", "PHI"], "config_mem_depth": 8, "topology": "MESH"}
+        junk = {**good, "rows": 2, field: value}
+        patch_post(monkeypatch, _FakePost(_json.dumps({"designs": [junk, good]})))
+        out = llm.propose(request(count=4), LLM_BACKEND)
+        assert [d.note for d in out] == ["proposal:llm"] + ["proposal:stratified"] * 3
+        assert (out[0].fabric.rows, out[0].fabric.cols) == (3, 3)
+
     def test_transport_failure_degrades_to_heuristic(self, monkeypatch):
         patch_post(monkeypatch, _FakePost(fail_first=99))
         req = request(count=5)

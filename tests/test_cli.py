@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,18 @@ class TestValidate:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"rows": 1' + b"0" * 5000 + b"}", b'\xff{"rows": 2}'],
+        ids=["too_deep", "too_many_digits", "not_utf8"],
+    )
+    def test_undecodable_design_is_usage_error(self, capsys, tmp_path, data):
+        path = tmp_path / "d.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/does/not/exist.json")
         assert code == EXIT_USAGE
@@ -163,6 +176,38 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", design_file, "--kernel", "fir", "--coeffs", str(coeffs))
         assert code == EXIT_USAGE
         assert "cost coefficients" in err
+
+    def test_non_finite_coeffs_are_a_usage_error(self, capsys, design_file, tmp_path):
+        coeffs = tmp_path / "c.json"
+        doc = json.loads(resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8"))
+        doc["ctx_power_mw"] = float("nan")  # json.dumps writes NaN
+        coeffs.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "evaluate", design_file, "--kernel", "fir", "--coeffs", str(coeffs))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: cost coefficients: ctx_power_mw must be finite")
+
+
+def _kernel_file(tmp_path, kind) -> str:
+    path = tmp_path / "k.json"
+    nodes = [{"id": 0, "kind": "LOAD", "latency": 1}, {"id": 1, "kind": kind, "latency": 1}]
+    path.write_text(json.dumps({"name": "k", "trip_count": 8, "nodes": nodes, "edges": [{"src": 0, "dst": 1, "distance": 0}]}))
+    return str(path)
+
+
+class TestMalformedKernelFile:
+    @pytest.mark.parametrize("command", ["map", "evaluate"])
+    @pytest.mark.parametrize("kind", [7, None, ["ADD"], "FOO"])
+    def test_bad_node_kind_is_usage_error(self, capsys, design_file, tmp_path, command, kind):
+        code, out, err = run_cli(capsys, command, design_file, "--kernel", _kernel_file(tmp_path, kind))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: kernel ") and "nodes[1].kind must be" in err
+
+    @pytest.mark.parametrize("kind", [7, "FOO"])
+    def test_bad_node_kind_in_a_run_is_usage_error(self, capsys, tmp_path, kind):
+        out = tmp_path / "r"
+        code, _, err = run_cli(capsys, "run", "--kernel", _kernel_file(tmp_path, kind), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "nodes[1].kind must be" in err
 
 
 class TestSelectSim:
@@ -337,6 +382,33 @@ class TestRunAndReport:
         code, _, err = run_cli(capsys, *args, "--iterations", "3", "--resume")
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {history}{where}"), err
+
+    def test_unreadable_cost_coeffs_in_config_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": "spmv", "iterations": 1, "cost_coeffs": str(tmp_path / "none.json")}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot read ") and "none.json" in err
+
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    @pytest.mark.parametrize("text", ["[1]", "{}", '{"kernel": "spmv"}', "5"])
+    def test_report_of_a_file_that_is_not_metrics_is_usage_error(self, capsys, tmp_path, text, flag):
+        (tmp_path / "metrics.json").write_text(text)
+        code, out, err = run_cli(capsys, "report", str(tmp_path), *flag)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith(f"error: cannot read {tmp_path / 'metrics.json'} as the metrics of a run")
+
+    def test_report_of_invalid_json_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "metrics.json").write_text("{broken")
+        code, _, err = run_cli(capsys, "report", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "invalid JSON" in err
+
+    def test_run_out_under_a_file_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli(capsys, "run", "--kernel", "spmv", "--iterations", "1", "--out", str(tmp_path / "file" / "r"))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "Not a directory" in err
 
     def test_report_missing_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))

@@ -7,6 +7,7 @@ import pytest
 
 from cgraforge.costs import (
     BIG,
+    CostConfigError,
     EvalError,
     EvalReport,
     Objective,
@@ -72,6 +73,15 @@ class TestLoadCostCoeffs:
             (lambda d: d.update(lane_power_slope=-1.0), "BAD_VALUE"),
             (lambda d: d["wiring_mult"].update(CROSSBAR=0.9), "BAD_VALUE"),
             (lambda d: d["wiring_mult"].pop("KINGMESH"), "MISSING_FIELD"),
+            (lambda d: d.update(ctx_power_mw=float("nan")), "BAD_VALUE"),
+            (lambda d: d.update(ctx_power_mw=float("inf")), "BAD_VALUE"),
+            (lambda d: d["fu_power_mw"].update(ADD=float("-inf")), "BAD_VALUE"),
+            (lambda d: d["wiring_mult"].update(MESH=float("nan")), "BAD_VALUE"),
+            (lambda d: d.update(ctx_power_mw=True), "BAD_TYPE"),
+            (lambda d: d.update(ctx_power_mw="abc"), "BAD_TYPE"),
+            (lambda d: d["fu_area_kum2"].update(ADD="0.1"), "BAD_TYPE"),
+            (lambda d: d.update(wiring_mult=[1.0, 1.2, 1.5]), "BAD_TYPE"),
+            (lambda d: d["wiring_mult"].update(TORUS=2.0), "UNKNOWN_FIELD"),
         ],
     )
     def test_rejects_bad_files(self, tmp_path, mutate, code):
@@ -82,6 +92,19 @@ class TestLoadCostCoeffs:
         with pytest.raises(EvalError) as ei:
             load_cost_coeffs(p)
         assert ei.value.code == code
+
+    @pytest.mark.parametrize("text, code", [("[1]", "BAD_TYPE"), ('"abc"', "BAD_TYPE"), ("{nope", "SYNTAX")])
+    def test_rejects_a_file_that_is_not_an_object(self, tmp_path, text, code):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(CostConfigError) as ei:
+            load_cost_coeffs(p)
+        assert ei.value.code == code
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(CostConfigError) as ei:
+            load_cost_coeffs(tmp_path / "missing.json")
+        assert ei.value.code == "UNREADABLE" and "cannot read" in str(ei.value)
 
     def test_wiring_order_is_strict_in_defaults(self):
         c = load_cost_coeffs()

@@ -109,6 +109,9 @@ class TestRunConfig:
             {"kernel": "spmv", "selection": {"sigma": float("nan")}},
             {"kernel": "spmv", "selection": {"sigma": float("inf")}},
             {"kernel": "spmv", "selection": {"alpha": float("nan")}},
+            {"kernel": "spmv", "objective": {"min_speedup": 10**400}},
+            {"kernel": "spmv", "backend": {"timeout_s": True}},
+            {"kernel": "spmv", "cost_coeffs": 3},
         ],
     )
     def test_from_json_rejects_malformed(self, data):
