@@ -14,17 +14,16 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 from .arch import DesignPoint, parse_design, validate_design
 from .costs import Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
-from .decode import InputError, loads, read_text
+from .decode import InputError, about, loads, read_text
 from .kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, summarize
 from .mapper import MapBudget, MapError, MappedDesign, map_kernel
 from .mapper import speedup as compute_speedup
-from .orchestrate import RunConfig, RunConfigError, run
+from .orchestrate import RunConfig, RunConfigError, iteration_line, run
 from .selection import SelectionConfigError, load_sim_script, run_selection, trace_to_jsonl
 
 EXIT_OK = 0
@@ -47,25 +46,14 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-@contextmanager
-def _about(what: str):
-    """Name the input behind an input error raised inside: its message
-    gets `what: ` in front. main() turns the error into exit 2."""
-    try:
-        yield
-    except InputError as e:
-        e.args = (f"{what}: {e}",)
-        raise
-
-
 def _load_design(path: str) -> DesignPoint:
     text = read_text(path)
-    with _about(path):
+    with about(path):
         return parse_design(text)
 
 
 def _load_kernel(name: str):
-    with _about(f"kernel {name!r}"):
+    with about(f"kernel {name!r}"):
         return load_kernel(name)
 
 
@@ -125,7 +113,7 @@ def _cmd_run(args) -> int:
     data: dict = {}
     if args.config:
         text = read_text(args.config)
-        with _about(args.config):
+        with about(args.config):
             data = loads(text, RunConfigError)
             if not isinstance(data, dict):
                 raise RunConfigError("run config must be a JSON object", "BAD_TYPE")
@@ -243,7 +231,7 @@ def _cmd_map(args) -> int:
 def _cmd_evaluate(args) -> int:
     d, tk, res = _map_design(args.design, args.kernel, 32, 50_000)
     obj = Objective(mode=ObjectiveMode.parse(args.objective), min_speedup=args.min_speedup)
-    with _about("cost coefficients"):
+    with about("cost coefficients"):
         coeffs = load_cost_coeffs(args.coeffs)
     k = _load_kernel(args.kernel)
     sp = compute_speedup(k, res, tk.trip_count)
@@ -277,7 +265,7 @@ def _cmd_select_sim(args) -> int:
         text = resources.files("cgraforge.data.scripts").joinpath(f"{args.script}.json").read_text("utf-8")
     else:
         raise CliError(EXIT_USAGE, f"no such script file or bundled script: {args.script}")
-    with _about(args.script):
+    with about(args.script):
         cfg, steps = load_sim_script(loads(text, SelectionConfigError))
     trace = run_selection(cfg, steps)
     if args.json:
@@ -290,7 +278,7 @@ def _cmd_select_sim(args) -> int:
 def _cmd_report(args) -> int:
     path = Path(args.run_dir) / "metrics.json"
     text = read_text(path)
-    with _about(str(path)):
+    with about(str(path)):
         m = loads(text)
     try:
         lines = _report_lines(m)
@@ -313,12 +301,7 @@ def _report_lines(m: dict) -> list[str]:
         lines.append(f"best: {b['design_id']} score={b['score']:.6g} speedup={b['speedup']:.3f} power={b['power_mw']:.4f}mW")
     else:
         lines.append("no feasible design")
-    for entry in m.get("iterations", []):
-        best = "-" if entry["best_so_far"] is None else f"{entry['best_so_far']:.6g}"
-        lines.append(
-            f"  it {entry['iteration']:>3}: mapped {entry['mapped_pre']}/{entry['proposals']} "
-            f"(+repair {entry['mapped_post'] - entry['mapped_pre']}) mode={entry['mode'] or '-'} best={best}"
-        )
+    lines += ["  " + iteration_line(entry) for entry in m.get("iterations", [])]
     return lines
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, TypeVar
@@ -34,6 +35,18 @@ class InputError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+@contextmanager
+def about(what: str):
+    """Name the input behind an InputError raised inside: its message gets
+    `what: ` in front, unless it is read_text's, which names the file."""
+    try:
+        yield
+    except InputError as e:
+        if e.code != "UNREADABLE":
+            e.args = (f"{what}: {e}",)
+        raise
 
 
 def read_text(path: str | Path, error: type[InputError] = InputError) -> str:

@@ -17,25 +17,29 @@ Search strategy: II is searched ascending from the resource / recurrence
 lower bounds. Each II attempt is a depth-first search over (tile, residue)
 assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
-dataflow neighbors) and which backtracks under MapBudget.placement_attempts.
-The search keeps an explicit stack, so kernel size is not limited by the
-interpreter's recursion depth. Occupancy is one int of tiles * II bits,
-tile-major (bit tile * II + r for slot (tile, r)). Each level of the
-stack builds, once, a table of the residues to try, in the same layout:
+dataflow neighbors, each order sorted once per attempt and kept for every
+frame whose neighbors sit on the same tiles) and which backtracks under
+MapBudget.placement_attempts. The search keeps an explicit stack, so
+kernel size is not limited by the interpreter's recursion depth.
+Occupancy is one int of tiles * II bits, tile-major (bit tile * II + r
+for slot (tile, r)). Each level of the stack builds, once, a table of
+the residues to try, in the same layout:
 the free slots ANDed with one wide mask per already placed cycle partner,
 the modular interval its static dependence window allows at each tile's
 hop distance, memoized per attempt. Residues are tried in ascending
-order. A level whose table is 0 is dead: it is never pushed, the
-placement that led to it is undone at once, and its rejected slots are
-counted in one step (the occupied ones, one per placed node, then the
-rest), so the counters read as if it had been scanned. A level is
-doomed when its node's placements cannot fail and the next node's table
-is 0 before it places; when the budget covers its candidates, it is
-settled the same way, its placements and dead children charged at once.
-What every
-search of one kernel reads is built once per kernel object: latencies,
-the schedule order, adjacency, cycles, the static windows per II, the
-node kinds and RecMII. What
+order. A level's rejected slots are charged in one step when it is
+built: the occupied ones (one per placed node) as slot failures, the
+other slots outside its table as dependence failures. A search that
+stops inside some levels' scans, on placing the last node or running out
+of budget, takes back the part each level has not reached, so the
+counters read as a slot-by-slot scan leaves them. A level whose table is
+0 is dead: it is never pushed, and the placement that led to it is
+undone at once. A level is doomed when its node's placements cannot
+fail and the next node's table is 0 before it places; when the budget
+covers its candidates, it is settled the same way, its placements and
+dead children charged at once. What every search of one kernel reads is
+built once per kernel object: latencies, the schedule order, adjacency,
+cycles, the static windows per II, the node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
 per (rows, cols, topology). The kernel tables live as long as the kernel
 object, the fabric tables in a memo bounded by their size, so a caller
@@ -400,10 +404,12 @@ class _Frame:
     and `allow`, one wide bitset of the residues it may take, in the same
     tile-major layout as the attempt's occupancy: bit tile * II + r is set
     when residue r is free on the tile and inside every placed window
-    partner's interval. On the current tile the frame keeps the residues
-    still to try and those already passed (tried or counted)."""
+    partner's interval. The tile list comes from the attempt's memo and is
+    shared with every frame whose placed neighbors sit on the same tiles,
+    so a frame only reads it. On the current tile the frame keeps the
+    residues still to try."""
 
-    __slots__ = ("nid", "tiles", "allow", "next_tile", "tile", "full", "taken", "left", "passed", "residue", "undo")
+    __slots__ = ("nid", "tiles", "allow", "next_tile", "tile", "full", "left", "residue", "undo")
 
     def __init__(self, nid: int, tiles: list[int], allow: int, full: int):
         self.nid = nid
@@ -412,9 +418,7 @@ class _Frame:
         self.next_tile = 0
         self.tile = -1
         self.full = full  # the residues this level tries on every tile
-        self.taken = 0  # occupied residues of the current tile
         self.left = 0
-        self.passed = full
         self.residue = -1  # the residue placed while a deeper level searches
         self.undo: list[tuple[int, int]] = []
 
@@ -444,6 +448,7 @@ class _Attempt:
         self.dep_failures = 0
         self.windows = kt.windows(ii)
         self.wide_masks: dict[tuple[int, int, int], int] = {}  # (tile_u, start, span) -> _wide_mask
+        self.orders: dict[tuple[int, ...], list[int]] = {}  # placed neighbors' tiles -> _tile_order
 
     def _window_masks(self, start: int, span: int) -> list[int]:
         """The residues a window partner allows, by hop distance h: those in
@@ -476,44 +481,57 @@ class _Attempt:
         it is dead or doomed. Its residue table is exact for the frame's
         whole life: the occupancy and the placed partners it reads stay as
         they are while it lives, because deeper levels undo their
-        placements before control returns to it. A frame is dead when its
-        table is empty; its scan is charged here in one step: over all
-        tiles, the occupied slots (one per placed node) are slot failures
-        and every other slot is a dependence failure. A doomed frame's
-        whole search is charged here too (one-level forward checking,
-        Haralick & Elliott 1980)."""
+        placements before control returns to it. Its scan's rejections
+        are charged here in one step: over all tiles, the occupied slots
+        (one per placed node) are slot failures and every other slot
+        outside the table is a dependence failure. A frame is dead when its
+        table is empty. A doomed frame's whole search is charged here too
+        (one-level forward checking, Haralick & Elliott 1980). A live
+        frame's tile order is keyed by the tiles of its placed DFG
+        neighbors, in dfg_neighbors order, and looked up in the attempt's
+        memo: hard searches meet the same few keys over and over, so the
+        grid is sorted once per key."""
         kt = self.kt
         nid = kt.order[idx]
         if idx == 0:
             return _Frame(nid, self.ft.first_tiles, self.wide, 1)  # residue 0 only
         allow = self._table(nid)
-        if not allow:
-            self.slot_failures += idx
-            self.dep_failures += self.slots - idx
+        k = allow.bit_count()
+        # The scan rejects idx occupied slots and T - idx - k others
+        # (T = tiles * II); a search that stops inside it takes back the
+        # part it has not reached (_refund).
+        self.slot_failures += idx
+        self.dep_failures += self.slots - idx - k
+        if not k:
             return None
         if idx + 1 < len(kt.order) and nid in kt.forward_only:
-            k = allow.bit_count()
             # Doomed: the next node's table, empty before nid's slot and
             # window join it, makes every child dead. The scan would place
             # each of the k candidates (none can fail), settle a dead child
-            # and undo it: its own scan rejects idx occupied slots and
-            # T - idx - k others (T = tiles * II), each child idx + 1 and
-            # T - idx - 1. With fewer than k attempts left the budget runs
-            # out inside that scan, so the frame is searched as usual.
+            # and undo it, each child rejecting idx + 1 occupied slots and
+            # T - idx - 1 others. With fewer than k attempts left the budget
+            # runs out inside that scan, so the frame is searched as usual.
             if self.attempts_left >= k and not self._table(kt.order[idx + 1]):
                 self.attempts_left -= k
-                self.slot_failures += idx + k * (idx + 1)
-                self.dep_failures += (self.slots - idx - k) + k * (self.slots - idx - 1)
+                self.slot_failures += k * (idx + 1)
+                self.dep_failures += k * (self.slots - idx - 1)
                 return None
         place = self.place
-        tiles = list(range(self.ft.tiles))
-        rows = [self.hop_rows[place[m][0]] for m in kt.dfg_neighbors[nid] if m in place]
-        if rows:
-            # nearest-first to the placed neighbors; a stable sort keeps
-            # row-major order among equals
-            sums = [sum(col) for col in zip(*rows)]
-            tiles.sort(key=sums.__getitem__)
-        return _Frame(nid, tiles, allow, self.full)
+        near = tuple([place[m][0] for m in kt.dfg_neighbors[nid] if m in place])
+        return _Frame(nid, self._tile_order(near), allow, self.full)
+
+    def _tile_order(self, near: tuple[int, ...]) -> list[int]:
+        """Every tile, nearest-first to the tiles in near: by the sum of
+        its hops to them, row-major among equals (a stable sort). It reads
+        only the hop rows, so it is memoized per attempt on near, and every
+        frame that asks shares the one list, read-only."""
+        tiles = self.orders.get(near)
+        if tiles is None:
+            tiles = self.orders[near] = list(range(self.ft.tiles))
+            if near:
+                sums = [sum(col) for col in zip(*[self.hop_rows[t] for t in near])]
+                tiles.sort(key=sums.__getitem__)
+        return tiles
 
     def _table(self, nid: int) -> int:
         """The free slots ANDed with the wide mask of each placed window
@@ -539,57 +557,58 @@ class _Attempt:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
         next tile when the current one has none left; -1 when no tile has.
         A tile's residues to try are its field of fr.allow, bits tile * II
-        up, read with a shift. Tiles and residues come in ascending try
-        order, and every slot passed over on the way is counted as a slot
-        failure (occupied) or a dependence failure (outside a window) before
-        the next try, so the counters read as a slot-by-slot scan would
-        leave them."""
+        up, read with a shift. The slots passed over were charged when the
+        frame was built, so a tile with none to try costs one shift."""
         left = fr.left
-        passed = fr.passed  # always the residues below some bound
-        taken = fr.taken
-        slots = deps = 0
         if not left:
-            full = fr.full
-            rest = full & ~passed  # the current tile's residues after its last try
             tiles = fr.tiles
             allow = fr.allow
-            occ = self.occ
+            full = fr.full
             ii = self.ii
             i = fr.next_tile
+            n = len(tiles)
             while True:
-                if rest:
-                    n_taken = (rest & taken).bit_count()
-                    slots += n_taken
-                    deps += rest.bit_count() - n_taken
-                if i == len(tiles):
-                    fr.next_tile = i
-                    fr.passed = full
-                    self.slot_failures += slots
-                    self.dep_failures += deps
-                    return -1
+                if i == n:
+                    return -1  # the frame is popped
                 tile = tiles[i]
                 i += 1
-                shift = tile * ii
-                taken = (occ >> shift) & full
-                left = (allow >> shift) & full
+                left = (allow >> tile * ii) & full
                 if left:
                     break
-                rest = full
             fr.tile = tile
             fr.next_tile = i
-            fr.taken = taken
-            passed = 0
         low = left & -left
         fr.left = left ^ low
-        fr.passed = (low << 1) - 1
-        gap = (low - 1) & ~passed
-        if gap:
-            n_taken = (gap & taken).bit_count()
-            slots += n_taken
-            deps += gap.bit_count() - n_taken
-        self.slot_failures += slots
-        self.dep_failures += deps
         return low.bit_length() - 1
+
+    def _refund(self, stack: list[_Frame], residue: int) -> None:
+        """Take back what the frames on the stack were charged for the
+        slots their scans have not reached. The search stopped on the top
+        frame's residue (placed last, or the budget ran out on it); each
+        lower frame is on its placed residue. A frame saw the occupancy of
+        the levels below it. The root is never charged: it tries residue 0
+        on every tile it has, and none is taken or outside its table.
+        Costs one shift per tile scanned, so a search that placed early
+        pays little."""
+        ii = self.ii
+        full = self.full
+        occ = 0  # the slots of the levels below fr
+        for d, fr in enumerate(stack):
+            r = residue if fr is stack[-1] else fr.residue
+            shift = fr.tile * ii
+            if d:
+                rest = full & ~((2 << r) - 1)  # the current tile's residues after r
+                slots = (rest & (occ >> shift)).bit_count()
+                deps = rest.bit_count() - fr.left.bit_count() - slots
+                scanned = 0  # the fields of the tiles scanned, the current one too
+                for tile in fr.tiles[: fr.next_tile]:
+                    scanned |= full << tile * ii
+                n_slots = (occ & ~scanned).bit_count()
+                slots += n_slots
+                deps += ii * (len(fr.tiles) - fr.next_tile) - (fr.allow & ~scanned).bit_count() - n_slots
+                self.slot_failures -= slots
+                self.dep_failures -= deps
+            occ |= 1 << (shift + r)
 
     def run(self) -> dict[int, tuple[Tile, int]] | None:
         """Depth-first search over the schedule order with an explicit
@@ -598,7 +617,8 @@ class _Attempt:
         and the search goes on with the current frame; that frame is never
         pushed. Only full placements draw on the budget, a doomed frame's
         settled ones included; the slots the per-frame tables rule out are
-        two orders of magnitude cheaper."""
+        two orders of magnitude cheaper. Where the search stops with
+        frames mid-scan, _refund squares their counters."""
         stack = [self._frame(0)]
         depth = len(self.kt.order)
         while True:
@@ -613,12 +633,14 @@ class _Attempt:
                 continue
             self.attempts_left -= 1
             if self.attempts_left < 0:
+                self._refund(stack, residue)
                 raise _BudgetExhausted()
             undo = self._try_add(fr.nid, fr.tile, residue)
             if undo is None:
                 self.dep_failures += 1
                 continue
             if len(stack) == depth:
+                self._refund(stack, residue)
                 cols = self.ft.cols
                 return {nid: (divmod(tile, cols), r) for nid, (tile, r) in self.place.items()}
             nxt = self._frame(len(stack))

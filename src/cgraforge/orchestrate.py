@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -70,7 +71,7 @@ from .costs import (
     tool_evaluate,
     tool_select,
 )
-from .decode import Fields, InputError
+from .decode import Fields, InputError, about
 from .kernel import KernelGraph, TransformError, apply_sw_params, load_kernel, summarize
 from .mapper import (
     MapBudget,
@@ -410,9 +411,11 @@ _COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "m
 class _Runner:
     def __init__(self, cfg: RunConfig, out_dir: Path):
         self.cfg = cfg
-        self.kernel: KernelGraph = load_kernel(cfg.kernel)
+        with about(f"kernel {cfg.kernel!r}"):
+            self.kernel: KernelGraph = load_kernel(cfg.kernel)
         self.ksum = summarize(self.kernel)
-        self.coeffs: CostCoeffs = load_cost_coeffs(cfg.cost_coeffs)
+        with about(f"cost coefficients {cfg.cost_coeffs!r}"):
+            self.coeffs: CostCoeffs = load_cost_coeffs(cfg.cost_coeffs)
         self.history = History(out_dir / HISTORY_FILE)
         self.judge = make_fine_judge(cfg.backend, cfg.objective)
         # The run state: written only by _apply.
@@ -797,6 +800,28 @@ class _Runner:
         }
 
 
+def iteration_line(entry: dict) -> str:
+    """One iteration's entry of the metrics as a line of text: drafts,
+    mapped before repair, mapped by repair, selection mode, best score so
+    far. `report` prints it and `run` logs it."""
+    best = "-" if entry["best_so_far"] is None else f"{entry['best_so_far']:.6g}"
+    return (
+        f"it {entry['iteration']:>3}: mapped {entry['mapped_pre']}/{entry['proposals']} "
+        f"(+repair {entry['mapped_post'] - entry['mapped_pre']}) mode={entry['mode'] or '-'} best={best}"
+    )
+
+
+def _progress_log():
+    """This module's logger when it logs INFO, else None. A process that
+    never imported logging cannot have turned INFO on, so a run does not
+    import it just to find that out."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.INFO) else None
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Replace `path` with `text` through a temp file beside it, so that a
     reader (or a kill) sees the old file or the new one, never a mix."""
@@ -807,7 +832,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     """Execute (or extend) a run, leaving history.jsonl, metrics.json, and
-    best_design.json in out_dir."""
+    best_design.json in out_dir. With INFO on for this module's logger,
+    each finished iteration logs its iteration_line."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hist_path = out / HISTORY_FILE
@@ -826,8 +852,11 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     with runner.history:
         if runner.history.seq == 0:  # a fresh log starts with its header
             runner.history.append({"type": "run_header", "config": cfg.to_header_dict()})
+        log = _progress_log()
         for it in range(start_iter, cfg.iterations + 1):
             runner.run_iteration(it)
+            if log is not None:
+                log.info("%s", iteration_line(runner.iter_entries[-1]))
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE

@@ -209,6 +209,23 @@ class TestMalformedKernelFile:
         assert code == EXIT_USAGE
         assert "nodes[1].kind must be" in err
 
+    def test_a_run_names_the_kernel_file(self, capsys, tmp_path):
+        kernel = _kernel_file(tmp_path, 7)
+        code, out, err = run_cli(capsys, "run", "--kernel", kernel, "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: kernel {kernel!r}: nodes[1].kind must be a string, got 7\n"
+
+    def test_a_run_names_the_cost_coefficients_file(self, capsys, tmp_path):
+        coeffs = tmp_path / "c.json"
+        doc = json.loads(resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8"))
+        del doc["wiring_mult"]
+        coeffs.write_text(json.dumps(doc))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"kernel": "spmv", "iterations": 1, "cost_coeffs": str(coeffs)}))
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: cost coefficients {str(coeffs)!r}: missing field wiring_mult\n"
+
 
 class TestSelectSim:
     def test_bundled_constant_agreement(self, capsys):

@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgraforge import mapper
 from cgraforge.arch import FabricSpec, FuKind, Topology, neighbors
@@ -29,7 +31,7 @@ from cgraforge.mapper import (
     speedup,
 )
 from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, map_checked, random_dfg
-from oracles import bfs_routes, brute_force_min_ii, rec_mii_by_enumeration, reference_attempt
+from oracles import bfs_routes, brute_force_min_ii, oracle_hops, rec_mii_by_enumeration, reference_attempt
 
 ORACLE_BUDGET = MapBudget(max_ii=4, placement_attempts=500_000)
 
@@ -338,6 +340,54 @@ class TestReferenceSearch:
         # every one of the 42 dead frames but the last on the 1x2 mesh, after
         # which that search ends without another placement
         assert out_next_to_dead == 41
+
+    def test_budgets_on_a_hard_shape_match_reference(self, monkeypatch):
+        """latnrm at unroll 2 on a 3x3 mesh at II 19 runs out of every
+        budget up to 150. Nearly all its live frames have two or more
+        placed DFG neighbors, and they ask for a few tile orders over and
+        over: the attempt's memo must hand back the order a fresh sort
+        gives, at every sixth budget."""
+        live = []  # per live frame past the root, its placed DFG neighbors
+        real_frame = _Attempt._frame
+
+        def frame(self, idx):
+            fr = real_frame(self, idx)
+            if fr is not None and idx:
+                live.append(sum(m in self.place for m in self.kt.dfg_neighbors[fr.nid]))
+            return fr
+
+        monkeypatch.setattr(_Attempt, "_frame", frame)
+        k = apply_sw_params(load_kernel("latnrm"), 2, 1)
+        f = fabric(rows=3, cols=3)
+        for attempts in range(1, 151, 6):
+            live.clear()
+            want = reference_attempt(k, f, 19, attempts)
+            a = _Attempt(_KernelTables(k), _FabricTables(f), 19, attempts)
+            with pytest.raises(_BudgetExhausted):
+                a.run()
+            assert (None, a.attempts_left, a.slot_failures, a.dep_failures) == want, attempts
+        # the last attempt: 77 live frames, 71 of them with two or more
+        # placed neighbors, served by 4 sorts
+        assert (len(live), sum(n >= 2 for n in live), len(a.orders)) == (77, 71, 4)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    st.sampled_from(list(Topology)),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(0, 35), max_size=4), min_size=1, max_size=6),
+)
+def test_tile_order_memo_equals_a_fresh_sort(topo, rows, cols, keys):
+    """Every key asked twice, in turn: the memo's order, first sorted then
+    looked up, is every tile by summed hops to the key's tiles, row-major
+    among equals."""
+    f = fabric(rows=rows, cols=cols, topology=topo)
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    a = _Attempt(_KernelTables(chain_kernel()), _FabricTables(f), 2, 10)
+    for near in [tuple(t % len(tiles) for t in key) for key in keys] * 2:
+        fresh = sorted(range(len(tiles)), key=lambda t: (sum(oracle_hops(f, tiles[t], tiles[n]) for n in near), t))
+        assert a._tile_order(near) == fresh, near
 
 
 def tangle_kernel() -> KernelGraph:

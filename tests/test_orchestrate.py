@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import random
 
@@ -253,6 +254,21 @@ class TestRun:
         ma, mb = dict(a.metrics), dict(b.metrics)
         ma.pop("meta"), mb.pop("meta")
         assert ma == mb
+
+    def test_progress_log_has_one_line_per_iteration(self, tmp_path, caplog):
+        quiet = run(quick_cfg(), tmp_path / "quiet")
+        assert not [r for r in caplog.records if r.name == "cgraforge.orchestrate"]
+        caplog.set_level(logging.INFO, logger="cgraforge.orchestrate")
+        loud = run(quick_cfg(iterations=2), tmp_path / "loud")
+        run(quick_cfg(), tmp_path / "loud", resume=True)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cgraforge.orchestrate"]
+        assert [line[:7] for line in lines] == ["it   1:", "it   2:", "it   3:"]
+        # drafts, mapped before and by repair, mode and best so far
+        e = quiet.metrics["iterations"][-1]
+        best = f"{e['best_so_far']:.6g}"
+        repaired = e["mapped_post"] - e["mapped_pre"]
+        assert lines[-1] == f"it   3: mapped {e['mapped_pre']}/4 (+repair {repaired}) mode={e['mode']} best={best}"
+        assert loud.history_path.read_bytes() == quiet.history_path.read_bytes()
 
     def test_existing_history_requires_resume(self, tmp_path):
         out = tmp_path / "out"
