@@ -23,10 +23,13 @@ MapBudget.placement_attempts. The search keeps an explicit stack, so
 kernel size is not limited by the interpreter's recursion depth.
 Occupancy is one int of tiles * II bits, tile-major (bit tile * II + r
 for slot (tile, r)). Each level of the stack builds, once, a table of
-the residues to try, in the same layout:
-the free slots ANDed with one wide mask per already placed cycle partner,
-the modular interval its static dependence window allows at each tile's
-hop distance, memoized per attempt. Residues are tried in ascending
+the residues to try, in the same layout: the free slots ANDed with the
+product of one wide mask per already placed cycle partner, the modular
+interval its static dependence window allows at each tile's hop
+distance, memoized per attempt. The products are kept as the partners
+are placed (forward checking): a placement ANDs its mask into the
+product of each later partner and its undo restores them, so a table
+costs one AND. Residues are tried in ascending
 order. A level's rejected slots are charged in one step when it is
 built: the occupied ones (one per placed node) as slot failures, the
 other slots outside its table as dependence failures. A search that
@@ -68,6 +71,8 @@ from .arch import GRID_STEPS, DesignPoint, FabricSpec, FuKind, Topology, neighbo
 from .kernel import KernelGraph
 
 Tile = tuple[int, int]
+# node u -> a window (v, lo, span) per later node v that has u as a partner
+Fanout = dict[int, list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -279,22 +284,23 @@ class _KernelTables:
         self.forward_only = frozenset(
             u for u, outs in self.out_edges.items() if all(v == u or self.rank[v] > self.rank[u] for v, _, _ in outs)
         )
-        self._windows: dict[int, dict[int, list[tuple[int, int, int]]]] = {}  # II -> windows(II)
+        self._windows: dict[int, Fanout] = {}  # II -> windows(II)
 
-    def windows(self, ii: int) -> dict[int, list[tuple[int, int, int]]]:
+    def windows(self, ii: int) -> Fanout:
         """Static start-time windows between nodes that share a dependence
         cycle, built once per II. For u, v in one strongly connected
         component, the zero-hop longest paths D[u][v] and D[v][u] bound any
         schedule: D[u][v] <= start(v) - start(u) <= -D[v][u]. Checking a
         candidate slot against these windows refutes a dead branch when the
         slot is chosen, not levels deeper when the cycle finally closes. A
-        window is kept on the later node of the pair in schedule order,
-        whose frame finds the other one placed, as (u, D[u][v], span) with
-        span = -D[v][u] - D[u][v] + 1 the number of start differences it
-        allows. Callers only read the result."""
+        window is listed under the earlier node u of the pair in schedule
+        order, as (v, D[u][v], span) with span = -D[v][u] - D[u][v] + 1 the
+        number of start differences it allows: placing u narrows the later
+        v's table at once. Nodes that are no later node's partner have no
+        entry. Callers only read the result."""
         if ii in self._windows:
             return self._windows[ii]
-        windows = {}
+        fanout: Fanout = {}
         neg_inf = float("-inf")
         for comp in self.cycles:
             dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
@@ -315,20 +321,18 @@ class _KernelTables:
                         if cand > du[v]:
                             du[v] = cand
             for v in comp:
-                cons = []
                 for u in comp:
                     if self.rank[u] < self.rank[v] and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
                         lo, hi = int(dist[u][v]), -int(dist[v][u])
-                        cons.append((u, lo, hi - lo + 1))
-                if cons:
-                    windows[v] = cons
-        self._windows[ii] = windows
-        return windows
+                        fanout.setdefault(u, []).append((v, lo, hi - lo + 1))
+        self._windows[ii] = fanout
+        return fanout
 
 
 class _FabricTables:
     """What every search on one grid reads and none writes: the tile count,
-    the hop table and the first node's tiles. Built from f's rows, cols and
+    the hop table and the first node's tiles, and the routes every result
+    on the grid has asked for so far. Built from f's rows, cols and
     topology alone. Tiles are row-major indices, tile (r, c) is r * cols + c."""
 
     def __init__(self, f: FabricSpec):
@@ -353,12 +357,28 @@ class _FabricTables:
                 for c in range(f.cols)
                 if 2 * r <= f.rows - 1 and 2 * c <= f.cols - 1 and (f.rows != f.cols or r <= c)
             ]
+        self.coords = [divmod(t, f.cols) for t in range(self.tiles)]
+        self.routes: dict[int, tuple[Tile, ...]] = {}  # a * tiles + b -> route_path
+
+    def route(self, f: FabricSpec, a: int, b: int) -> tuple[Tile, ...]:
+        """route_path from tile a to tile b, memoized: it reads only f's
+        rows, cols and topology, the grid these tables were built for. The
+        memo's routes share one coordinate pair per tile."""
+        key = a * self.tiles + b
+        path = self.routes.get(key)
+        if path is None:
+            coords = self.coords
+            cols = self.cols
+            path = route_path(f, coords[a], coords[b])
+            path = self.routes[key] = tuple(coords[r * cols + c] for r, c in path)
+        return path
 
 
 class _FabricMemo:
     """Fabric tables by (rows, cols, topology), least recently used out
-    first, bounded by the hop-table cells (tiles squared) kept in total. A
-    grid whose table alone passes the bound is built but not kept."""
+    first, bounded by the hop-table cells (tiles squared) kept in total;
+    each grid's route memo holds at most one route per cell. A grid whose
+    table alone passes the bound is built but not kept."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -404,7 +424,8 @@ class _Frame:
     and `allow`, one wide bitset of the residues it may take, in the same
     tile-major layout as the attempt's occupancy: bit tile * II + r is set
     when residue r is free on the tile and inside every placed window
-    partner's interval. The tile list comes from the attempt's memo and is
+    partner's interval, the free slots ANDed with the node's product in
+    the attempt's acc. The tile list comes from the attempt's memo and is
     shared with every frame whose placed neighbors sit on the same tiles,
     so a frame only reads it. On the current tile the frame keeps the
     residues still to try."""
@@ -427,7 +448,12 @@ class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
     longest-path feasibility over the dependence difference constraints.
     Occupancy is one int of tiles * II bits, tile-major: bit tile * II + r
-    is set while slot (tile, r) is taken."""
+    is set while slot (tile, r) is taken. acc[v], in the same layout, is
+    the AND of the wide masks of v's placed window partners, all slots
+    while none is placed. Each placement ANDs into the acc of its later
+    partners (fanout) and pushes the values it replaced on the trail; its
+    undo pops them back, so the trail always holds the placed nodes'
+    entries in placement order."""
 
     def __init__(self, kt: _KernelTables, ft: _FabricTables, ii: int, attempts_left: int):
         self.kt = kt
@@ -446,8 +472,14 @@ class _Attempt:
         self.occ = 0  # taken slots, tile-major
         self.slot_failures = 0
         self.dep_failures = 0
-        self.windows = kt.windows(ii)
-        self.wide_masks: dict[tuple[int, int, int], int] = {}  # (tile_u, start, span) -> _wide_mask
+        # u -> (v, lo, span * slots) per later window partner v
+        self.fanout: Fanout = dict.fromkeys(kt.order, ())
+        for u, later in kt.windows(ii).items():
+            self.fanout[u] = [(v, lo, span * self.slots) for v, lo, span in later]
+        self.wide_masks: dict[int, int] = {}  # span * slots + tile_u * II + start -> _wide_mask
+        # id -> the AND of the wide masks of its placed window partners
+        self.acc = dict.fromkeys(kt.order, self.wide)
+        self.trail: list[int] = []  # the acc values placements replaced, latest last
         self.orders: dict[tuple[int, ...], list[int]] = {}  # placed neighbors' tiles -> _tile_order
 
     def _window_masks(self, start: int, span: int) -> list[int]:
@@ -486,7 +518,8 @@ class _Attempt:
         (one per placed node) are slot failures and every other slot
         outside the table is a dependence failure. A frame is dead when its
         table is empty. A doomed frame's whole search is charged here too
-        (one-level forward checking, Haralick & Elliott 1980). A live
+        (one-level forward checking, Haralick & Elliott 1980); the test
+        that finds it reads the next node's table, one more AND. A live
         frame's tile order is keyed by the tiles of its placed DFG
         neighbors, in dfg_neighbors order, and looked up in the attempt's
         memo: hard searches meet the same few keys over and over, so the
@@ -534,24 +567,11 @@ class _Attempt:
         return tiles
 
     def _table(self, nid: int) -> int:
-        """The free slots ANDed with the wide mask of each placed window
-        partner of nid: a partner u at (tile_u, r_u) with window [lo, hi], h
-        hops from a tile, needs start(nid) - start(u) in [lo + h, hi - h]."""
-        place = self.place
-        allow = self.wide ^ self.occ
-        for u, lo, span in self.windows.get(nid, ()):
-            placed = place.get(u)
-            if placed is None:
-                continue
-            tile_u, r_u = placed
-            key = (tile_u, (r_u + lo) % self.ii, span)
-            mask = self.wide_masks.get(key)
-            if mask is None:
-                mask = self.wide_masks[key] = self._wide_mask(*key)
-            allow &= mask
-            if not allow:
-                break
-        return allow
+        """The free slots ANDed with acc[nid], the wide masks of nid's
+        placed window partners, which _try_add keeps ANDed as they are
+        placed: a partner u at (tile_u, r_u) with window [lo, hi], h hops
+        from a tile, needs start(nid) - start(u) in [lo + h, hi - h]."""
+        return (self.wide ^ self.occ) & self.acc[nid]
 
     def _next_residue(self, fr: _Frame) -> int:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
@@ -656,7 +676,10 @@ class _Attempt:
         dependence system becomes infeasible (positive cycle). An edge
         u -> v of latency lat_u and distance d weighs
         ceil((lat_u + hops + r_u - r_v) / II) - d in the longest-path
-        system over the placed nodes."""
+        system over the placed nodes. Only once the placement holds, it
+        ANDs its wide mask into acc[v] of each later window partner v
+        (forward checking, Haralick & Elliott 1980), pushing the old values
+        on the trail for _undo, so a frame's table costs one AND."""
         place = self.place
         q = self.q
         ii = self.ii
@@ -692,15 +715,38 @@ class _Attempt:
                 if cand > q[v]:
                     seen = updates.get(v, 0) + 1
                     if cand > dist_ub or seen > update_cap:  # positive cycle
-                        self._undo(nid, tile, residue, undo)
+                        self._retract(nid, tile, residue, undo)
                         return None
                     updates[v] = seen
                     undo.append((v, q[v]))
                     q[v] = cand
                     queue.append(v)
+        acc = self.acc
+        push = self.trail.append
+        wide_masks = self.wide_masks
+        at = tile * ii
+        for v, lo, span_at in self.fanout[nid]:
+            start = (residue + lo) % ii
+            key = span_at + at + start
+            mask = wide_masks.get(key)
+            if mask is None:
+                mask = wide_masks[key] = self._wide_mask(tile, start, span_at // self.slots)
+            old = acc[v]
+            push(old)
+            acc[v] = old & mask
         return undo
 
     def _undo(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
+        """Take back a placement that _try_add made: the later partners'
+        acc values from the trail, the latest first, then the rest."""
+        acc = self.acc
+        pop = self.trail.pop
+        for v, _, _ in reversed(self.fanout[nid]):
+            acc[v] = pop()
+        self._retract(nid, tile, residue, undo)
+
+    def _retract(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
+        """Take back nid's slot, node and longest-path updates."""
         q = self.q
         for v, old in reversed(undo):
             q[v] = old
@@ -855,7 +901,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
         err = config_depth_error(ii, f)
         if err is not None:
             return err
-        return _build_result(kt, f, ii, placement, attempt.q)
+        return _build_result(kt, ft, f, ii, placement, attempt.q)
     if last_dep_failures > 0 and not budget_hit:
         return MapError(
             "ROUTING_FAILURE",
@@ -871,6 +917,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
 
 def _build_result(
     kt: _KernelTables,
+    ft: _FabricTables,
     f: FabricSpec,
     ii: int,
     placement: dict[int, tuple[Tile, int]],
@@ -881,9 +928,8 @@ def _build_result(
         tile, residue = placement[nid]
         schedule[nid] = (tile, residue + ii * q[nid])
     schedule_len = max(start + kt.lat[nid] for nid, (_, start) in schedule.items())
-    routes = tuple(
-        route_path(f, schedule[e.src][0], schedule[e.dst][0]) for e in kt.edges
-    )
+    index = {nid: r * ft.cols + c for nid, ((r, c), _) in schedule.items()}
+    routes = tuple(ft.route(f, index[e.src], index[e.dst]) for e in kt.edges)
     return MappingResult(ii=ii, schedule=schedule, routes=routes, schedule_len=schedule_len)
 
 

@@ -833,9 +833,10 @@ def _write_atomic(path: Path, text: str) -> None:
 def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     """Execute (or extend) a run, leaving history.jsonl, metrics.json, and
     best_design.json in out_dir. With INFO on for this module's logger,
-    each finished iteration logs its iteration_line."""
+    each finished iteration logs its iteration_line. The directory is
+    made only once the kernel and cost coefficients have loaded and the
+    resume check has passed, so bad input leaves nothing behind."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     hist_path = out / HISTORY_FILE
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
@@ -848,6 +849,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
         start_iter = runner.resume() + 1
     elif resume:
         raise RunConfigError(f"cannot resume: no history at {hist_path}")
+    out.mkdir(parents=True, exist_ok=True)
 
     with runner.history:
         if runner.history.seq == 0:  # a fresh log starts with its header

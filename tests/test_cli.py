@@ -215,6 +215,21 @@ class TestMalformedKernelFile:
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: kernel {kernel!r}: nodes[1].kind must be a string, got 7\n"
 
+    def test_a_bad_kernel_leaves_no_out_directory(self, capsys, tmp_path):
+        out = tmp_path / "D"
+        code, _, _ = run_cli(capsys, "run", "--kernel", _kernel_file(tmp_path, 7), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_a_bad_kernel_leaves_no_default_run_directory(self, capsys, tmp_path, monkeypatch):
+        kernel = _kernel_file(tmp_path, 7)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, _, _ = run_cli(capsys, "run", "--kernel", kernel)
+        assert code == EXIT_USAGE
+        assert list(cwd.iterdir()) == []  # no runs/k-min_power-s0, and no runs/
+
     def test_a_run_names_the_cost_coefficients_file(self, capsys, tmp_path):
         coeffs = tmp_path / "c.json"
         doc = json.loads(resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8"))

@@ -467,6 +467,103 @@ class TestDoomedFrames:
         assert _KernelTables(accumulator_kernel()).forward_only == {0}
 
 
+def window_slots(a: _Attempt, tile_u: int, r_u: int, lo: int, span: int) -> int:
+    """The slots a window partner at (tile_u, r_u) allows, one bit per
+    (tile, residue), bit tile * II + r: the smallest start difference at or
+    past lo + h that is r - r_u mod II must be at most lo + span - 1 - h,
+    h the hops between the tiles."""
+    ii = a.ii
+    bits = 0
+    for t in range(a.ft.tiles):
+        h = a.hop_rows[tile_u][t]
+        for r in range(ii):
+            if lo + h + (r - r_u - lo - h) % ii <= lo + span - 1 - h:
+                bits |= 1 << (t * ii + r)
+    return bits
+
+
+class TestWindowProducts:
+    """_try_add keeps acc[v], the AND of the wide masks of v's placed window
+    partners, up to date as they are placed and undone. At every frame the
+    search builds, and where the search ends, each unplaced node's acc must
+    equal a fresh AND over its placed partners, each mask worked out slot
+    by slot."""
+
+    @staticmethod
+    def checked_search(k: KernelGraph, f: FabricSpec, ii: int, attempts: int) -> int:
+        """Search with every frame checked; returns the partner masks the
+        checks compared."""
+        a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
+        windows: dict[int, list[tuple[int, int, int]]] = {}  # v -> (partner, lo, span)
+        for u, later in a.kt.windows(ii).items():
+            for v, lo, span in later:
+                windows.setdefault(v, []).append((u, lo, span))
+        masks: dict[tuple[int, int, int, int], int] = {}
+        compared = 0
+
+        def check(idx):
+            nonlocal compared
+            for v in a.kt.order:
+                if v in a.place:
+                    continue
+                want = a.wide
+                for u, lo, span in windows.get(v, ()):
+                    if u in a.place:
+                        key = (*a.place[u], lo, span)
+                        if key not in masks:
+                            masks[key] = window_slots(a, *key)
+                        want &= masks[key]
+                        compared += 1
+                assert a.acc[v] == want, (idx, v)
+
+        real_frame = _Attempt._frame
+
+        def frame(self, idx):
+            assert self is a
+            check(idx)
+            return real_frame(self, idx)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Attempt, "_frame", frame)
+            try:
+                a.run()
+            except _BudgetExhausted:
+                pass
+        check("end")
+        return compared
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(list(Topology)),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2),
+    )
+    def test_products_equal_a_fresh_and_on_random_kernels(self, seed, topo, rows, cols, extra_ii):
+        k = random_dfg(random.Random(seed), max_nodes=8)
+        f = fabric(rows=rows, cols=cols, topology=topo)
+        res, rec = min_ii_bounds(k, f)
+        ii = max(res, rec, -(-len(k.nodes) // f.tiles)) + extra_ii
+        self.checked_search(k, f, ii, 1000)
+
+    # (kernel, fabric, II, budget, partner masks compared). latnrm at unroll
+    # 2 runs out of each budget with nearly every node narrowed by several
+    # partners; on the 2x2 mesh its search moves partners whose windows
+    # are wide. The tangle's node 3 has later partners, and some of its
+    # placements fail the longest-path check.
+    CASES = [
+        (lambda: apply_sw_params(load_kernel("latnrm"), 2, 1), fabric(rows=3, cols=3), 19, 6000, 100_000),
+        (lambda: apply_sw_params(load_kernel("latnrm"), 2, 1), fabric(rows=2, cols=2), 19, 6000, 100_000),
+        (tangle_kernel, fabric(rows=1, cols=3), 5, 2000, 20),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=["latnrm-u2-3x3MESH", "latnrm-u2-2x2MESH", "tangle-1x3MESH"])
+    def test_products_equal_a_fresh_and_on_hard_shapes(self, case):
+        make, f, ii, attempts, at_least = case
+        assert self.checked_search(make(), f, ii, attempts) >= at_least
+
+
 def builtin_variants() -> list[KernelGraph]:
     """Every legal (unroll, vectorize) variant of every built-in kernel."""
     from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
@@ -536,6 +633,37 @@ class TestPreparedTables:
                     codes.add(getattr(got, "code", "OK"))
         assert sorted(builds) == sorted(map(id, kernels))  # one build per kernel object
         assert {"OK", "MISSING_FU_KIND", "INSUFFICIENT_TILES", "II_BOUND_EXCEEDED"} <= codes, codes
+
+    def test_memoized_routes_equal_route_path(self, monkeypatch):
+        """Kernels mapped on grids that share tables, fabrics of one shape
+        with different FU kinds among them: every route a result asked for,
+        and then every other pair, equals a fresh route_path."""
+        self.fresh_memos(monkeypatch)
+        fabrics = self.FABRICS + (
+            fabric(rows=2, cols=3, topology=Topology.MESH, kinds=ALL_KINDS - {FuKind.DIV}),
+            fabric(rows=3, cols=3, topology=Topology.KINGMESH),
+        )
+        for k in builtin_variants()[::4]:
+            for f in fabrics:
+                got = map_kernel(k, f, self.BUDGET)
+                if isinstance(got, MappingResult):
+                    assert got.routes == tuple(
+                        route_path(f, got.schedule[e.src][0], got.schedule[e.dst][0]) for e in k.edges
+                    )
+        memo = mapper._FABRIC_TABLES
+        asked = 0
+        for (rows, cols, topo), ft in memo.entries.items():
+            f = fabric(rows=rows, cols=cols, topology=topo)
+            tiles = [(r, c) for r in range(rows) for c in range(cols)]
+            asked += len(ft.routes)
+            for key, path in list(ft.routes.items()):
+                a, b = divmod(key, ft.tiles)
+                assert path == route_path(f, tiles[a], tiles[b]), (f, a, b)
+            for a in range(ft.tiles):
+                for b in range(ft.tiles):
+                    assert ft.route(f, a, b) == route_path(f, tiles[a], tiles[b]), (f, a, b)
+            assert len(ft.routes) == ft.tiles**2
+        assert asked > 20, asked
 
     def test_kernel_tables_go_with_their_kernel(self, monkeypatch):
         self.fresh_memos(monkeypatch)
