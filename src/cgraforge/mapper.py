@@ -30,17 +30,14 @@ distance, memoized per attempt. The products are kept as the partners
 are placed (forward checking): a placement ANDs its mask into the
 product of each later partner and its undo restores them, so a table
 costs one AND. Residues are tried in ascending
-order. A level's rejected slots are charged in one step when it is
-built: the occupied ones (one per placed node) as slot failures, the
-other slots outside its table as dependence failures. A search that
-stops inside some levels' scans, on placing the last node or running out
-of budget, takes back the part each level has not reached, so the
-counters read as a slot-by-slot scan leaves them. A level whose table is
-0 is dead: it is never pushed, and the placement that led to it is
-undone at once. A level is doomed when its node's placements cannot
-fail and the next node's table is 0 before it places; when the budget
-covers its candidates, it is settled the same way, its placements and
-dead children charged at once. What every search of one kernel reads is
+order. A level whose table is 0 is dead: it is never pushed, and the
+placement that led to it is undone at once. A level is doomed when its
+node's placements cannot fail and the next node's table is 0 before it
+places; when the budget covers its candidates, it is settled the same
+way, its placements charged at once. Each attempt keeps one flag, set
+when a dependence rejects a free slot or a placement; an II range whose
+every attempt is searched to exhaustion is a ROUTING_FAILURE when the
+last one set it. What every search of one kernel reads is
 built once per kernel object: latencies, the schedule order, adjacency,
 cycles, the static windows per II, the node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
@@ -470,8 +467,7 @@ class _Attempt:
         self.place: dict[int, tuple[int, int]] = {}  # id -> (tile, residue)
         self.q: dict[int, int] = {}  # id -> longest-path value
         self.occ = 0  # taken slots, tile-major
-        self.slot_failures = 0
-        self.dep_failures = 0
+        self.dep_rejected = False  # a dependence rejected a free slot or a placement
         # u -> (v, lo, span * slots) per later window partner v
         self.fanout: Fanout = dict.fromkeys(kt.order, ())
         for u, later in kt.windows(ii).items():
@@ -513,11 +509,9 @@ class _Attempt:
         it is dead or doomed. Its residue table is exact for the frame's
         whole life: the occupancy and the placed partners it reads stay as
         they are while it lives, because deeper levels undo their
-        placements before control returns to it. Its scan's rejections
-        are charged here in one step: over all tiles, the occupied slots
-        (one per placed node) are slot failures and every other slot
-        outside the table is a dependence failure. A frame is dead when its
-        table is empty. A doomed frame's whole search is charged here too
+        placements before control returns to it. A table that leaves out a
+        free slot sets dep_rejected. A frame is dead when its table is
+        empty. A doomed frame's placements are charged here in one step
         (one-level forward checking, Haralick & Elliott 1980); the test
         that finds it reads the next node's table, one more AND. A live
         frame's tile order is keyed by the tiles of its placed DFG
@@ -530,24 +524,21 @@ class _Attempt:
             return _Frame(nid, self.ft.first_tiles, self.wide, 1)  # residue 0 only
         allow = self._table(nid)
         k = allow.bit_count()
-        # The scan rejects idx occupied slots and T - idx - k others
-        # (T = tiles * II); a search that stops inside it takes back the
-        # part it has not reached (_refund).
-        self.slot_failures += idx
-        self.dep_failures += self.slots - idx - k
+        if idx + k < self.slots:  # idx slots are taken, the rest are out of the table
+            self.dep_rejected = True
         if not k:
             return None
         if idx + 1 < len(kt.order) and nid in kt.forward_only:
             # Doomed: the next node's table, empty before nid's slot and
             # window join it, makes every child dead. The scan would place
-            # each of the k candidates (none can fail), settle a dead child
-            # and undo it, each child rejecting idx + 1 occupied slots and
-            # T - idx - 1 others. With fewer than k attempts left the budget
-            # runs out inside that scan, so the frame is searched as usual.
+            # each of the k candidates (none can fail), and each child's
+            # empty table would leave out its free slots. With fewer than k
+            # attempts left the budget runs out inside that scan, so the
+            # frame is searched as usual.
             if self.attempts_left >= k and not self._table(kt.order[idx + 1]):
                 self.attempts_left -= k
-                self.slot_failures += k * (idx + 1)
-                self.dep_failures += k * (self.slots - idx - 1)
+                if idx + 1 < self.slots:
+                    self.dep_rejected = True
                 return None
         place = self.place
         near = tuple([place[m][0] for m in kt.dfg_neighbors[nid] if m in place])
@@ -577,8 +568,7 @@ class _Attempt:
         """The next residue to try for fr.nid, on fr.tile, moving on to the
         next tile when the current one has none left; -1 when no tile has.
         A tile's residues to try are its field of fr.allow, bits tile * II
-        up, read with a shift. The slots passed over were charged when the
-        frame was built, so a tile with none to try costs one shift."""
+        up, read with a shift, so a tile with none to try costs one shift."""
         left = fr.left
         if not left:
             tiles = fr.tiles
@@ -601,35 +591,6 @@ class _Attempt:
         fr.left = left ^ low
         return low.bit_length() - 1
 
-    def _refund(self, stack: list[_Frame], residue: int) -> None:
-        """Take back what the frames on the stack were charged for the
-        slots their scans have not reached. The search stopped on the top
-        frame's residue (placed last, or the budget ran out on it); each
-        lower frame is on its placed residue. A frame saw the occupancy of
-        the levels below it. The root is never charged: it tries residue 0
-        on every tile it has, and none is taken or outside its table.
-        Costs one shift per tile scanned, so a search that placed early
-        pays little."""
-        ii = self.ii
-        full = self.full
-        occ = 0  # the slots of the levels below fr
-        for d, fr in enumerate(stack):
-            r = residue if fr is stack[-1] else fr.residue
-            shift = fr.tile * ii
-            if d:
-                rest = full & ~((2 << r) - 1)  # the current tile's residues after r
-                slots = (rest & (occ >> shift)).bit_count()
-                deps = rest.bit_count() - fr.left.bit_count() - slots
-                scanned = 0  # the fields of the tiles scanned, the current one too
-                for tile in fr.tiles[: fr.next_tile]:
-                    scanned |= full << tile * ii
-                n_slots = (occ & ~scanned).bit_count()
-                slots += n_slots
-                deps += ii * (len(fr.tiles) - fr.next_tile) - (fr.allow & ~scanned).bit_count() - n_slots
-                self.slot_failures -= slots
-                self.dep_failures -= deps
-            occ |= 1 << (shift + r)
-
     def run(self) -> dict[int, tuple[Tile, int]] | None:
         """Depth-first search over the schedule order with an explicit
         frame stack, one frame per placed node plus the one being tried.
@@ -637,8 +598,7 @@ class _Attempt:
         and the search goes on with the current frame; that frame is never
         pushed. Only full placements draw on the budget, a doomed frame's
         settled ones included; the slots the per-frame tables rule out are
-        two orders of magnitude cheaper. Where the search stops with
-        frames mid-scan, _refund squares their counters."""
+        two orders of magnitude cheaper."""
         stack = [self._frame(0)]
         depth = len(self.kt.order)
         while True:
@@ -653,14 +613,12 @@ class _Attempt:
                 continue
             self.attempts_left -= 1
             if self.attempts_left < 0:
-                self._refund(stack, residue)
                 raise _BudgetExhausted()
             undo = self._try_add(fr.nid, fr.tile, residue)
             if undo is None:
-                self.dep_failures += 1
+                self.dep_rejected = True
                 continue
             if len(stack) == depth:
-                self._refund(stack, residue)
                 cols = self.ft.cols
                 return {nid: (divmod(tile, cols), r) for nid, (tile, r) in self.place.items()}
             nxt = self._frame(len(stack))
@@ -885,7 +843,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
     # Extra sound lower bound: n nodes need n distinct (tile, residue) slots.
     lower = max(res, rec, math.ceil(len(k.nodes) / f.tiles))
     ft = _FABRIC_TABLES.get(f)
-    last_dep_failures = 0
+    dep_rejected = False  # by the last attempt; read only when none ran out of budget
     budget_hit = False
     for ii in range(lower, budget.max_ii + 1):
         attempt = _Attempt(kt, ft, ii, budget.placement_attempts)
@@ -893,16 +851,15 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
             placement = attempt.run()
         except _BudgetExhausted:
             budget_hit = True
-            last_dep_failures = attempt.dep_failures
             continue
-        last_dep_failures = attempt.dep_failures
+        dep_rejected = attempt.dep_rejected
         if placement is None:
             continue
         err = config_depth_error(ii, f)
         if err is not None:
             return err
         return _build_result(kt, ft, f, ii, placement, attempt.q)
-    if last_dep_failures > 0 and not budget_hit:
+    if dep_rejected and not budget_hit:
         return MapError(
             "ROUTING_FAILURE",
             f"no feasible placement with routed dependences up to max_ii {budget.max_ii}",

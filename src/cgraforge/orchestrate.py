@@ -19,8 +19,10 @@ that was never stopped.
 
 History records carry no timestamps; wall-clock data lives only in the
 metrics file's meta block, so logs from identical runs are identical files.
-Metrics, the best design and the checkpoint are written through a temp
-file and renamed into place, so a kill never leaves any of them torn.
+The log is written one complete iteration at a time. Metrics, the best
+design and the checkpoint are written through a temp file and renamed into
+place, so a kill never leaves any of them torn; the best design is
+rewritten only when its bytes change.
 """
 
 from __future__ import annotations
@@ -214,9 +216,13 @@ class History:
     """Append-only JSONL event log with a monotone sequence number.
 
     Records are appended through one handle, open while the log is used as
-    a context manager (`with history:`), and each is flushed as it is
-    written, so the file always ends with the last record appended. It keeps
-    the size and a running sha256 of its bytes, for the run's checkpoint."""
+    a context manager (`with history:`), a block at a time: the run header
+    alone, then each iteration's records once the iteration is complete.
+    A block is one write and one flush, so the file always ends with the
+    last block appended, and an iteration that raises, or is killed before
+    its block is written, leaves nothing of itself behind; a kill during
+    the write leaves a partial block, which a resume cuts. It keeps the
+    size and a running sha256 of its bytes, for the run's checkpoint."""
 
     def __init__(self, path: Path, seq: int = 0):
         self.path = path
@@ -233,15 +239,19 @@ class History:
         self._fh.close()
         self._fh = None
 
-    def append(self, record: dict) -> None:
-        self.seq += 1
-        full = {"schema_version": SCHEMA_VERSION, "seq": self.seq}
-        full.update(record)
-        line = (json.dumps(full, sort_keys=True) + "\n").encode()
-        self._fh.write(line)
+    def append(self, records: list[dict]) -> None:
+        """Write records as one block, each on its own line with the
+        schema version and the next sequence number."""
+        lines = []
+        for record in records:
+            self.seq += 1
+            full = {"schema_version": SCHEMA_VERSION, "seq": self.seq, **record}
+            lines.append(json.dumps(full, sort_keys=True) + "\n")
+        block = "".join(lines).encode()
+        self._fh.write(block)
         self._fh.flush()
-        self.size += len(line)
-        self.sha.update(line)
+        self.size += len(block)
+        self.sha.update(block)
 
 
 def read_history(path: Path, start: int = 0, seq: int = 0, data: bytes | None = None,
@@ -491,14 +501,10 @@ class _Runner:
     # ----- live iteration ---------------------------------------------------
 
     def run_iteration(self, it: int) -> None:
-        """Do one iteration's work and log its events; the run state takes
-        them in through the fold once the iteration is complete."""
+        """Do one iteration's work, then log its events in one block; the
+        run state takes them in through the fold."""
         cfg = self.cfg
         events: list[dict] = []
-
-        def emit(record: dict) -> None:
-            self.history.append(record)
-            events.append(record)
 
         req = ProposalRequest(
             kernel=self.ksum,
@@ -514,17 +520,17 @@ class _Runner:
 
         mapped: list[MappedDesign] = []
         for d in drafts:
-            emit(_design_event("proposal", it, d))
+            events.append(_design_event("proposal", it, d))
             err = self._check(d)
             if err is None:
                 m = self._mapped(d)
-                emit(_map_ok_event(it, m))
+                events.append(_map_ok_event(it, m))
                 mapped.append(m)
                 continue
-            emit(_failure_event(it, d.id, err))
+            events.append(_failure_event(it, d.id, err))
             fixed = fix_design(d, err, cfg.backend, self._check, max_rounds=cfg.max_fix_rounds)
             if isinstance(fixed, FixFailure):
-                emit(
+                events.append(
                     {
                         **_design_event("fix", it, fixed.design),
                         "ok": False,
@@ -535,12 +541,11 @@ class _Runner:
             else:
                 m = self._mapped(fixed)
                 rounds = fixed.note.count("repair:") - d.note.count("repair:")
-                emit({**_map_ok_event(it, m), **_design_event("fix", it, fixed), "rounds": rounds})
+                events.append({**_map_ok_event(it, m), **_design_event("fix", it, fixed), "rounds": rounds})
                 mapped.append(m)
 
-        closing = self._select(it, mapped) if mapped else [{"type": "iteration_empty", "iteration": it}]
-        for record in closing:
-            emit(record)
+        events += self._select(it, mapped) if mapped else [{"type": "iteration_empty", "iteration": it}]
+        self.history.append(events)
         self._apply(it, events)
 
     def _select(self, it: int, mapped: list[MappedDesign]) -> list[dict]:
@@ -830,6 +835,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_if_changed(path: Path, text: str) -> None:
+    """_write_atomic, unless `path` already holds exactly `text`."""
+    try:
+        if path.read_bytes() == text.encode():
+            return
+    except OSError:
+        pass
+    _write_atomic(path, text)
+
+
 def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     """Execute (or extend) a run, leaving history.jsonl, metrics.json, and
     best_design.json in out_dir. With INFO on for this module's logger,
@@ -853,7 +868,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
 
     with runner.history:
         if runner.history.seq == 0:  # a fresh log starts with its header
-            runner.history.append({"type": "run_header", "config": cfg.to_header_dict()})
+            runner.history.append([{"type": "run_header", "config": cfg.to_header_dict()}])
         log = _progress_log()
         for it in range(start_iter, cfg.iterations + 1):
             runner.run_iteration(it)
@@ -867,7 +882,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     best_path = None
     if runner.best is not None:
         best_path = out / BEST_DESIGN_FILE
-        _write_atomic(best_path, serialize_design(runner.best.design))
+        _write_if_changed(best_path, serialize_design(runner.best.design))
     _write_atomic(out / STATE_FILE, json.dumps(runner.checkpoint(), sort_keys=True) + "\n")
 
     return RunResult(

@@ -187,27 +187,36 @@ class TestMapKernelSuccess:
 
 
 # (kernel, unroll, vectorize, rows, cols, topology, II, placement attempts)
-# -> (placement digest, attempts_left, slot_failures, dep_failures), taken
-# from a scan that tests one (tile, residue) slot at a time, so the bitmask
-# scan must try the same slots in the same order and count the same
-# rejections. The digest is the first 16 hex digits of
+# -> (placement digest, attempts_left, dep_rejected). The digest and
+# attempts left are taken from a scan that tests one (tile, residue) slot at
+# a time, so the bitmask scan must try the same slots in the same order and
+# draw the same attempts. The digest is the first 16 hex digits of
 # sha256(json.dumps(sorted(placement.items()))); None means the attempt
 # found no placement. Attempts left at -1 mean the budget ran out; "knot"
-# (below) is searched to exhaustion inside its budget.
+# and "pair" (below), conv and fir on 1x2 are searched to exhaustion inside
+# their budgets, and there the flag is the scan's dependence failures > 0.
+# fir on 1x2 runs out of slots (5 nodes, 4 slots) with no dependence
+# rejecting one; on "pair" only dead frames reject, and on "fed_pair" only
+# a doomed frame's children.
 SEARCH_GOLDEN = [
-    ("fir", 1, 1, 2, 2, "MESH", 2, 2000, "286dee1e4e19e730", 1951, 174, 144),
-    ("latnrm", 1, 1, 2, 3, "CROSSBAR", 9, 2000, "e71b6ff789e88d46", 1784, 947, 10105),
-    ("ml_mix", 2, 1, 3, 4, "MESH", 6, 2000, "abab856c9d3f439f", 1986, 52, 138),
-    ("conv", 2, 1, 2, 2, "KINGMESH", 6, 2000, "013186beff1271c3", 1992, 25, 42),
-    ("ml_mix", 8, 1, 5, 4, "MESH", 28, 300, "e8fdba819d5b174c", 251, 773, 522),
-    ("fir", 2, 1, 3, 3, "KINGMESH", 4, 2000, None, -1, 13911, 55912),
-    ("embedded_mix", 2, 1, 4, 4, "MESH", 5, 2000, None, -1, 13953, 143664),
-    ("knot", 1, 1, 2, 2, "MESH", 3, 100000, None, 99716, 1073, 2052),
+    ("fir", 1, 1, 2, 2, "MESH", 2, 2000, "286dee1e4e19e730", 1951, True),
+    ("latnrm", 1, 1, 2, 3, "CROSSBAR", 9, 2000, "e71b6ff789e88d46", 1784, True),
+    ("ml_mix", 2, 1, 3, 4, "MESH", 6, 2000, "abab856c9d3f439f", 1986, True),
+    ("conv", 2, 1, 2, 2, "KINGMESH", 6, 2000, "013186beff1271c3", 1992, True),
+    ("ml_mix", 8, 1, 5, 4, "MESH", 28, 300, "e8fdba819d5b174c", 251, True),
+    ("fir", 2, 1, 3, 3, "KINGMESH", 4, 2000, None, -1, True),
+    ("embedded_mix", 2, 1, 4, 4, "MESH", 5, 2000, None, -1, True),
+    ("knot", 1, 1, 2, 2, "MESH", 3, 100000, None, 99716, True),
     # 8x8 grids where nearly every frame is dead (no tile has a residue
     # inside all placed window partners' intervals)
-    ("embedded_mix", 6, 1, 8, 8, "MESH", 15, 400, None, -1, 11420, 345059),
-    ("embedded_mix", 8, 1, 8, 8, "KINGMESH", 19, 400, None, -1, 14892, 424558),
-    ("ml_mix", 8, 1, 8, 8, "CROSSBAR", 25, 2000, None, -1, 49696, 3110628),
+    ("embedded_mix", 6, 1, 8, 8, "MESH", 15, 400, None, -1, True),
+    ("embedded_mix", 8, 1, 8, 8, "KINGMESH", 19, 400, None, -1, True),
+    ("ml_mix", 8, 1, 8, 8, "CROSSBAR", 25, 2000, None, -1, True),
+    ("spmv", 1, 1, 2, 2, "MESH", 2, 2000, "7345925ba5a8066a", 1995, False),
+    ("conv", 1, 1, 2, 2, "MESH", 2, 2000, None, 1950, True),
+    ("fir", 1, 1, 1, 2, "MESH", 2, 2000, None, 1984, False),
+    ("pair", 1, 1, 2, 2, "MESH", 2, 100, None, 99, True),
+    ("fed_pair", 1, 1, 2, 2, "MESH", 2, 100, None, 92, True),
 ]
 
 
@@ -224,13 +233,29 @@ def knot_kernel() -> KernelGraph:
     )
 
 
+def pair_kernel(fed: bool = False) -> KernelGraph:
+    """Two nodes in a cycle whose window at II 2 is [2, 2]: the MUL must
+    take the PHI's own slot, so every frame for it is dead. When fed, an
+    ADD outside the cycle, scheduled between them, feeds the MUL: its frame
+    is then doomed, and the MUL's dead frames are never built."""
+    nodes = [DfgNode(id=0, kind=FuKind.PHI, latency=2), DfgNode(id=1, kind=FuKind.MUL, latency=2)]
+    edges = [DfgEdge(src=0, dst=1, distance=0), DfgEdge(src=1, dst=0, distance=2)]
+    if fed:
+        nodes.append(DfgNode(id=2, kind=FuKind.ADD, latency=1))
+        edges.append(DfgEdge(src=2, dst=1, distance=0))
+    return KernelGraph(name="fed_pair" if fed else "pair", nodes=nodes, edges=edges, trip_count=16)
+
+
+LOCAL_KERNELS = {"knot": knot_kernel, "pair": pair_kernel, "fed_pair": lambda: pair_kernel(fed=True)}
+
+
 class TestSearchGolden:
     @pytest.mark.parametrize("case", SEARCH_GOLDEN, ids=lambda c: f"{c[0]}-u{c[1]}v{c[2]}-{c[3]}x{c[4]}{c[5]}-ii{c[6]}")
     def test_placement_and_counters_are_pinned(self, case):
         from cgraforge.kernel import apply_sw_params, load_kernel
 
-        name, u, v, rows, cols, topo, ii, attempts, digest, left, slots, deps = case
-        k = knot_kernel() if name == "knot" else apply_sw_params(load_kernel(name), u, v)
+        name, u, v, rows, cols, topo, ii, attempts, digest, left, flag = case
+        k = LOCAL_KERNELS[name]() if name in LOCAL_KERNELS else apply_sw_params(load_kernel(name), u, v)
         f = fabric(rows=rows, cols=cols, topology=Topology[topo])
         a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
         try:
@@ -239,7 +264,7 @@ class TestSearchGolden:
             placement = None
             assert left == -1
         got = None if placement is None else hashlib.sha256(json.dumps(sorted(placement.items())).encode()).hexdigest()[:16]
-        assert (got, a.attempts_left, a.slot_failures, a.dep_failures) == (digest, left, slots, deps)
+        assert (got, a.attempts_left, a.dep_rejected) == (digest, left, flag)
 
     def test_small_placement_in_full(self):
         from cgraforge.kernel import load_kernel
@@ -262,6 +287,26 @@ def wide_window_kernel() -> KernelGraph:
     )
 
 
+def attempt(k: KernelGraph, f: FabricSpec, ii: int, attempts: int) -> tuple[_Attempt, dict | None]:
+    """One _Attempt run on k and f at II, with its placement or None."""
+    a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
+    try:
+        return a, a.run()
+    except _BudgetExhausted:
+        return a, None
+
+
+def assert_matches_reference(a: _Attempt, placement: dict | None, want: tuple, label) -> bool | None:
+    """The placement and attempts left equal reference_attempt's. On an
+    attempt searched to exhaustion, dep_rejected equals the reference's
+    dependence failures > 0, and is returned; None otherwise."""
+    assert (placement, a.attempts_left) == want[:2], label
+    if placement is not None or a.attempts_left < 0:
+        return None
+    assert a.dep_rejected == (want[3] > 0), label
+    return a.dep_rejected
+
+
 def reference_cases():
     """(kernel, fabric, II, attempts) for the reference comparison."""
     rng = random.Random(29)
@@ -281,24 +326,25 @@ def reference_cases():
         for topo in Topology:
             for ii in range(2, 9):
                 yield k, fabric(rows=rows, cols=cols, topology=topo), ii, 10_000
+    # searched to exhaustion at II 2, where only dead or doomed frames reject
+    for k in (pair_kernel(), pair_kernel(fed=True)):
+        for topo in Topology:
+            for ii in (2, 3):
+                yield k, fabric(topology=topo), ii, 100
 
 
 class TestReferenceSearch:
     def test_attempt_matches_slot_by_slot_reference(self):
-        outcomes = {"placed": 0, "exhausted": 0, "out_of_attempts": 0}
+        outcomes = {"placed": 0, "exhausted, rejected": 0, "exhausted, not rejected": 0, "out_of_attempts": 0}
         for k, f, ii, attempts in reference_cases():
-            want = reference_attempt(k, f, ii, attempts)
-            a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
-            try:
-                placement = a.run()
-            except _BudgetExhausted:
-                placement = None
-            got = (placement, a.attempts_left, a.slot_failures, a.dep_failures)
-            assert got == want, (k, f, ii, attempts)
+            a, placement = attempt(k, f, ii, attempts)
+            flag = assert_matches_reference(a, placement, reference_attempt(k, f, ii, attempts), (k, f, ii, attempts))
             if placement is not None:
                 outcomes["placed"] += 1
+            elif flag is None:
+                outcomes["out_of_attempts"] += 1
             else:
-                outcomes["out_of_attempts" if a.attempts_left < 0 else "exhausted"] += 1
+                outcomes["exhausted, rejected" if flag else "exhausted, not rejected"] += 1
         assert min(outcomes.values()) > 0, outcomes
 
     # (rows, cols, topology, II) where the knot kernel's search settles
@@ -310,7 +356,7 @@ class TestReferenceSearch:
         """Every placement_attempts value from 1 up to the placements the
         search needs, so that the budget runs out next to each dead frame in
         turn: the one-step charge and the in-place undo must leave the
-        counters where the slot-by-slot scan leaves them."""
+        placement and attempts where the slot-by-slot scan leaves them."""
         dead = []  # per frame built, whether it was dead
         real_frame = _Attempt._frame
 
@@ -325,13 +371,8 @@ class TestReferenceSearch:
         for rows, cols, topo, ii in self.BUDGET_EDGE:
             f = fabric(rows=rows, cols=cols, topology=Topology[topo])
             for attempts in range(1, 100):
-                want = reference_attempt(k, f, ii, attempts)
-                a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
-                try:
-                    placement = a.run()
-                except _BudgetExhausted:
-                    placement = None
-                assert (placement, a.attempts_left, a.slot_failures, a.dep_failures) == want, (f, ii, attempts)
+                a, placement = attempt(k, f, ii, attempts)
+                assert_matches_reference(a, placement, reference_attempt(k, f, ii, attempts), (f, ii, attempts))
                 if a.attempts_left >= 0:  # the search ended inside its budget
                     break
                 out_next_to_dead += dead[-1]
@@ -365,7 +406,7 @@ class TestReferenceSearch:
             a = _Attempt(_KernelTables(k), _FabricTables(f), 19, attempts)
             with pytest.raises(_BudgetExhausted):
                 a.run()
-            assert (None, a.attempts_left, a.slot_failures, a.dep_failures) == want, attempts
+            assert_matches_reference(a, None, want, attempts)
         # the last attempt: 77 live frames, 71 of them with two or more
         # placed neighbors, served by 4 sorts
         assert (len(live), sum(n >= 2 for n in live), len(a.orders)) == (77, 71, 4)
@@ -447,13 +488,8 @@ class TestDoomedFrames:
             k = make()
             ended_inside = False
             for attempts in budgets:
-                want = reference_attempt(k, f, ii, attempts)
-                a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
-                try:
-                    placement = a.run()
-                except _BudgetExhausted:
-                    placement = None
-                assert (placement, a.attempts_left, a.slot_failures, a.dep_failures) == want, (k.name, attempts)
+                a, placement = attempt(k, f, ii, attempts)
+                assert_matches_reference(a, placement, reference_attempt(k, f, ii, attempts), (k.name, attempts))
                 ended_inside = a.attempts_left >= 0
             assert ended_inside == (k.name != "fir.u2")
         assert fired == {"settled": 332, "searched": 151}, fired
@@ -761,6 +797,16 @@ class TestMapKernelErrors:
         # the same cycle fits once a richer topology shortens the detour
         m = map_checked(k, fabric(rows=1, cols=2, topology=Topology.CROSSBAR), MapBudget(max_ii=3))
         assert m.ii == 3
+
+    @pytest.mark.parametrize("fed", [False, True])
+    @pytest.mark.parametrize("topo", list(Topology))
+    def test_routing_failure_when_only_dead_frames_reject(self, topo, fed):
+        # the pair's window puts the MUL on the PHI's slot at II 2, so each
+        # frame for it is dead, or the fed pair's ADD frame is doomed; an II
+        # range that ends there blames the routing, and II 3 opens the window
+        err = map_kernel(pair_kernel(fed), fabric(topology=topo), MapBudget(max_ii=2))
+        assert isinstance(err, MapError) and err.code == "ROUTING_FAILURE"
+        assert map_checked(pair_kernel(fed), fabric(topology=topo), MapBudget(max_ii=3)).ii == 3
 
     def test_budget_exhaustion_reports_ii_bound(self):
         from cgraforge.kernel import load_kernel

@@ -1,6 +1,7 @@
 """Closed-loop runner: config loading, event log, resume, metrics."""
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -9,7 +10,15 @@ import random
 import pytest
 
 from cgraforge.agents import AgentBackend, BackendKind, error_payload, llm
-from cgraforge.arch import FuKind, Topology, design_dict, design_from_dict, parse_design, validate_design
+from cgraforge.arch import (
+    FuKind,
+    Topology,
+    design_dict,
+    design_from_dict,
+    parse_design,
+    serialize_design,
+    validate_design,
+)
 from cgraforge.costs import ObjectiveMode
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
 from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
@@ -170,14 +179,89 @@ class TestReadHistory:
         assert read_history(path) == [{"seq": 1}]
 
 
+def _iteration_ends(path) -> list[int]:
+    """The byte offset just past the run header and past each iteration
+    of a history file."""
+    ends: list[int] = []
+    events = read_history(path, ends=ends)
+    return [end for ev, nxt, end in zip(events, events[1:] + [None], ends)
+            if nxt is None or nxt["iteration"] != ev.get("iteration")]
+
+
 class TestHistory:
-    def test_each_record_is_on_disk_when_append_returns(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        with History(path) as h:
-            for i in range(3):
-                h.append({"type": "proposal", "i": i})
-                assert [r["i"] for r in read_history(path)] == list(range(i + 1))
-        assert path.read_text().count("\n") == 3
+    def test_complete_iterations_are_on_disk_when_run_iteration_returns(self, tmp_path, monkeypatch):
+        """When each run_iteration returns, the file holds the header and
+        every iteration so far, complete, and nothing more: the bytes of the
+        uninterrupted run up to that iteration's end. Each iteration is one
+        write on the log's handle, and so is the header."""
+        path = run(quick_cfg(), tmp_path / "full").history_path
+        data, ends = path.read_bytes(), _iteration_ends(path)
+        writes = []
+
+        class Counting:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, block):
+                writes.append(bytes(block))
+                return self.fh.write(block)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        class Recording(History):
+            def __enter__(self):
+                super().__enter__()
+                self._fh = Counting(self._fh)
+                return self
+
+        checked = []
+        run_iteration = _Runner.run_iteration
+
+        def check(self, it):
+            run_iteration(self, it)
+            on_disk = self.history.path.read_bytes()
+            assert on_disk == data[: ends[it]], f"iteration {it}"
+            assert writes == [data[a:b] for a, b in zip([0] + ends, ends[: it + 1])], f"iteration {it}"
+            checked.append(it)
+
+        monkeypatch.setattr("cgraforge.orchestrate.History", Recording)
+        monkeypatch.setattr(_Runner, "run_iteration", check)
+        result = run(quick_cfg(), tmp_path / "out")
+        assert checked == [1, 2, 3] and len(ends) == 4
+        assert result.history_path.read_bytes() == data
+
+    def test_an_iteration_that_raises_leaves_its_predecessors_and_resumes(self, tmp_path, monkeypatch):
+        """An exception after iteration 3 has mapped its drafts, before its
+        selection: the file holds iterations 1-2 only, byte for byte, and a
+        resume reaches the uninterrupted run's bytes and metrics."""
+        full = run(quick_cfg(), tmp_path / "full")
+        two = run(quick_cfg(iterations=2), tmp_path / "two")
+        select = _Runner._select
+
+        def fail_third(self, it, mapped):
+            if it == 3:
+                raise RuntimeError("failed mid-iteration")
+            return select(self, it, mapped)
+
+        monkeypatch.setattr(_Runner, "_select", fail_third)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="mid-iteration"):
+            run(quick_cfg(), out)
+        assert (out / HISTORY_FILE).read_bytes() == two.history_path.read_bytes()
+        monkeypatch.undo()
+        resumed = run(quick_cfg(), out, resume=True)
+        assert resumed.history_path.read_bytes() == full.history_path.read_bytes()
+        got, want = dict(resumed.metrics), dict(full.metrics)
+        got.pop("meta"), want.pop("meta")
+        assert got == want
+
+    def test_each_line_is_its_record_as_sorted_key_json(self, tmp_path):
+        data = run(quick_cfg(), tmp_path / "out").history_path.read_bytes()
+        lines = data.decode().split("\n")
+        assert lines.pop() == "" and len(lines) > 3
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
 
     def test_handle_is_closed_when_a_run_fails(self, tmp_path, monkeypatch):
         handles = []
@@ -380,6 +464,84 @@ class TestResume:
         after = (out / METRICS_FILE).read_text()
         assert after == before
         assert json.loads(after)["iterations_run"] == 2
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (kernel, iterations, built one iteration per resume) -> sha256 of
+# history.jsonl, of metrics.json without its meta block (written as run
+# writes it: indent 2, sorted keys, a final newline) and of
+# best_design.json, for the default config at seed 0. Any change to a byte
+# of a run's output fails here; a change that means to move one says so
+# and re-pins.
+GOLDEN_RUNS = [
+    ("spmv", 20, False, "0fd6dfe68a80a987fd36104eb6dbdb68c6f25f9034f60c5fd98cb1aafb3c42f2",
+     "6c338a67e388180ed2f95a7aa4587ab1958ed2b5062363bf95d34a0900f5851b",
+     "ed34824eee70a7184feaaf6e68bf8c09c5cb1835e718c76d38dff727cc8aa684"),
+    ("fft", 20, False, "8046562ba146aa741d9949fd46a916a15c116a38cc807970ad4a9188c3278b44",
+     "b75bd7612a3a1661ce7add41a5437b0d84d49d9b876919225b875dd79d7a65ef",
+     "0ac8b6e76b53991cf5c6f4716c6d9fe95c70586942b26b6c93defbd47617c267"),
+    ("hpc_mix", 20, False, "a2e4a25ecc39bfb915fb58d963e18b8e09b26d00de29e5be8ac0728fd4bd2514",
+     "e2ea215110c44a4573e5dbf38ec1579e08435ede1d08e4be9fd419002432cfc7",
+     "7687e05c93667b77720b43ffebc79a687ffab6ae319f884e011985e02ecb9bdc"),
+    ("fir", 3, False, "c476c0c3fb093c6ad20dd9a13e7b8c90753bf99e7a7485ad52e8760dc4e8e26b",
+     "ab956bf7fd8662ac3c74560099d4706b9d94ae5533007913670a20aa836b7be5",
+     "0b2ce84254dc9b9edbe1c323c7f3022bb5df7e2e1477be9fa81f865b5cdf8856"),
+    ("spmv", 8, True, "89ba31850117b98ad63ad12a3c0ae8fbe11c02e2b125f8f05f8909810dfd7b66",
+     "60447cf8288e724403a31dda3e1f03bb8a3131d045d798237c3d52a03999f14f",
+     "e010a8b9eac0a04fa32a0ff676ff0d699955ce52af8d08a3017b34eedf28e3b7"),
+]
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("case", GOLDEN_RUNS, ids=lambda c: f"{c[0]}-{c[1]}{'-chained' if c[2] else ''}")
+    def test_run_outputs_are_pinned(self, tmp_path, case):
+        kernel, iterations, chained, history_sha, metrics_sha, best_sha = case
+        cfg = RunConfig(kernel=kernel, iterations=iterations, seed=0)
+        for it in range(1, iterations + 1) if chained else [iterations]:
+            result = run(dataclasses.replace(cfg, iterations=it), tmp_path / "out", resume=chained and it > 1)
+        metrics = json.loads(result.metrics_path.read_text())
+        metrics.pop("meta")
+        got = (
+            _sha(result.history_path.read_bytes()),
+            _sha((json.dumps(metrics, indent=2, sort_keys=True) + "\n").encode()),
+            _sha(result.best_design_path.read_bytes()),
+        )
+        assert got == (history_sha, metrics_sha, best_sha)
+
+
+class TestBestDesignFile:
+    def test_a_resume_that_keeps_the_best_leaves_the_file_alone(self, tmp_path):
+        out = tmp_path / "out"
+        first = run(quick_cfg(iterations=6), out)
+        before = os.stat(first.best_design_path)
+        again = run(quick_cfg(iterations=8), out, resume=True)
+        assert again.best.design_id == first.best.design_id  # iterations 7-8 find nothing better
+        after = os.stat(again.best_design_path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert again.best_design_path.read_text() == serialize_design(again.best.design)
+
+    @pytest.mark.parametrize("spoil", ["delete", "edit"])
+    def test_a_deleted_or_edited_file_is_rewritten(self, tmp_path, spoil):
+        out = tmp_path / "out"
+        path = run(quick_cfg(), out).best_design_path
+        want = path.read_bytes()
+        if spoil == "delete":
+            path.unlink()
+        else:
+            path.write_bytes(want.replace(b'"rows"', b'"ROWS"'))
+        result = run(quick_cfg(), out, resume=True)
+        assert path.read_bytes() == want
+        assert path.read_text() == serialize_design(result.best.design)
+
+    def test_a_new_best_is_written(self, tmp_path):
+        out = tmp_path / "out"
+        first = run(quick_cfg(iterations=4), out)
+        again = run(quick_cfg(iterations=6), out, resume=True)
+        assert again.best.design_id != first.best.design_id
+        assert again.best_design_path.read_text() == serialize_design(again.best.design)
 
 
 def _fold_state(runner: _Runner) -> tuple:
