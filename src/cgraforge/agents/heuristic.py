@@ -12,6 +12,7 @@ import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from ..arch import (
@@ -71,43 +72,69 @@ def _clampi(v: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
 
 
+def _clamp_fields(
+    b: DesignSpaceBounds, rows: int, cols: int, depth: int, mem: int, unroll: int, vect: int
+) -> tuple[int, int, int, int, int, int]:
+    """The proposal bounds' one clamp rule: (rows, cols, config_mem_depth,
+    data_mem_kb, unroll, vectorize) forced into their ranges."""
+    return (
+        _clampi(rows, *b.rows),
+        _clampi(cols, *b.cols),
+        _clampi(depth, *b.config_mem_depth),
+        max(0, mem),
+        _clampi(unroll, *b.unroll_factor),
+        _clampi(vect, *b.vectorize_factor),
+    )
+
+
 def clamp_design(d: DesignPoint, b: DesignSpaceBounds) -> DesignPoint:
     """Force every scalar field into its proposal bounds (cross-field rules
     are left to validate_design)."""
     f, sw = d.fabric, d.sw
-    nf = dataclasses.replace(
-        f,
-        rows=_clampi(f.rows, *b.rows),
-        cols=_clampi(f.cols, *b.cols),
-        config_mem_depth=_clampi(f.config_mem_depth, *b.config_mem_depth),
-        data_mem_kb=max(0, f.data_mem_kb),
-    )
-    nsw = SwParams(
-        unroll_factor=_clampi(sw.unroll_factor, *b.unroll_factor),
-        vectorize_factor=_clampi(sw.vectorize_factor, *b.vectorize_factor),
-    )
-    if nf == f and nsw == sw:
+    fields = (f.rows, f.cols, f.config_mem_depth, f.data_mem_kb, sw.unroll_factor, sw.vectorize_factor)
+    clamped = _clamp_fields(b, *fields)
+    if clamped == fields:
         return d
-    return dataclasses.replace(d, fabric=nf, sw=nsw)
+    rows, cols, depth, mem, unroll, vect = clamped
+    nf = dataclasses.replace(f, rows=rows, cols=cols, config_mem_depth=depth, data_mem_kb=mem)
+    return dataclasses.replace(d, fabric=nf, sw=SwParams(unroll_factor=unroll, vectorize_factor=vect))
+
+
+#: Every FU kind, in declaration order.
+_FU_KINDS = tuple(FuKind)
 
 
 def _needs_mem(s: KernelSummary) -> bool:
     return "LOAD" in s.op_census or "STORE" in s.op_census
 
 
-def _required_kinds(s: KernelSummary, data_mem_kb: int) -> set[FuKind]:
-    kinds = {FuKind[name] for name in s.op_census}
-    if data_mem_kb > 0:
+# The kernel-invariant sets below come from bounded memos keyed on the
+# summary fields they read, so that a draft reads each in one lookup.
+# Callers index the tuples and only combine, sort or test membership in
+# the sets, so no result depends on a set's iteration order (which, for
+# FuKind, follows the string hash seed).
+
+
+@lru_cache(maxsize=64)
+def _kinds_of(ops: tuple[str, ...], has_mem: bool) -> tuple[frozenset[FuKind], tuple[str, ...]]:
+    """The FU kinds a kernel needs (its ops, plus LOAD and STORE with data
+    memory), and the names of the others, sorted."""
+    kinds = {FuKind[name] for name in ops}
+    if has_mem:
         kinds.update({FuKind.LOAD, FuKind.STORE})
-    return kinds
+    return frozenset(kinds), tuple(sorted(k.name for k in _FU_KINDS if k not in kinds))
 
 
-def _legal_unrolls(s: KernelSummary, b: DesignSpaceBounds) -> list[int]:
-    lo, hi = b.unroll_factor
-    return [u for u in range(lo, hi + 1) if s.trip_count % u == 0]
+def _legal_unrolls(s: KernelSummary, b: DesignSpaceBounds) -> tuple[int, ...]:
+    return _legal_unrolls_of(s.trip_count, *b.unroll_factor)
 
 
-def _legal_vectorizes(s: KernelSummary, unroll: int, b: DesignSpaceBounds) -> list[int]:
+@lru_cache(maxsize=64)
+def _legal_unrolls_of(trip_count: int, lo: int, hi: int) -> tuple[int, ...]:
+    return tuple(u for u in range(lo, hi + 1) if trip_count % u == 0)
+
+
+def _legal_vectorizes(s: KernelSummary, unroll: int, b: DesignSpaceBounds) -> tuple[int, ...]:
     """Vectorize factors that divide the post-unroll trip count and do not
     obviously break carried dependences.
 
@@ -115,19 +142,23 @@ def _legal_vectorizes(s: KernelSummary, unroll: int, b: DesignSpaceBounds) -> li
     edge this stays conservative (factor 1 only); the transform itself is
     the authority and repair downgrades anything it rejects.
     """
-    lo, hi = b.vectorize_factor
-    trip = s.trip_count // unroll
+    return _legal_vectorizes_of(s.trip_count, s.carried_edge_count, s.carried_distance_gcd, unroll, *b.vectorize_factor)
+
+
+@lru_cache(maxsize=256)
+def _legal_vectorizes_of(trip_count: int, carried: int, gcd: int, unroll: int, lo: int, hi: int) -> tuple[int, ...]:
+    trip = trip_count // unroll
     out = []
     for v in range(lo, hi + 1):
         if trip % v != 0:
             continue
-        if s.carried_edge_count:
+        if carried:
             if unroll > 1 and v > 1:
                 continue
-            if v > 1 and s.carried_distance_gcd % v != 0:
+            if v > 1 and gcd % v != 0:
                 continue
         out.append(v)
-    return out
+    return tuple(out)
 
 
 def _mk_draft(
@@ -140,11 +171,15 @@ def _mk_draft(
     topology: Topology,
     depth: int,
     mem: int,
-    kinds: set[FuKind],
+    kinds: frozenset[FuKind],
     unroll: int,
     vect: int,
 ) -> DesignPoint:
-    d = DesignPoint(
+    """A proposed draft, its scalar fields clamped by the rule clamp_design
+    applies, before the design is built: equal to clamp_design of the
+    unclamped draft, built once."""
+    rows, cols, depth, mem, unroll, vect = _clamp_fields(b, rows, cols, depth, mem, unroll, vect)
+    return DesignPoint(
         fabric=FabricSpec(
             rows=rows,
             cols=cols,
@@ -158,11 +193,11 @@ def _mk_draft(
         provenance=Provenance.PROPOSED,
         note=note,
     )
-    return clamp_design(d, b)
 
 
-def _pad_kinds(kinds: set[FuKind], rng: random.Random) -> set[FuKind]:
-    optional = sorted(k.name for k in FuKind if k not in kinds)
+def _padded_kinds(s: KernelSummary, data_mem_kb: int, rng: random.Random) -> frozenset[FuKind]:
+    """The required kinds plus up to two optional ones drawn at random."""
+    kinds, optional = _kinds_of(tuple(s.op_census), data_mem_kb > 0)
     extra = rng.randint(0, min(2, len(optional)))
     if extra:
         kinds = kinds | {FuKind[name] for name in rng.sample(optional, extra)}
@@ -190,7 +225,7 @@ def _random_draft(req: ProposalRequest, rng: random.Random) -> DesignPoint:
         topology=rng.choice(_TOPO_ORDER),
         depth=rng.choice(_DEPTH_LADDER),
         mem=mem,
-        kinds=_pad_kinds(_required_kinds(s, mem), rng),
+        kinds=_padded_kinds(s, mem, rng),
         unroll=unroll,
         vect=vect,
     )
@@ -218,7 +253,7 @@ def _stratified_drafts(req: ProposalRequest, rng: random.Random) -> list[DesignP
                 topology=_TOPO_ORDER[i % len(_TOPO_ORDER)],
                 depth=_DEPTH_LADDER[i % len(_DEPTH_LADDER)],
                 mem=mem,
-                kinds=_pad_kinds(_required_kinds(s, mem), rng),
+                kinds=_padded_kinds(s, mem, rng),
                 unroll=unroll,
                 vect=vects[i % len(vects)],
             )
@@ -259,7 +294,7 @@ def _mutate(anchor: DesignPoint, fieldname: str, req: ProposalRequest, rng: rand
     s, b = req.kernel, req.bounds
     f, sw = anchor.fabric, anchor.sw
     rows, cols, depth, mem = f.rows, f.cols, f.config_mem_depth, f.data_mem_kb
-    topo, kinds = f.topology, set(f.fu_kinds)
+    topo, kinds = f.topology, f.fu_kinds
     unroll, vect = sw.unroll_factor, sw.vectorize_factor
 
     if fieldname == "rows":
@@ -275,13 +310,13 @@ def _mutate(anchor: DesignPoint, fieldname: str, req: ProposalRequest, rng: rand
         floor = 4 if _needs_mem(s) else 0
         mem = max(floor, _step_ladder(mem, _MEM_STEPS, rng))
     elif fieldname == "fu_kinds":
-        required = _required_kinds(s, mem)
+        required, _ = _kinds_of(tuple(s.op_census), mem > 0)
         removable = sorted(k.name for k in kinds - required)
-        addable = sorted(k.name for k in FuKind if k not in kinds)
+        addable = sorted(k.name for k in _FU_KINDS if k not in kinds)
         if removable and (not addable or rng.random() < 0.5):
-            kinds.discard(FuKind[rng.choice(removable)])
+            kinds = kinds - {FuKind[rng.choice(removable)]}
         elif addable:
-            kinds.add(FuKind[rng.choice(addable)])
+            kinds = kinds | {FuKind[rng.choice(addable)]}
     elif fieldname == "unroll_factor":
         unroll = _adjacent(unroll, _legal_unrolls(s, b), rng)
         vects = _legal_vectorizes(s, unroll, b)

@@ -236,7 +236,7 @@ def _cmd_evaluate(args) -> int:
     k = _load_kernel(args.kernel)
     sp = compute_speedup(k, res, tk.trip_count)
     cand = MappedDesign(design=d, mapping=res, trip_after=tk.trip_count, speedup=sp)
-    report = tool_evaluate([cand], k, obj, coeffs)[0]
+    report = tool_evaluate([cand], obj, coeffs)[0]
     doc = {
         "design_id": report.design_id,
         "ii": res.ii,

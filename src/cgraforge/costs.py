@@ -32,8 +32,7 @@ from typing import Sequence
 
 from .arch import DesignPoint, FuKind, Topology
 from .decode import Fields, InputError, loads, member, read_text
-from .kernel import KernelGraph
-from .mapper import MappedDesign, MappingResult, speedup as compute_speedup
+from .mapper import MappedDesign, MappingResult
 
 #: Penalty floor for infeasible designs; any feasible score is far below it.
 BIG = 1.0e6
@@ -162,13 +161,10 @@ def score_point(obj: Objective, speedup_value: float, power_mw: float) -> float:
     return BIG + (obj.min_speedup - speedup_value)
 
 
-def tool_evaluate(
-    cands: Sequence[MappedDesign],
-    kernel: KernelGraph,
-    obj: Objective,
-    coeffs: CostCoeffs,
-) -> list[EvalReport]:
-    """Authoritative evaluation of mapped candidates, in input order.
+def tool_evaluate(cands: Sequence[MappedDesign], obj: Objective, coeffs: CostCoeffs) -> list[EvalReport]:
+    """Authoritative evaluation of mapped candidates, in input order. The
+    speedup is each candidate's own (MappedDesign.speedup, which the mapper's
+    speedup() gave), and power and area come from the surrogate.
 
     Raises EvalError(EVAL_ON_UNMAPPED) if any candidate lacks a mapping; the
     staged pipeline must never let unmapped designs reach evaluation.
@@ -177,7 +173,7 @@ def tool_evaluate(
     for cand in cands:
         if cand.mapping is None:
             raise EvalError("EVAL_ON_UNMAPPED", f"design {cand.design.id} has no mapping")
-        sp = compute_speedup(kernel, cand.mapping, cand.trip_after)
+        sp = cand.speedup
         power, area = estimate_ppa(cand.design, cand.mapping, coeffs)
         reports.append(
             EvalReport(

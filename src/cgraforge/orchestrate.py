@@ -61,6 +61,7 @@ from .arch import (
     Provenance,
     design_dict,
     design_from_dict,
+    design_key,
     serialize_design,
     validate_design,
 )
@@ -212,6 +213,11 @@ class RunConfig:
         }
 
 
+#: The encoder of every history line: the settings of
+#: json.dumps(..., sort_keys=True), made once instead of once per line.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class History:
     """Append-only JSONL event log with a monotone sequence number.
 
@@ -221,8 +227,10 @@ class History:
     A block is one write and one flush, so the file always ends with the
     last block appended, and an iteration that raises, or is killed before
     its block is written, leaves nothing of itself behind; a kill during
-    the write leaves a partial block, which a resume cuts. It keeps the
-    size and a running sha256 of its bytes, for the run's checkpoint."""
+    the write leaves a partial block, which a resume cuts. Each line is
+    the record as json.dumps(record, sort_keys=True) writes it, encoded by
+    one module-level encoder with those settings. It keeps the size and a
+    running sha256 of its bytes, for the run's checkpoint."""
 
     def __init__(self, path: Path, seq: int = 0):
         self.path = path
@@ -242,11 +250,11 @@ class History:
     def append(self, records: list[dict]) -> None:
         """Write records as one block, each on its own line with the
         schema version and the next sequence number."""
+        encode = _LINE_ENCODER.encode
         lines = []
         for record in records:
             self.seq += 1
-            full = {"schema_version": SCHEMA_VERSION, "seq": self.seq, **record}
-            lines.append(json.dumps(full, sort_keys=True) + "\n")
+            lines += encode({"schema_version": SCHEMA_VERSION, "seq": self.seq, **record}), "\n"
         block = "".join(lines).encode()
         self._fh.write(block)
         self._fh.flush()
@@ -415,6 +423,9 @@ class RunResult:
     best_design_path: Path | None
 
 
+#: A design_key that _check has not seen yet (None is a verdict: it passed).
+_UNCHECKED = object()
+
 _COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "mapped_post_total")
 
 
@@ -440,6 +451,7 @@ class _Runner:
         self.mapped_post_total = 0
         self._transforms: dict[tuple[int, int], KernelGraph | TransformError] = {}
         self._map_cache: dict[tuple, _Shape] = {}
+        self._verdicts: dict[tuple, FixableError | None] = {}
 
     # ----- shared checking -------------------------------------------------
 
@@ -463,17 +475,28 @@ class _Runner:
         return shape
 
     def _check(self, d: DesignPoint) -> FixableError | None:
-        """The repair loop's oracle: structural validation, the loop
-        transforms, the FU kinds, the mapping search, the config memory
-        depth, in that order, as in map_kernel. The transforms read only
-        (unroll, vectorize) and run once per pair, failures included; every
-        shape of a pair shares the one kernel object, so the mapper builds
-        that kernel's tables once. The search reads only the design's
-        shape, so the map cache keys on (unroll, vectorize, rows, cols,
-        topology) and holds what each shape gave, failures included: the
-        search runs once per shape, on the fabric with every FU kind and a
-        config memory as deep as max_ii, and the FU-kind and depth checks
-        run per design."""
+        """The repair loop's oracle, memoized per design_key for the run:
+        the verdict reads only the design's file-visible fields (its
+        shape, FU kinds and config memory depth) and the run's kernel,
+        budget and caches, never its id or note, so each distinct design
+        is checked once and a repeated draft costs one lookup."""
+        key = design_key(d)
+        verdict = self._verdicts.get(key, _UNCHECKED)
+        if verdict is _UNCHECKED:
+            verdict = self._verdicts[key] = self._verdict(d)
+        return verdict
+
+    def _verdict(self, d: DesignPoint) -> FixableError | None:
+        """Structural validation, the loop transforms, the FU kinds, the
+        mapping search, the config memory depth, in that order, as in
+        map_kernel. The transforms read only (unroll, vectorize) and run
+        once per pair, failures included; every shape of a pair shares the
+        one kernel object, so the mapper builds that kernel's tables once.
+        The search reads only the design's shape, so the map cache keys on
+        (unroll, vectorize, rows, cols, topology) and holds what each shape
+        gave, failures included: the search runs once per shape, on the
+        fabric with every FU kind and a config memory as deep as max_ii,
+        and the FU-kind and depth checks run per distinct design."""
         violations = validate_design(d)
         if violations:
             return violations
@@ -514,7 +537,7 @@ class _Runner:
             bounds=DesignSpaceBounds(),
         )
         drafts = [
-            dataclasses.replace(d, id=f"i{it:03d}c{k:02d}")
+            DesignPoint(fabric=d.fabric, sw=d.sw, id=f"i{it:03d}c{k:02d}", provenance=d.provenance, note=d.note)
             for k, d in enumerate(propose(req, cfg.backend))
         ]
 
@@ -559,7 +582,7 @@ class _Runner:
             return llm_select(top, self.judge)
 
         def tool_round() -> ToolRound:
-            reports = tuple(tool_evaluate(top, self.kernel, cfg.objective, self.coeffs))
+            reports = tuple(tool_evaluate(top, cfg.objective, self.coeffs))
             choice, score = tool_select(reports)
             captured["reports"] = reports
             return ToolRound(reports=reports, choice=choice, score=score)
@@ -579,7 +602,7 @@ class _Runner:
             reports = captured["reports"]
         else:
             chosen = next(m for m in top if m.design.id == rec.final_choice)
-            reports = tool_evaluate([chosen], self.kernel, cfg.objective, self.coeffs)
+            reports = tool_evaluate([chosen], cfg.objective, self.coeffs)
         return [step] + [
             {"type": "eval", "iteration": it, "design_id": r.design_id, "report": _report_dict(r)} for r in reports
         ]

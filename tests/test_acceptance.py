@@ -352,7 +352,7 @@ def test_criterion_07_judge_learning():
             hits = 0
             for cands in sets:
                 judge_choice = judge.select(cands)[0]
-                tool_choice = tool_select(tool_evaluate(cands, kernel, OBJ, coeffs))[0]
+                tool_choice = tool_select(tool_evaluate(cands, OBJ, coeffs))[0]
                 hits += judge_choice == tool_choice
             return hits / len(sets)
 
@@ -364,7 +364,7 @@ def test_criterion_07_judge_learning():
         judge = heuristic.HeuristicFineJudge(OBJ)
         before = agreement(judge, eval_sets)
         for cands in train_sets:
-            reports = tool_evaluate(cands, kernel, OBJ, coeffs)
+            reports = tool_evaluate(cands, OBJ, coeffs)
             tool_choice, _ = tool_select(reports)
             judge_choice, _ = judge.select(cands)
             judge.replay(judge.lesson(cands, reports, tool_choice, judge_choice))
@@ -477,8 +477,8 @@ def test_criterion_10_cost_model_orderings():
             assert by_topo[Topology.MESH][0] < by_topo[Topology.KINGMESH][0] < by_topo[Topology.CROSSBAR][0]
             assert by_topo[Topology.MESH][1] < by_topo[Topology.KINGMESH][1] < by_topo[Topology.CROSSBAR][1]
 
-            cand = MappedDesign(design=d, mapping=stub, trip_after=8, speedup=0.0)
-            report = tool_evaluate([cand], kernel, OBJ, coeffs)[0]
+            cand = MappedDesign(design=d, mapping=stub, trip_after=8, speedup=compute_speedup(kernel, stub, 8))
+            report = tool_evaluate([cand], OBJ, coeffs)[0]
             want = report.speedup / report.power_mw
             assert abs(report.power_efficiency - want) <= 1e-12 * abs(want)
 

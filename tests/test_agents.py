@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgraforge.agents import (
     LESSON_CAP,
@@ -95,6 +97,41 @@ class TestClampDesign:
     def test_in_bounds_design_is_returned_unchanged(self):
         d = make_design()
         assert heuristic.clamp_design(d, DesignSpaceBounds()) is d
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        rows=st.integers(-4, 40),
+        cols=st.integers(-4, 40),
+        depth=st.integers(-8, 80),
+        mem=st.integers(-16, 64),
+        unroll=st.integers(-2, 20),
+        vect=st.integers(-2, 10),
+        kinds=st.frozensets(st.sampled_from(tuple(FuKind))),
+        topology=st.sampled_from(tuple(Topology)),
+        bounds=st.sampled_from(
+            (
+                DesignSpaceBounds(),
+                DesignSpaceBounds(rows=(2, 3), cols=(2, 5), config_mem_depth=(4, 8), unroll_factor=(1, 2)),
+            )
+        ),
+    )
+    def test_draft_is_built_clamped_by_the_clamp_rule(
+        self, rows, cols, depth, mem, unroll, vect, kinds, topology, bounds
+    ):
+        """_mk_draft clamps before it builds; the draft equals clamp_design
+        of the same draft built unclamped."""
+        fields = dict(
+            rows=rows, cols=cols, topology=topology, depth=depth, mem=mem, kinds=kinds, unroll=unroll, vect=vect
+        )
+        raw = DesignPoint(
+            fabric=FabricSpec(rows, cols, kinds, depth, mem, topology),
+            sw=SwParams(unroll_factor=unroll, vectorize_factor=vect),
+            id="draft",
+            provenance=Provenance.PROPOSED,
+            note="n",
+        )
+        summary = summarize(chain_kernel(length=3, trip_count=64))
+        assert heuristic._mk_draft(summary, bounds, "n", **fields) == heuristic.clamp_design(raw, bounds)
 
 
 class TestPropose:

@@ -19,7 +19,7 @@ from cgraforge.costs import (
     tool_select,
 )
 from cgraforge.arch import FuKind, Topology
-from cgraforge.mapper import MappedDesign
+from cgraforge.mapper import MappedDesign, speedup
 from helpers import FULL_FABRIC, chain_kernel, make_design, map_checked, random_design
 
 COEFFS = load_cost_coeffs()
@@ -184,9 +184,10 @@ class TestToolEvaluate:
         k = chain_kernel(length=3, latency=4, trip_count=64)
         d = make_design(design_id="r1")
         m = map_checked(k, d.fabric)
-        cand = MappedDesign(design=d, mapping=m, trip_after=64, speedup=0.0)
-        (rep,) = tool_evaluate([cand], k, MIN_POWER, COEFFS)
+        cand = MappedDesign(design=d, mapping=m, trip_after=64, speedup=speedup(k, m, 64))
+        (rep,) = tool_evaluate([cand], MIN_POWER, COEFFS)
         assert rep.design_id == "r1"
+        assert rep.speedup == cand.speedup > 0
         assert rep.power_efficiency == rep.speedup / rep.power_mw
         assert rep.feasible == (rep.speedup >= MIN_POWER.min_speedup)
         assert rep.score == score_point(MIN_POWER, rep.speedup, rep.power_mw)
@@ -196,15 +197,17 @@ class TestToolEvaluate:
         cands = []
         for name in ("z", "a", "m"):
             d = make_design(design_id=name)
-            cands.append(MappedDesign(design=d, mapping=map_checked(k, d.fabric), trip_after=k.trip_count, speedup=0.0))
-        reports = tool_evaluate(cands, k, MIN_POWER, COEFFS)
+            m = map_checked(k, d.fabric)
+            sp = speedup(k, m, k.trip_count)
+            cands.append(MappedDesign(design=d, mapping=m, trip_after=k.trip_count, speedup=sp))
+        reports = tool_evaluate(cands, MIN_POWER, COEFFS)
         assert [r.design_id for r in reports] == ["z", "a", "m"]
 
     def test_unmapped_candidate_raises(self):
         k = chain_kernel()
         cand = MappedDesign(design=make_design(), mapping=None, trip_after=k.trip_count, speedup=0.0)
         with pytest.raises(EvalError) as ei:
-            tool_evaluate([cand], k, MIN_POWER, COEFFS)
+            tool_evaluate([cand], MIN_POWER, COEFFS)
         assert ei.value.code == "EVAL_ON_UNMAPPED"
 
 

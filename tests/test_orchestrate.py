@@ -12,6 +12,7 @@ import pytest
 from cgraforge.agents import AgentBackend, BackendKind, error_payload, llm
 from cgraforge.arch import (
     FuKind,
+    Provenance,
     Topology,
     design_dict,
     design_from_dict,
@@ -19,7 +20,7 @@ from cgraforge.arch import (
     serialize_design,
     validate_design,
 )
-from cgraforge.costs import ObjectiveMode
+from cgraforge.costs import Objective, ObjectiveMode
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
 from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
@@ -263,6 +264,22 @@ class TestHistory:
         for line in lines:
             assert line == json.dumps(json.loads(line), sort_keys=True)
 
+    def test_non_ascii_config_is_written_as_json_dumps_writes_it(self, tmp_path):
+        """The line encoder has json.dumps's settings: a kernel path with
+        non-ASCII characters is escaped in the run header exactly as
+        json.dumps(record, sort_keys=True) escapes it."""
+        from importlib import resources
+
+        path = tmp_path / "größe-µ 核.json"
+        path.write_text(resources.files("cgraforge.data.kernels").joinpath("spmv.json").read_text("utf-8"), "utf-8")
+        data = run(quick_cfg(kernel=str(path)), tmp_path / "out").history_path.read_bytes()
+        lines = data.decode("ascii").split("\n")
+        assert lines.pop() == "" and len(lines) > 3
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert json.loads(lines[0])["config"]["kernel"] == str(path)
+        assert "gr\\u00f6\\u00dfe-\\u00b5 \\u6838.json" in lines[0]
+
     def test_handle_is_closed_when_a_run_fails(self, tmp_path, monkeypatch):
         handles = []
 
@@ -470,36 +487,55 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# (kernel, iterations, built one iteration per resume) -> sha256 of
-# history.jsonl, of metrics.json without its meta block (written as run
-# writes it: indent 2, sorted keys, a final newline) and of
-# best_design.json, for the default config at seed 0. Any change to a byte
-# of a run's output fails here; a change that means to move one says so
-# and re-pins.
+# (kernel, iterations, seed, objective mode, built one iteration per
+# resume) -> sha256 of history.jsonl, of metrics.json without its meta
+# block (written as run writes it: indent 2, sorted keys, a final newline)
+# and of best_design.json, for the default config otherwise. The rows
+# cover the proposer's paths that loop_bound takes: the stratified batch,
+# mutations of every field, random redraws, and both objectives. Any
+# change to a byte of a run's output fails here; a change that means to
+# move one says so and re-pins.
+MPE = "MAX_POWER_EFFICIENCY"
 GOLDEN_RUNS = [
-    ("spmv", 20, False, "0fd6dfe68a80a987fd36104eb6dbdb68c6f25f9034f60c5fd98cb1aafb3c42f2",
+    ("spmv", 20, 0, "MIN_POWER", False, "0fd6dfe68a80a987fd36104eb6dbdb68c6f25f9034f60c5fd98cb1aafb3c42f2",
      "6c338a67e388180ed2f95a7aa4587ab1958ed2b5062363bf95d34a0900f5851b",
      "ed34824eee70a7184feaaf6e68bf8c09c5cb1835e718c76d38dff727cc8aa684"),
-    ("fft", 20, False, "8046562ba146aa741d9949fd46a916a15c116a38cc807970ad4a9188c3278b44",
+    ("fft", 20, 0, "MIN_POWER", False, "8046562ba146aa741d9949fd46a916a15c116a38cc807970ad4a9188c3278b44",
      "b75bd7612a3a1661ce7add41a5437b0d84d49d9b876919225b875dd79d7a65ef",
      "0ac8b6e76b53991cf5c6f4716c6d9fe95c70586942b26b6c93defbd47617c267"),
-    ("hpc_mix", 20, False, "a2e4a25ecc39bfb915fb58d963e18b8e09b26d00de29e5be8ac0728fd4bd2514",
+    ("hpc_mix", 20, 0, "MIN_POWER", False, "a2e4a25ecc39bfb915fb58d963e18b8e09b26d00de29e5be8ac0728fd4bd2514",
      "e2ea215110c44a4573e5dbf38ec1579e08435ede1d08e4be9fd419002432cfc7",
      "7687e05c93667b77720b43ffebc79a687ffab6ae319f884e011985e02ecb9bdc"),
-    ("fir", 3, False, "c476c0c3fb093c6ad20dd9a13e7b8c90753bf99e7a7485ad52e8760dc4e8e26b",
+    ("fir", 3, 0, "MIN_POWER", False, "c476c0c3fb093c6ad20dd9a13e7b8c90753bf99e7a7485ad52e8760dc4e8e26b",
      "ab956bf7fd8662ac3c74560099d4706b9d94ae5533007913670a20aa836b7be5",
      "0b2ce84254dc9b9edbe1c323c7f3022bb5df7e2e1477be9fa81f865b5cdf8856"),
-    ("spmv", 8, True, "89ba31850117b98ad63ad12a3c0ae8fbe11c02e2b125f8f05f8909810dfd7b66",
+    ("spmv", 8, 0, "MIN_POWER", True, "89ba31850117b98ad63ad12a3c0ae8fbe11c02e2b125f8f05f8909810dfd7b66",
      "60447cf8288e724403a31dda3e1f03bb8a3131d045d798237c3d52a03999f14f",
      "e010a8b9eac0a04fa32a0ff676ff0d699955ce52af8d08a3017b34eedf28e3b7"),
+    ("relu", 20, 1, "MIN_POWER", False, "30270c663cb1f491f7a55de58f67fe6673d1e72608a8c61a22e37736034f6faa",
+     "970e65400362339a0e101c41de9d0ed16f004aa91a56b0a80e94dddc0d1c2c2e",
+     "455ea90998f8265eae6328b639c43683970b13b15ef9b26d82cd60b069e14223"),
+    ("fft", 20, 2, "MIN_POWER", False, "c8875abe4479dc555d6d8d23caa5174c44786d3e4a6a2aa4d761ed158d9538ba",
+     "68ca7e10eec984f0c368cc1d20d7b302a01b23886220b71297e1b6199d919ad9",
+     "0ac8b6e76b53991cf5c6f4716c6d9fe95c70586942b26b6c93defbd47617c267"),
+    ("hpc_mix", 20, 0, MPE, False, "1561aab851aa6260fbbfe571680ca4513c661286ed9e0f8e635d803eb26df9ec",
+     "74697776d5671d07ca96cf9f42e1864d24ade52f7d7301205b991c60659da020",
+     "8341a55bd9e08e37f9bbeb20de9c7ddab381d1aba2773195f667827f6a73e162"),
 ]
 
 
+def _golden_id(case) -> str:
+    kernel, iterations, seed, mode, chained = case[:5]
+    return f"{kernel}-{iterations}" + (f"-seed{seed}" if seed else "") + (f"-{mode}" if mode != "MIN_POWER" else "") + (
+        "-chained" if chained else ""
+    )
+
+
 class TestGoldenRuns:
-    @pytest.mark.parametrize("case", GOLDEN_RUNS, ids=lambda c: f"{c[0]}-{c[1]}{'-chained' if c[2] else ''}")
+    @pytest.mark.parametrize("case", GOLDEN_RUNS, ids=_golden_id)
     def test_run_outputs_are_pinned(self, tmp_path, case):
-        kernel, iterations, chained, history_sha, metrics_sha, best_sha = case
-        cfg = RunConfig(kernel=kernel, iterations=iterations, seed=0)
+        kernel, iterations, seed, mode, chained, history_sha, metrics_sha, best_sha = case
+        cfg = RunConfig(kernel=kernel, iterations=iterations, seed=seed, objective=Objective(ObjectiveMode[mode], 1.5))
         for it in range(1, iterations + 1) if chained else [iterations]:
             result = run(dataclasses.replace(cfg, iterations=it), tmp_path / "out", resume=chained and it > 1)
         metrics = json.loads(result.metrics_path.read_text())
@@ -807,6 +843,42 @@ class TestMapCache:
             assert len(runner._map_cache) <= 4
         # the sample reaches every stage of the check
         assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
+
+    def test_a_design_key_is_checked_once_and_mapped_as_its_own_design(self, tmp_path, monkeypatch):
+        """_check keeps one verdict per design_key for the run: designs that
+        differ only in id, note and provenance get equal verdicts from one
+        validation, and _mapped gives each caller its own design."""
+        from cgraforge import orchestrate
+
+        validated = []
+        real_validate = orchestrate.validate_design
+        monkeypatch.setattr(orchestrate, "validate_design", lambda d: validated.append(d.id) or real_validate(d))
+        runner = _Runner(RunConfig(kernel="spmv", budget=self.BUDGET), tmp_path)
+        cases = {
+            "OK": make_design(),
+            "STRUCTURAL": make_design(rows=0),
+            "NON_DIVISIBLE_FACTOR": make_design(unroll_factor=5),
+            "MISSING_FU_KIND": make_design(fu_kinds=frozenset({FuKind.ADD}), data_mem_kb=0),
+            "CONFIG_MEM_OVERFLOW": make_design(config_mem_depth=1),
+        }
+        for want, base in cases.items():
+            first = dataclasses.replace(base, id=f"{want}-1", note="proposal:random")
+            again = dataclasses.replace(
+                base, id=f"{want}-2", note="proposal:mutate:rows;repair:ROWS_RANGE", provenance=Provenance.REPAIRED
+            )
+            verdicts = [runner._check(first), runner._check(again)]
+            assert validated == [first.id], want  # the repeat is a lookup
+            validated.clear()
+            if want == "OK":
+                assert verdicts == [None, None]
+                for d in (first, again):
+                    m = runner._mapped(d)
+                    assert m.design is d
+                    assert check_mapping(apply_sw_params(runner.kernel, 1, 1), d.fabric, m.mapping) == []
+            else:
+                payloads = [error_payload(v) for v in verdicts]
+                assert payloads[0] == payloads[1]
+                assert payloads[0].get("code", "STRUCTURAL") == want
 
     def test_designs_read_back_from_their_fields(self):
         """The fold rebuilds each design from its history fields; the
