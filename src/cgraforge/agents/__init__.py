@@ -1,6 +1,8 @@
 """Agent layer: proposal, repair, and judging, in heuristic and LLM flavors.
 
-Both backends implement the same four roles behind one interface:
+A run has one agent object, built once by make_fine_judge from the run's
+backend, objective and seed; that factory is the only code that reads the
+backend kind. The agent plays four roles:
 
 * propose      - draft candidate design points from a kernel summary and
                  recent history,
@@ -11,19 +13,21 @@ Both backends implement the same four roles behind one interface:
                  the selection controller calibrates against the tool), plus
                  a lesson store it learns from.
 
-The heuristic backend is fully deterministic given its seed. The LLM backend
-degrades to the heuristic one on any transport, parse, or validation
-failure, so the pipeline never aborts because an agent misbehaved. Only a
-call that dispatches to the LLM backend imports its module, so a heuristic
-run never loads it. Agent calls are issued sequentially in candidate order
-(the pipeline stays deterministic; independent calls could be parallelized
-without changing results). History and the lesson store have a single
-writer: the orchestrator.
+The heuristic agent (heuristic.HeuristicAgent) is fully deterministic given
+the run's seed. The LLM agent (llm.LlmAgent) extends it: it asks the model
+first in each role and falls back to the inherited heuristic method on any
+transport, parse, or validation failure, so the pipeline never aborts
+because an agent misbehaved. Lessons and the learned correction live in the
+heuristic part, so both agents learn the same way. Only the LLM backend
+imports the LLM module, so a heuristic run never loads it. Agent calls are
+issued sequentially in candidate order (the pipeline stays deterministic;
+independent calls could be parallelized without changing results). History
+and the lesson store have a single writer: the orchestrator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol, Sequence, Union
 
@@ -67,7 +71,6 @@ class AgentBackend:
     """
 
     kind: BackendKind = BackendKind.HEURISTIC
-    seed: int = 0
     base_url: str | None = None
     model: str | None = None
     temperature: float = 0.2
@@ -159,8 +162,22 @@ class Lesson:
     agreed: bool
 
 
-class FineJudge(Protocol):
-    """Score-and-pick counterpart to the tool evaluator."""
+class Agent(Protocol):
+    """The run's one agent: proposer, repairer, coarse ranker and fine judge
+    (the score-and-pick counterpart to the tool evaluator), with the lesson
+    store and correction `theta` it learns. make_fine_judge builds it."""
+
+    seed: int
+    theta: list[float]
+    lessons: Sequence[Lesson]
+
+    def propose(self, req: ProposalRequest) -> list[DesignPoint]: ...
+
+    def repair_once(self, d: DesignPoint, err: FixableError) -> DesignPoint: ...
+
+    def coarse_rank(self, cands: Sequence[MappedDesign]) -> list[MappedDesign]:
+        """Every candidate, best first."""
+        ...
 
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]: ...
 
@@ -189,23 +206,28 @@ def proxy_score(cand: MappedDesign) -> float:
     return cand.speedup / (f.tiles * len(f.fu_kinds) * PROXY_WIRING[f.topology])
 
 
-def propose(req: ProposalRequest, backend: AgentBackend) -> list[DesignPoint]:
+def make_fine_judge(backend: AgentBackend, objective: Objective, seed: int) -> Agent:
+    """The run's one agent; the only code that reads backend.kind."""
+    if backend.kind is BackendKind.LLM:
+        from .llm import LlmAgent
+
+        return LlmAgent(backend, objective, seed)
+    from .heuristic import HeuristicAgent
+
+    return HeuristicAgent(objective, seed)
+
+
+def propose(req: ProposalRequest, agent: Agent) -> list[DesignPoint]:
     """Draft up to req.count design points (placeholder ids; the orchestrator
     assigns run-unique ids). Drafts need not be valid; fields are clamped
     into bounds but cross-field invariants are validation's job."""
-    from . import heuristic
-
-    if backend.kind is BackendKind.LLM:
-        from . import llm
-
-        return llm.propose(req, backend)
-    return heuristic.propose(req, backend.seed)
+    return agent.propose(req)
 
 
 def fix_design(
     d: DesignPoint,
     err: FixableError,
-    backend: AgentBackend,
+    agent: Agent,
     check: Callable[[DesignPoint], FixableError | None],
     max_rounds: int = 4,
 ) -> DesignPoint | FixFailure:
@@ -215,16 +237,9 @@ def fix_design(
     success or the next error to fix. Repaired designs keep their id and are
     marked REPAIRED with a note chain of applied rules.
     """
-    from . import heuristic
-
     cur, cur_err = d, err
     for _ in range(max_rounds):
-        if backend.kind is BackendKind.LLM:
-            from . import llm
-
-            nxt = llm.repair_once(cur, cur_err, backend)
-        else:
-            nxt = heuristic.repair_once(cur, cur_err)
+        nxt = agent.repair_once(cur, cur_err)
         outcome = check(nxt)
         if outcome is None:
             return nxt
@@ -232,42 +247,21 @@ def fix_design(
     return FixFailure(design=cur, rounds=max_rounds, error=cur_err)
 
 
-def coarse_judge(
-    cands: Sequence[MappedDesign],
-    obj: Objective,
-    k: int,
-    backend: AgentBackend,
-) -> list[MappedDesign]:
-    """Top-k mapped candidates, best first. The heuristic backend ranks by
-    the pinned proxy (ties on design id); the LLM backend may reorder but is
+def coarse_judge(cands: Sequence[MappedDesign], k: int, agent: Agent) -> list[MappedDesign]:
+    """Top-k mapped candidates, best first. The heuristic agent ranks by
+    the pinned proxy (ties on design id); the LLM agent may reorder but is
     validated against the candidate set and falls back to the proxy."""
-    from . import heuristic
-
-    if backend.kind is BackendKind.LLM:
-        from . import llm
-
-        return llm.coarse_rank(cands, obj, backend)[:k]
-    return heuristic.coarse_rank(cands)[:k]
+    return agent.coarse_rank(cands)[:k]
 
 
-def make_fine_judge(backend: AgentBackend, obj: Objective) -> FineJudge:
-    from . import heuristic
-
-    if backend.kind is BackendKind.LLM:
-        from . import llm
-
-        return llm.LlmFineJudge(backend, obj)
-    return heuristic.HeuristicFineJudge(obj)
-
-
-def llm_select(k_designs: Sequence[MappedDesign], judge: FineJudge) -> tuple[str, float]:
+def llm_select(k_designs: Sequence[MappedDesign], judge: Agent) -> tuple[str, float]:
     """The judge's (choice id, score estimate); score semantics match
     tool_select (lower is better, same units)."""
     return judge.select(k_designs)
 
 
 def llm_update(
-    judge: FineJudge,
+    judge: Agent,
     k_designs: Sequence[MappedDesign],
     reports: Sequence[EvalReport],
     tool_choice: str,
@@ -275,5 +269,5 @@ def llm_update(
 ) -> Lesson:
     """The lesson of one tool-validated round, for the history. Building it
     leaves the judge untouched: the run absorbs it when it folds the round's
-    events in (FineJudge.replay)."""
+    events in (Agent.replay)."""
     return judge.lesson(k_designs, reports, tool_choice, judge_choice)

@@ -1,7 +1,7 @@
-"""Deterministic agent backend.
+"""Deterministic agent.
 
 Fully reproducible: every decision is a pure function of the request plus
-the backend seed. Proposal randomness is re-derived per iteration from
+the run's seed. Proposal randomness is re-derived per iteration from
 (seed, iteration), so replaying history never depends on call order or on
 how many random draws earlier iterations consumed.
 """
@@ -162,7 +162,6 @@ def _legal_vectorizes_of(trip_count: int, carried: int, gcd: int, unroll: int, l
 
 
 def _mk_draft(
-    s: KernelSummary,
     b: DesignSpaceBounds,
     note: str,
     *,
@@ -217,7 +216,6 @@ def _random_draft(req: ProposalRequest, rng: random.Random) -> DesignPoint:
     unroll = rng.choice(capped or unrolls[:1])
     vect = rng.choice(_legal_vectorizes(s, unroll, b))
     return _mk_draft(
-        s,
         b,
         "proposal:random",
         rows=rows,
@@ -245,7 +243,6 @@ def _stratified_drafts(req: ProposalRequest, rng: random.Random) -> list[DesignP
         mem = _MEM_LADDER[i % len(_MEM_LADDER)] if _needs_mem(s) else 0
         out.append(
             _mk_draft(
-                s,
                 b,
                 "proposal:stratified",
                 rows=rows,
@@ -326,7 +323,6 @@ def _mutate(anchor: DesignPoint, fieldname: str, req: ProposalRequest, rng: rand
         vect = _adjacent(vect, _legal_vectorizes(s, unroll, b), rng)
 
     return _mk_draft(
-        s,
         b,
         f"proposal:mutate:{fieldname}",
         rows=rows,
@@ -497,8 +493,10 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 @dataclass
-class HeuristicFineJudge:
-    """Linear score estimator calibrated online against the tool.
+class HeuristicAgent:
+    """The deterministic agent: proposal and repair by the rules above,
+    coarse ranking by the proxy, and as fine judge a linear score estimator
+    calibrated online against the tool.
 
     The base score is a coefficient-free structural proxy in the tool's
     units; a learned correction theta . features is added on top. With zero
@@ -509,8 +507,18 @@ class HeuristicFineJudge:
     """
 
     objective: Objective
+    seed: int = 0
     theta: list[float] = field(default_factory=lambda: [0.0] * 12)
     lessons: deque = field(default_factory=lambda: deque(maxlen=LESSON_CAP))
+
+    def propose(self, req: ProposalRequest) -> list[DesignPoint]:
+        return propose(req, self.seed)
+
+    def repair_once(self, d: DesignPoint, err: FixableError) -> DesignPoint:
+        return repair_once(d, err)
+
+    def coarse_rank(self, cands: Sequence[MappedDesign]) -> list[MappedDesign]:
+        return coarse_rank(cands)
 
     def _features(self, cand: MappedDesign) -> tuple[float, ...]:
         f = cand.design.fabric

@@ -1,11 +1,12 @@
-"""LLM-backed agents over an OpenAI-compatible chat completions endpoint.
+"""LLM-backed agent over an OpenAI-compatible chat completions endpoint.
 
 Connection settings come from the backend record or the MALTA_LLM_URL /
 MALTA_LLM_MODEL environment variables; the bearer token is read from
-MALTA_LLM_TOKEN only. Every role degrades to the deterministic heuristic
-backend on transport, parse, or validation failure: a flaky endpoint makes
-a run slower and noisier, never dead. The HTTP POST function is injectable
-so tests can fake the endpoint without a network.
+MALTA_LLM_TOKEN only. LlmAgent extends the heuristic agent, and every role
+it overrides degrades to the inherited heuristic method on transport,
+parse, or validation failure: a flaky endpoint makes a run slower and
+noisier, never dead. The HTTP POST function is injectable so tests can fake
+the endpoint without a network.
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ from ..arch import (
     design_dict,
     design_key,
 )
-from ..costs import EvalReport, Objective
+from ..costs import Objective
 from ..mapper import MappedDesign
-from . import (
-    AgentBackend,
-    FixableError,
-    Lesson,
-    ProposalRequest,
-    error_payload,
-    proxy_score,
-)
-from .heuristic import HeuristicFineJudge, clamp_design
-from . import heuristic as _heuristic
+from . import AgentBackend, FixableError, ProposalRequest, error_payload, proxy_score
+from .heuristic import HeuristicAgent, clamp_design
 
 log = logging.getLogger(__name__)
 
@@ -156,126 +149,118 @@ def _draft_from_entry(entry: object) -> DesignPoint | None:
     return DesignPoint(fabric=fabric, sw=sw, id="draft", provenance=Provenance.PROPOSED, note="proposal:llm")
 
 
-def propose(req: ProposalRequest, backend: AgentBackend) -> list[DesignPoint]:
-    """Ask the model for drafts; top up to req.count with heuristic drafts
-    (which also covers the total-failure case)."""
-    drafts: list[DesignPoint] = []
-    try:
-        prompt = _render(
-            "proposer.txt",
-            kernel=json.dumps(dataclasses.asdict(req.kernel), indent=2, sort_keys=True),
-            objective=json.dumps(_objective_dict(req.objective), indent=2),
-            bounds=json.dumps(dataclasses.asdict(req.bounds), indent=2),
-            history=json.dumps(
-                [
-                    {
-                        "iteration": o.iteration,
-                        "design": design_dict(o.design),
-                        "score": o.score,
-                        "feasible": o.feasible,
-                        "error_code": o.error_code,
-                    }
-                    for o in req.history_window
-                ],
-                indent=2,
-            ),
-            count=str(req.count),
-        )
-        data = extract_json(LlmClient(backend).chat(prompt))
-        entries = data.get("designs", []) if isinstance(data, dict) else []
-        for entry in entries:
-            d = _draft_from_entry(entry)
-            if d is not None:
-                drafts.append(clamp_design(d, req.bounds))
-    except Exception as e:  # noqa: BLE001 - degrade, never abort the run
-        log.warning("LLM proposer failed (%s); falling back to heuristic drafts", e)
+class LlmAgent(HeuristicAgent):
+    """The heuristic agent with the model asked first in each role.
 
-    out: list[DesignPoint] = []
-    seen: set[tuple] = set()
-    for d in drafts + _heuristic.propose(req, backend.seed):
-        key = design_key(d)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-        if len(out) == req.count:
-            break
-    return out
-
-
-def repair_once(d: DesignPoint, err: FixableError, backend: AgentBackend) -> DesignPoint:
-    """One model-guided repair step; falls back to the rule table."""
-    try:
-        prompt = _render(
-            "fixer.txt",
-            design=json.dumps(design_dict(d), indent=2),
-            error=json.dumps(error_payload(err), indent=2),
-        )
-        data = extract_json(LlmClient(backend).chat(prompt))
-        entry = data.get("design") if isinstance(data, dict) else None
-        fixed = _draft_from_entry(entry)
-        if fixed is None:
-            raise LlmError("repair response has no usable design")
-    except Exception as e:  # noqa: BLE001
-        log.warning("LLM fixer failed (%s); falling back to heuristic repair", e)
-        return _heuristic.repair_once(d, err)
-    code = "structural" if isinstance(err, list) else err.code
-    tag = f"repair:{code}"
-    note = f"{d.note};{tag}" if d.note else tag
-    return dataclasses.replace(fixed, id=d.id, provenance=Provenance.REPAIRED, note=note)
-
-
-def coarse_rank(cands: Sequence[MappedDesign], obj: Objective, backend: AgentBackend) -> list[MappedDesign]:
-    """Model-ordered candidate list, sanitized against the real candidate
-    set; ids the model forgot keep their proxy order at the tail."""
-    fallback = _heuristic.coarse_rank(cands)
-    try:
-        prompt = _render(
-            "coarse_judge.txt",
-            objective=json.dumps(_objective_dict(obj), indent=2),
-            candidates=json.dumps([_candidate_dict(c) for c in cands], indent=2),
-        )
-        data = extract_json(LlmClient(backend).chat(prompt))
-        ranking = data.get("ranking") if isinstance(data, dict) else None
-        if not isinstance(ranking, list):
-            raise LlmError("ranking response has no id list")
-    except Exception as e:  # noqa: BLE001
-        log.warning("LLM coarse judge failed (%s); falling back to proxy ranking", e)
-        return fallback
-    by_id = {c.design.id: c for c in cands}
-    out: list[MappedDesign] = []
-    for cid in ranking:
-        c = by_id.pop(cid, None) if isinstance(cid, str) else None
-        if c is not None:
-            out.append(c)
-    out.extend(c for c in fallback if c.design.id in by_id)
-    return out
-
-
-class LlmFineJudge:
-    """Fine judge that asks the model to choose, with a heuristic shadow.
-
-    The shadow judge absorbs every lesson, so a fallback (or a later switch
-    of backends) continues from a calibrated state rather than zero.
+    Proposal, repair, coarse ranking and selection go to the model, and
+    each falls back to the inherited heuristic method when the model's
+    answer cannot be used. Lessons and theta are the heuristic judge's, so
+    a fallback continues from a calibrated state rather than zero.
     """
 
-    def __init__(self, backend: AgentBackend, objective: Objective):
-        self.backend = backend
-        self.shadow = HeuristicFineJudge(objective)
+    def __init__(self, backend: AgentBackend, objective: Objective, seed: int = 0):
+        super().__init__(objective, seed)
+        self.client = LlmClient(backend)
 
-    @property
-    def lessons(self):
-        return self.shadow.lessons
+    def propose(self, req: ProposalRequest) -> list[DesignPoint]:
+        """Ask the model for drafts; top up to req.count with heuristic
+        drafts (which also covers the total-failure case)."""
+        drafts: list[DesignPoint] = []
+        try:
+            prompt = _render(
+                "proposer.txt",
+                kernel=json.dumps(dataclasses.asdict(req.kernel), indent=2, sort_keys=True),
+                objective=json.dumps(_objective_dict(req.objective), indent=2),
+                bounds=json.dumps(dataclasses.asdict(req.bounds), indent=2),
+                history=json.dumps(
+                    [
+                        {
+                            "iteration": o.iteration,
+                            "design": design_dict(o.design),
+                            "score": o.score,
+                            "feasible": o.feasible,
+                            "error_code": o.error_code,
+                        }
+                        for o in req.history_window
+                    ],
+                    indent=2,
+                ),
+                count=str(req.count),
+            )
+            data = extract_json(self.client.chat(prompt))
+            entries = data.get("designs", []) if isinstance(data, dict) else []
+            for entry in entries:
+                d = _draft_from_entry(entry)
+                if d is not None:
+                    drafts.append(clamp_design(d, req.bounds))
+        except Exception as e:  # noqa: BLE001 - degrade, never abort the run
+            log.warning("LLM proposer failed (%s); falling back to heuristic drafts", e)
 
-    @property
-    def theta(self):
-        return self.shadow.theta
+        out: list[DesignPoint] = []
+        seen: set[tuple] = set()
+        for d in drafts + super().propose(req):
+            key = design_key(d)
+            if key not in seen:
+                seen.add(key)
+                out.append(d)
+            if len(out) == req.count:
+                break
+        return out
+
+    def repair_once(self, d: DesignPoint, err: FixableError) -> DesignPoint:
+        """One model-guided repair step; falls back to the rule table."""
+        try:
+            prompt = _render(
+                "fixer.txt",
+                design=json.dumps(design_dict(d), indent=2),
+                error=json.dumps(error_payload(err), indent=2),
+            )
+            data = extract_json(self.client.chat(prompt))
+            entry = data.get("design") if isinstance(data, dict) else None
+            fixed = _draft_from_entry(entry)
+            if fixed is None:
+                raise LlmError("repair response has no usable design")
+        except Exception as e:  # noqa: BLE001
+            log.warning("LLM fixer failed (%s); falling back to heuristic repair", e)
+            return super().repair_once(d, err)
+        code = "structural" if isinstance(err, list) else err.code
+        tag = f"repair:{code}"
+        note = f"{d.note};{tag}" if d.note else tag
+        return dataclasses.replace(fixed, id=d.id, provenance=Provenance.REPAIRED, note=note)
+
+    def coarse_rank(self, cands: Sequence[MappedDesign]) -> list[MappedDesign]:
+        """Model-ordered candidate list, sanitized against the real
+        candidate set; ids the model forgot keep their proxy order at the
+        tail."""
+        fallback = super().coarse_rank(cands)
+        try:
+            prompt = _render(
+                "coarse_judge.txt",
+                objective=json.dumps(_objective_dict(self.objective), indent=2),
+                candidates=json.dumps([_candidate_dict(c) for c in cands], indent=2),
+            )
+            data = extract_json(self.client.chat(prompt))
+            ranking = data.get("ranking") if isinstance(data, dict) else None
+            if not isinstance(ranking, list):
+                raise LlmError("ranking response has no id list")
+        except Exception as e:  # noqa: BLE001
+            log.warning("LLM coarse judge failed (%s); falling back to proxy ranking", e)
+            return fallback
+        by_id = {c.design.id: c for c in cands}
+        out: list[MappedDesign] = []
+        for cid in ranking:
+            c = by_id.pop(cid, None) if isinstance(cid, str) else None
+            if c is not None:
+                out.append(c)
+        out.extend(c for c in fallback if c.design.id in by_id)
+        return out
 
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]:
         ids = {c.design.id for c in cands}
         try:
             prompt = _render(
                 "fine_judge.txt",
-                objective=json.dumps(_objective_dict(self.shadow.objective), indent=2),
+                objective=json.dumps(_objective_dict(self.objective), indent=2),
                 candidates=json.dumps([_candidate_dict(c) for c in cands], indent=2),
                 lessons=json.dumps(
                     [
@@ -285,12 +270,12 @@ class LlmFineJudge:
                             "agreed": les.agreed,
                             "tool_scores": {lc.design_id: lc.tool_score for lc in les.candidates},
                         }
-                        for les in self.shadow.lessons
+                        for les in self.lessons
                     ],
                     indent=2,
                 ),
             )
-            data = extract_json(LlmClient(self.backend).chat(prompt))
+            data = extract_json(self.client.chat(prompt))
             if not isinstance(data, dict):
                 raise LlmError("selection response is not an object")
             choice, score = data.get("choice"), data.get("score")
@@ -299,19 +284,4 @@ class LlmFineJudge:
             return choice, float(score)
         except Exception as e:  # noqa: BLE001
             log.warning("LLM fine judge failed (%s); falling back to heuristic judge", e)
-            return self.shadow.select(cands)
-
-    def lesson(
-        self,
-        cands: Sequence[MappedDesign],
-        reports: Sequence[EvalReport],
-        tool_choice: str,
-        judge_choice: str,
-    ) -> Lesson:
-        return self.shadow.lesson(cands, reports, tool_choice, judge_choice)
-
-    def replay(self, lesson: Lesson) -> None:
-        self.shadow.replay(lesson)
-
-    def restore(self, theta: list[float], lessons: Sequence[Lesson]) -> None:
-        self.shadow.restore(theta, lessons)
+            return super().select(cands)

@@ -80,8 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     map_p = sub.add_parser("map", help="map a design file onto a kernel")
     map_p.add_argument("design", help="architecture JSON file")
     map_p.add_argument("--kernel", required=True, help="built-in kernel name or kernel JSON path")
-    map_p.add_argument("--max-ii", type=int, default=32)
-    map_p.add_argument("--attempts", type=int, default=50_000, help="placement attempt budget per II")
+    map_p.add_argument("--max-ii", type=int, default=MapBudget.max_ii)
+    map_p.add_argument(
+        "--attempts", type=int, default=MapBudget.placement_attempts, help="placement attempt budget per II"
+    )
     map_p.add_argument("--json", action="store_true")
 
     ev_p = sub.add_parser("evaluate", help="map a design and report speedup, power, area, and score")
@@ -180,10 +182,10 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-def _map_design(design_path: str, kernel_name: str, max_ii: int, attempts: int):
+def _map_design(design_path: str, kernel_name: str, budget: MapBudget = MapBudget()):
     """Shared validate + transform + map pipeline for map/evaluate; raises
-    CliError or returns (design, transformed kernel, mapping)."""
-    if max_ii < 1 or attempts < 1:
+    CliError or returns (design, kernel, transformed kernel, mapping)."""
+    if budget.max_ii < 1 or budget.placement_attempts < 1:
         raise CliError(EXIT_USAGE, "--max-ii and --attempts must be >= 1")
     d = _load_design(design_path)
     violations = validate_design(d)
@@ -197,16 +199,17 @@ def _map_design(design_path: str, kernel_name: str, max_ii: int, attempts: int):
         tk = apply_sw_params(k, d.sw.unroll_factor, d.sw.vectorize_factor)
     except TransformError as e:
         raise CliError(EXIT_DOMAIN, f"transform failed: {e.code}: {e}") from None
-    res = map_kernel(tk, d.fabric, MapBudget(max_ii=max_ii, placement_attempts=attempts))
+    res = map_kernel(tk, d.fabric, budget)
     if isinstance(res, MapError):
         hint = f" hint={json.dumps(res.hint, sort_keys=True)}" if res.hint else ""
         raise CliError(EXIT_DOMAIN, f"mapping failed: {res.code}: {res.detail}{hint}")
-    return d, tk, res
+    return d, k, tk, res
 
 
 def _cmd_map(args) -> int:
     try:
-        _d, _tk, res = _map_design(args.design, args.kernel, args.max_ii, args.attempts)
+        budget = MapBudget(max_ii=args.max_ii, placement_attempts=args.attempts)
+        *_, res = _map_design(args.design, args.kernel, budget)
     except CliError as e:
         if args.json and e.code == EXIT_DOMAIN:
             _print_json({"error": str(e)})
@@ -229,11 +232,10 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    d, tk, res = _map_design(args.design, args.kernel, 32, 50_000)
+    d, k, tk, res = _map_design(args.design, args.kernel)
     obj = Objective(mode=ObjectiveMode.parse(args.objective), min_speedup=args.min_speedup)
     with about("cost coefficients"):
         coeffs = load_cost_coeffs(args.coeffs)
-    k = _load_kernel(args.kernel)
     sp = compute_speedup(k, res, tk.trip_count)
     cand = MappedDesign(design=d, mapping=res, trip_after=tk.trip_count, speedup=sp)
     report = tool_evaluate([cand], obj, coeffs)[0]

@@ -185,13 +185,10 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
 
 
 def _rec_mii(k: KernelGraph) -> int:
+    """Smallest II with no positive cycle under weights lat(u) - II * d;
+    1 when no edge is carried."""
     if not any(e.distance > 0 for e in k.edges):
         return 1
-    return _rec_by_search(k)
-
-
-def _rec_by_search(k: KernelGraph) -> int:
-    """Smallest II with no positive cycle under weights lat(u) - II * d."""
     lat = {n.id: n.latency for n in k.nodes}
     ids = sorted(lat)
     index = {nid: i for i, nid in enumerate(ids)}
@@ -763,21 +760,17 @@ def _sccs(ids: list[int], succs: dict[int, list[int]]) -> list[list[int]]:
 def _schedule_order(k: KernelGraph) -> list[int]:
     """Node ids ordered by (ASAP level over distance-0 edges, id)."""
     lat = {n.id: n.latency for n in k.nodes}
-    preds: dict[int, list[int]] = {n.id: [] for n in k.nodes}
     succs: dict[int, list[int]] = {n.id: [] for n in k.nodes}
     indeg = {n.id: 0 for n in k.nodes}
     for e in k.edges:
         if e.distance == 0:
-            preds[e.dst].append(e.src)
             succs[e.src].append(e.dst)
             indeg[e.dst] += 1
     asap = {n.id: 0 for n in k.nodes}
     ready = sorted(nid for nid, d in indeg.items() if d == 0)
     queue = deque(ready)
-    seen = 0
     while queue:
         u = queue.popleft()
-        seen += 1
         for v in succs[u]:
             asap[v] = max(asap[v], asap[u] + lat[u])
             indeg[v] -= 1

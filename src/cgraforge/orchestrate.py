@@ -165,7 +165,6 @@ class RunConfig:
             seed=seed,
             backend=AgentBackend(
                 kind=backend.enum("kind", BackendKind, BackendKind.HEURISTIC),
-                seed=seed,
                 base_url=backend.string("base_url", None),
                 model=backend.string("model", None),
                 temperature=float(backend.number("temperature", 0.2)),
@@ -438,7 +437,7 @@ class _Runner:
         with about(f"cost coefficients {cfg.cost_coeffs!r}"):
             self.coeffs: CostCoeffs = load_cost_coeffs(cfg.cost_coeffs)
         self.history = History(out_dir / HISTORY_FILE)
-        self.judge = make_fine_judge(cfg.backend, cfg.objective)
+        self.agent = make_fine_judge(cfg.backend, cfg.objective, cfg.seed)
         # The run state: written only by _apply.
         self.sel_state = SelectionState(confidence=cfg.selection.initial_confidence)
         self.outcomes: list[DesignOutcome] = []
@@ -538,7 +537,7 @@ class _Runner:
         )
         drafts = [
             DesignPoint(fabric=d.fabric, sw=d.sw, id=f"i{it:03d}c{k:02d}", provenance=d.provenance, note=d.note)
-            for k, d in enumerate(propose(req, cfg.backend))
+            for k, d in enumerate(propose(req, self.agent))
         ]
 
         mapped: list[MappedDesign] = []
@@ -551,7 +550,7 @@ class _Runner:
                 mapped.append(m)
                 continue
             events.append(_failure_event(it, d.id, err))
-            fixed = fix_design(d, err, cfg.backend, self._check, max_rounds=cfg.max_fix_rounds)
+            fixed = fix_design(d, err, self.agent, self._check, max_rounds=cfg.max_fix_rounds)
             if isinstance(fixed, FixFailure):
                 events.append(
                     {
@@ -575,11 +574,11 @@ class _Runner:
         """Screen the mapped candidates to the top-K and let the controller
         pick one; returns the selection_step event and the eval events."""
         cfg = self.cfg
-        top = coarse_judge(mapped, cfg.objective, cfg.top_k, cfg.backend)
+        top = coarse_judge(mapped, cfg.top_k, self.agent)
         captured: dict = {}
 
         def judge_select() -> tuple[str, float]:
-            return llm_select(top, self.judge)
+            return llm_select(top, self.agent)
 
         def tool_round() -> ToolRound:
             reports = tuple(tool_evaluate(top, cfg.objective, self.coeffs))
@@ -588,7 +587,7 @@ class _Runner:
             return ToolRound(reports=reports, choice=choice, score=score)
 
         def judge_update(round_: ToolRound, judge_choice: str) -> Lesson:
-            return llm_update(self.judge, top, round_.reports, round_.choice, judge_choice)
+            return llm_update(self.agent, top, round_.reports, round_.choice, judge_choice)
 
         _, rec, lesson = select_step(self.sel_state, cfg.selection, judge_select, tool_round, judge_update)
         step = {
@@ -636,7 +635,7 @@ class _Runner:
                 trace = ev["trace"]
                 self.sel_state = SelectionState(iteration=trace["iteration"], confidence=trace["confidence_after"])
                 if ev["lesson"] is not None:
-                    self.judge.replay(_lesson_from_dict(ev["lesson"]))
+                    self.agent.replay(_lesson_from_dict(ev["lesson"]))
                 if trace["mode"] == "TOOL":
                     self.tool_rounds += 1
                 else:
@@ -769,8 +768,8 @@ class _Runner:
         return {
             "schema_version": SCHEMA_VERSION, "bytes": h.size, "sha256": h.sha.hexdigest(), "seq": h.seq,
             "iterations": len(self.iter_entries), "sel_state": dataclasses.asdict(self.sel_state),
-            "theta": self.judge.theta,
-            "lessons": [_lesson_dict(lesson) for lesson in self.judge.lessons],
+            "theta": self.agent.theta,
+            "lessons": [_lesson_dict(lesson) for lesson in self.agent.lessons],
             "outcomes": [{**_design_event("outcome", o.iteration, o.design), "score": o.score,
                           "feasible": o.feasible, "error_code": o.error_code} for o in self.outcomes],
             "best": best and {**_design_event("best", best.iteration, best.design), "report": best.report},
@@ -791,7 +790,7 @@ class _Runner:
             "iter_entries": state["iter_entries"],
             **{name: state[name] for name in _COUNTERS},
         }
-        self.judge.restore(list(state["theta"]), [_lesson_from_dict(lesson) for lesson in state["lessons"]])
+        self.agent.restore(list(state["theta"]), [_lesson_from_dict(lesson) for lesson in state["lessons"]])
         vars(self).update(fields)
         return state["iterations"]
 

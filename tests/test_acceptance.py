@@ -13,7 +13,7 @@ import random
 import time
 from importlib import resources
 
-from cgraforge.agents import AgentBackend, FixFailure, fix_design, heuristic
+from cgraforge.agents import FixFailure, fix_design, heuristic
 from cgraforge.arch import (
     DesignPoint,
     FabricSpec,
@@ -239,7 +239,7 @@ def test_criterion_05_repair_completeness():
     with criterion(5):
         kernel = load_kernel("fir")
         budget = MapBudget()
-        backend = AgentBackend(seed=0)
+        agent = heuristic.HeuristicAgent(OBJ, seed=0)
 
         def check(d: DesignPoint):
             violations = validate_design(d)
@@ -276,7 +276,7 @@ def test_criterion_05_repair_completeness():
                 sr1_hits += 1
                 fixed_hits += 1
                 continue
-            out = fix_design(d, err, backend, check, max_rounds=4)
+            out = fix_design(d, err, agent, check, max_rounds=4)
             assert not isinstance(out, FixFailure), f"{d.id} unrepaired after 4 rounds: {out.error}"
             fixed_hits += 1
             worst_rounds = max(worst_rounds, out.note.count("repair:"))
@@ -361,7 +361,7 @@ def test_criterion_07_judge_learning():
         rng_train = random.Random(5678)
         train_sets = [rand_set(rng_train) for _ in range(20)]
 
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         before = agreement(judge, eval_sets)
         for cands in train_sets:
             reports = tool_evaluate(cands, OBJ, coeffs)

@@ -46,8 +46,8 @@ from cgraforge.mapper import MapError, MappedDesign
 
 from helpers import ALL_KINDS, chain_kernel, make_design, map_checked
 
-HEUR = AgentBackend(kind=BackendKind.HEURISTIC, seed=11)
 OBJ = Objective(mode=ObjectiveMode.MIN_POWER, min_speedup=1.5)
+HEUR = heuristic.HeuristicAgent(OBJ, seed=11)
 
 
 def request(count=6, window=(), bounds=None, kernel=None):
@@ -130,8 +130,7 @@ class TestClampDesign:
             provenance=Provenance.PROPOSED,
             note="n",
         )
-        summary = summarize(chain_kernel(length=3, trip_count=64))
-        assert heuristic._mk_draft(summary, bounds, "n", **fields) == heuristic.clamp_design(raw, bounds)
+        assert heuristic._mk_draft(bounds, "n", **fields) == heuristic.clamp_design(raw, bounds)
 
 
 class TestPropose:
@@ -392,7 +391,7 @@ class TestCoarseRank:
 
     def test_dispatcher_truncates_to_k(self):
         cands = [candidate(f"c{i}", speedup=float(i + 1), rows=2, cols=2) for i in range(5)]
-        top = coarse_judge(cands, OBJ, k=2, backend=HEUR)
+        top = coarse_judge(cands, k=2, agent=HEUR)
         assert [c.design.id for c in top] == ["c4", "c3"]
 
 
@@ -422,37 +421,37 @@ class TestErrorPayload:
 
 class TestHeuristicFineJudge:
     def test_zero_lesson_base_min_power(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         c = candidate("b1", speedup=2.0, rows=2, cols=2, topology=Topology.MESH)
         choice, score = judge.select([c])
         assert choice == "b1"
         assert score == pytest.approx(heuristic.JUDGE_POWER_SCALE * 4 * len(ALL_KINDS) * 1.0)
 
     def test_zero_lesson_base_max_efficiency(self):
-        judge = heuristic.HeuristicFineJudge(Objective(mode=ObjectiveMode.MAX_POWER_EFFICIENCY, min_speedup=1.5))
+        judge = heuristic.HeuristicAgent(Objective(mode=ObjectiveMode.MAX_POWER_EFFICIENCY, min_speedup=1.5))
         c = candidate("b2", speedup=3.0, rows=2, cols=2, topology=Topology.MESH)
         _, score = judge.select([c])
         proxy_power = heuristic.JUDGE_POWER_SCALE * 4 * len(ALL_KINDS)
         assert score == pytest.approx(-3.0 / proxy_power)
 
     def test_infeasible_penalty_matches_tool_formula(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         c = candidate("slow", speedup=1.2, rows=2, cols=2)
         _, score = judge.select([c])
         assert score == pytest.approx(BIG + (1.5 - 1.2))
 
     def test_select_breaks_ties_on_id(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         a = candidate("mm", speedup=2.0, rows=2, cols=2)
         b = candidate("ma", speedup=2.0, rows=2, cols=2)
         assert judge.select([a, b])[0] == "ma"
 
     def test_select_rejects_empty(self):
         with pytest.raises(ValueError):
-            heuristic.HeuristicFineJudge(OBJ).select([])
+            heuristic.HeuristicAgent(OBJ).select([])
 
     def test_update_builds_lesson_and_moves_theta(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         c = candidate("l1", speedup=2.0, rows=2, cols=2)
         base = judge._base(c)
         report = EvalReport(
@@ -471,7 +470,7 @@ class TestHeuristicFineJudge:
         assert judge.theta[0] == pytest.approx(-heuristic._SGD_ETA * (base - 9.0))
 
     def test_penalized_tool_scores_do_not_fit(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         c = candidate("pen", speedup=1.0, rows=2, cols=2)
         report = EvalReport(
             design_id="pen",
@@ -489,7 +488,7 @@ class TestHeuristicFineJudge:
         assert lesson.candidates[0].tool_score == BIG + 0.5
 
     def test_replay_reproduces_theta(self):
-        live = heuristic.HeuristicFineJudge(OBJ)
+        live = heuristic.HeuristicAgent(OBJ)
         rng = random.Random(4)
         lessons = []
         for i in range(6):
@@ -505,13 +504,13 @@ class TestHeuristicFineJudge:
             )
             lessons.append(live.lesson([c], [report], tool_choice=f"r{i}", judge_choice=f"r{i}"))
             live.replay(lessons[-1])
-        fresh = heuristic.HeuristicFineJudge(OBJ)
+        fresh = heuristic.HeuristicAgent(OBJ)
         for lesson in lessons:
             fresh.replay(lesson)
         assert fresh.theta == live.theta
 
     def test_learning_pulls_scores_toward_tool(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         c = candidate("fit", speedup=2.0, rows=2, cols=2)
         tool_score = 9.0
         report = EvalReport(
@@ -523,12 +522,13 @@ class TestHeuristicFineJudge:
         assert abs(judge.select([c])[1] - tool_score) < err0 / 4
 
     def test_lesson_store_capacity(self):
-        judge = heuristic.HeuristicFineJudge(OBJ)
+        judge = heuristic.HeuristicAgent(OBJ)
         assert judge.lessons.maxlen == LESSON_CAP
 
     def test_factory_returns_heuristic_judge(self):
-        judge = make_fine_judge(HEUR, OBJ)
-        assert isinstance(judge, heuristic.HeuristicFineJudge)
+        judge = make_fine_judge(AgentBackend(), OBJ, 11)
+        assert type(judge) is heuristic.HeuristicAgent
+        assert (judge.objective, judge.seed) == (OBJ, 11)
 
 
 def chat_body(content):
@@ -552,7 +552,11 @@ class _FakePost:
         return chat_body(content)
 
 
-LLM_BACKEND = AgentBackend(kind=BackendKind.LLM, seed=11, base_url="http://llm.test/v1", model="m0")
+LLM_BACKEND = AgentBackend(kind=BackendKind.LLM, base_url="http://llm.test/v1", model="m0")
+
+
+def llm_agent():
+    return llm.LlmAgent(LLM_BACKEND, OBJ, seed=11)
 
 
 @pytest.fixture(autouse=True)
@@ -641,7 +645,7 @@ class TestLlmPropose:
         junk = [17, {"rows": 1}, {"rows": 2, "cols": 2, "fu_kinds": ["NOPE"], "config_mem_depth": 4, "topology": "MESH"}]
         patch_post(monkeypatch, _FakePost(_json.dumps({"designs": [entry, *junk]})))
         req = request(count=4)
-        out = llm.propose(req, LLM_BACKEND)
+        out = llm_agent().propose(req)
         assert len(out) == 4
         assert out[0].note == "proposal:llm"
         assert (out[0].fabric.rows, out[0].fabric.cols) == (3, 3)
@@ -654,15 +658,15 @@ class TestLlmPropose:
         good = {"rows": 3, "cols": 3, "fu_kinds": ["ADD", "PHI"], "config_mem_depth": 8, "topology": "MESH"}
         junk = {**good, "rows": 2, field: value}
         patch_post(monkeypatch, _FakePost(_json.dumps({"designs": [junk, good]})))
-        out = llm.propose(request(count=4), LLM_BACKEND)
+        out = llm_agent().propose(request(count=4))
         assert [d.note for d in out] == ["proposal:llm"] + ["proposal:stratified"] * 3
         assert (out[0].fabric.rows, out[0].fabric.cols) == (3, 3)
 
     def test_transport_failure_degrades_to_heuristic(self, monkeypatch):
         patch_post(monkeypatch, _FakePost(fail_first=99))
         req = request(count=5)
-        out = llm.propose(req, LLM_BACKEND)
-        want = heuristic.propose(req, LLM_BACKEND.seed)
+        out = llm_agent().propose(req)
+        want = heuristic.propose(req, 11)
         assert [serialize_design(d) for d in out] == [serialize_design(d) for d in want]
 
     def test_dedup_by_key_equals_dedup_by_serialization(self, monkeypatch):
@@ -674,10 +678,10 @@ class TestLlmPropose:
         content = _json.dumps({"designs": [entry, reordered, other, entry]})
         req = request(count=5)
         patch_post(monkeypatch, _FakePost(content))
-        got = llm.propose(req, LLM_BACKEND)
+        got = llm_agent().propose(req)
         monkeypatch.setattr(llm, "design_key", serialize_design)
         patch_post(monkeypatch, _FakePost(content))
-        assert llm.propose(req, LLM_BACKEND) == got
+        assert llm_agent().propose(req) == got
         assert [d.fabric.config_mem_depth for d in got[:2]] == [8, 9]
 
     def test_draft_fields_are_clamped(self, monkeypatch):
@@ -692,7 +696,7 @@ class TestLlmPropose:
             "unroll_factor": 64,
         }
         patch_post(monkeypatch, _FakePost(_json.dumps({"designs": [entry]})))
-        out = llm.propose(request(count=1), LLM_BACKEND)
+        out = llm_agent().propose(request(count=1))
         assert out[0].fabric.rows == 16
         assert out[0].fabric.config_mem_depth == 32
         assert out[0].sw.unroll_factor == 8
@@ -712,7 +716,7 @@ class TestLlmRepair:
         patch_post(monkeypatch, _FakePost(_json.dumps({"design": fixed_entry})))
         d = dataclasses.replace(make_design(fu_kinds=frozenset({FuKind.ADD}), data_mem_kb=0, design_id="keep"), note="proposal:llm")
         err = MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]})
-        out = llm.repair_once(d, err, LLM_BACKEND)
+        out = llm_agent().repair_once(d, err)
         assert out.id == "keep"
         assert out.provenance is Provenance.REPAIRED
         assert out.note == "proposal:llm;repair:MISSING_FU_KIND"
@@ -724,7 +728,7 @@ class TestLlmRepair:
         patch_post(monkeypatch, _FakePost(_json.dumps({"design": "garbage"})))
         d = make_design(fu_kinds=frozenset({FuKind.ADD}), data_mem_kb=0, design_id="fb")
         err = MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]})
-        out = llm.repair_once(d, err, LLM_BACKEND)
+        out = llm_agent().repair_once(d, err)
         assert out == heuristic.repair_once(d, err)
 
     def test_structural_error_tag(self, monkeypatch):
@@ -733,7 +737,7 @@ class TestLlmRepair:
         fixed_entry = {"rows": 2, "cols": 2, "fu_kinds": ["ADD"], "config_mem_depth": 8, "topology": "MESH"}
         patch_post(monkeypatch, _FakePost(_json.dumps({"design": fixed_entry})))
         d = make_design(design_id="s")
-        out = llm.repair_once(d, [StructuralViolation(code="ROWS_RANGE", field="rows", message="x")], LLM_BACKEND)
+        out = llm_agent().repair_once(d, [StructuralViolation(code="ROWS_RANGE", field="rows", message="x")])
         assert out.note == "repair:structural"
 
 
@@ -749,14 +753,14 @@ class TestLlmCoarseRank:
         import json as _json
 
         patch_post(monkeypatch, _FakePost(_json.dumps({"ranking": ["b", "ghost", "a", 7]})))
-        out = llm.coarse_rank(self.cands(), OBJ, LLM_BACKEND)
+        out = llm_agent().coarse_rank(self.cands())
         assert [c.design.id for c in out] == ["b", "a", "c"]
 
     def test_malformed_ranking_falls_back_to_proxy(self, monkeypatch):
         import json as _json
 
         patch_post(monkeypatch, _FakePost(_json.dumps({"ranking": "c,b,a"})))
-        out = llm.coarse_rank(self.cands(), OBJ, LLM_BACKEND)
+        out = llm_agent().coarse_rank(self.cands())
         assert [c.design.id for c in out] == ["c", "b", "a"]
 
 
@@ -765,7 +769,7 @@ class TestLlmFineJudge:
         import json as _json
 
         patch_post(monkeypatch, _FakePost(_json.dumps({"choice": "jx", "score": 2.5})))
-        judge = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        judge = llm_agent()
         assert judge.select([candidate("jx", speedup=2.0, rows=2, cols=2)]) == ("jx", 2.5)
 
     @pytest.mark.parametrize(
@@ -778,16 +782,19 @@ class TestLlmFineJudge:
         ],
     )
     def test_malformed_selection_uses_shadow(self, monkeypatch, resp):
+        """The heuristic judge the LLM agent extends answers instead."""
         import json as _json
 
         patch_post(monkeypatch, _FakePost(_json.dumps(resp)))
-        judge = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        judge = llm_agent()
         c = candidate("jy", speedup=2.0, rows=2, cols=2)
-        assert judge.select([c]) == judge.shadow.select([c])
+        assert judge.select([c]) == heuristic.HeuristicAgent.select(judge, [c])
 
     def test_update_feeds_shadow(self, monkeypatch):
+        """Lessons feed the inherited heuristic judge, as a heuristic run's
+        would."""
         patch_post(monkeypatch, _FakePost())
-        judge = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        judge = llm_agent()
         c = candidate("ju", speedup=2.0, rows=2, cols=2)
         report = EvalReport(
             design_id="ju", speedup=2.0, power_mw=9.0, area_kum2=1.0, power_efficiency=0.2, score=9.0, feasible=True
@@ -796,17 +803,17 @@ class TestLlmFineJudge:
         assert len(judge.lessons) == 0
         judge.replay(lesson)
         assert len(judge.lessons) == 1
-        assert judge.shadow.theta != [0.0] * 12
-        fresh = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        assert judge.theta != [0.0] * 12
+        fresh = heuristic.HeuristicAgent(OBJ)
         fresh.replay(lesson)
-        assert fresh.shadow.theta == judge.shadow.theta
+        assert fresh.theta == judge.theta
 
     def test_prompt_lists_the_last_six_lessons(self, monkeypatch):
         import json as _json
 
         fake = _FakePost(_json.dumps({"choice": "p9", "score": 1.0}))
         patch_post(monkeypatch, fake)
-        judge = llm.LlmFineJudge(LLM_BACKEND, OBJ)
+        judge = llm_agent()
         cands = []
         for i in range(10):
             c = candidate(f"p{i}", speedup=2.0 + i / 10, rows=2, cols=2)
@@ -830,5 +837,20 @@ class TestLlmFineJudge:
         ]
 
     def test_factory_returns_llm_judge(self):
-        judge = make_fine_judge(LLM_BACKEND, OBJ)
-        assert isinstance(judge, llm.LlmFineJudge)
+        judge = make_fine_judge(LLM_BACKEND, OBJ, 11)
+        assert isinstance(judge, llm.LlmAgent)
+        assert (judge.objective, judge.seed, judge.client.backend) == (OBJ, 11, LLM_BACKEND)
+
+    def test_one_client_serves_every_role(self, monkeypatch):
+        """The agent builds its client once, and every role's call goes
+        through that client."""
+        stray = _FakePost()
+        patch_post(monkeypatch, stray)  # what a client built per call would post through
+        agent = llm_agent()
+        own = agent.client.post = _FakePost()
+        c = candidate("jc", speedup=2.0, rows=2, cols=2)
+        agent.propose(request(count=2))
+        agent.repair_once(c.design, MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]}))
+        agent.coarse_rank([c])
+        agent.select([c])
+        assert (len(own.calls), len(stray.calls)) == (4, 0)

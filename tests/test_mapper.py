@@ -22,7 +22,7 @@ from cgraforge.mapper import (
     _FabricTables,
     _hop_rows,
     _KernelTables,
-    _rec_by_search,
+    _rec_mii,
     check_mapping,
     hop_distance,
     map_kernel,
@@ -136,7 +136,7 @@ class TestMinIiBounds:
         rng = random.Random(21)
         for _ in range(150):
             k = random_dfg(rng)
-            assert _rec_by_search(k) == rec_mii_by_enumeration(k)
+            assert _rec_mii(k) == rec_mii_by_enumeration(k)
 
     def test_search_matches_enumeration_on_every_builtin_variant(self):
         for k in builtin_variants():

@@ -73,10 +73,14 @@ class TestRunConfig:
         assert cfg.selection == SelectionConfig()
         assert cfg.cost_coeffs is None
 
-    def test_seed_reaches_backend(self):
-        cfg = RunConfig.from_json({"kernel": "fir", "seed": 7})
-        assert cfg.seed == 7
-        assert cfg.backend.seed == 7
+    def test_seed_reaches_the_agent(self, tmp_path):
+        """The run's seed is the agent's, on either backend and however the
+        config is built: the backend has no seed of its own."""
+        for kind in BackendKind:
+            loaded = RunConfig.from_json({"kernel": "fir", "seed": 7, "backend": {"kind": kind.name}})
+            built = RunConfig(kernel="fir", seed=7, backend=AgentBackend(kind=kind))
+            assert loaded == built
+            assert _Runner(built, tmp_path).agent.seed == 7
 
     def test_nested_sections_parse(self):
         cfg = RunConfig.from_json(
@@ -512,11 +516,11 @@ GOLDEN_RUNS = [
     ("spmv", 8, 0, "MIN_POWER", True, "89ba31850117b98ad63ad12a3c0ae8fbe11c02e2b125f8f05f8909810dfd7b66",
      "60447cf8288e724403a31dda3e1f03bb8a3131d045d798237c3d52a03999f14f",
      "e010a8b9eac0a04fa32a0ff676ff0d699955ce52af8d08a3017b34eedf28e3b7"),
-    ("relu", 20, 1, "MIN_POWER", False, "30270c663cb1f491f7a55de58f67fe6673d1e72608a8c61a22e37736034f6faa",
-     "970e65400362339a0e101c41de9d0ed16f004aa91a56b0a80e94dddc0d1c2c2e",
-     "455ea90998f8265eae6328b639c43683970b13b15ef9b26d82cd60b069e14223"),
-    ("fft", 20, 2, "MIN_POWER", False, "c8875abe4479dc555d6d8d23caa5174c44786d3e4a6a2aa4d761ed158d9538ba",
-     "68ca7e10eec984f0c368cc1d20d7b302a01b23886220b71297e1b6199d919ad9",
+    ("relu", 20, 1, "MIN_POWER", False, "9041792d3bfea85a39f2292b6d26a4c2aaa8a787f99bd9ef8779fed4dde04b1a",
+     "b4b500f30d293a1829c3e37e2709b753abb37483a0d68af6b7173115ae756d9b",
+     "f94b799e8eb72cae63619cdaed4caa6b657731268d71c5afecc3b1247a8b794a"),
+    ("fft", 20, 2, "MIN_POWER", False, "04c0bf89d8c4575ab6e698a6975fca40eb6a465ff340cfd02ffaa33a206fde37",
+     "e9fca8358dcd2446d5b384d5388724ed5a4da43d08a1a8d9554f49dedc37bd40",
      "0ac8b6e76b53991cf5c6f4716c6d9fe95c70586942b26b6c93defbd47617c267"),
     ("hpc_mix", 20, 0, MPE, False, "1561aab851aa6260fbbfe571680ca4513c661286ed9e0f8e635d803eb26df9ec",
      "74697776d5671d07ca96cf9f42e1864d24ade52f7d7301205b991c60659da020",
@@ -546,6 +550,40 @@ class TestGoldenRuns:
             _sha(result.best_design_path.read_bytes()),
         )
         assert got == (history_sha, metrics_sha, best_sha)
+
+
+class TestWholeRuns:
+    """Two ways to one run that must write the same history."""
+
+    def test_api_and_json_configs_write_the_same_history(self, tmp_path):
+        fields = dict(kernel="relu", iterations=6, seed=1)
+        api = run(RunConfig(**fields), tmp_path / "api")
+        loaded = run(RunConfig.from_json(fields), tmp_path / "json")
+        assert api.history_path.read_bytes() == loaded.history_path.read_bytes()
+
+    def test_llm_backend_without_an_endpoint_runs_as_the_heuristic_one(self, tmp_path, monkeypatch, caplog):
+        """With no endpoint every LLM call fails, and each role falls back
+        to the heuristic agent's answer: the history differs only in its
+        header's backend kind."""
+        monkeypatch.delenv(llm.ENV_URL, raising=False)
+        monkeypatch.delenv(llm.ENV_MODEL, raising=False)
+        cfg = RunConfig(
+            kernel="fir",
+            iterations=8,
+            seed=3,
+            selection=SelectionConfig(conf_threshold=0.0, validation_interval=2, initial_confidence=1.0),
+        )
+        heur = run(cfg, tmp_path / "heuristic")
+        with caplog.at_level(logging.WARNING, logger=llm.__name__):
+            model = run(dataclasses.replace(cfg, backend=AgentBackend(kind=BackendKind.LLM)), tmp_path / "llm")
+        assert model.metrics["llm_rounds"] == 4
+        header, *lines = model.history_path.read_bytes().splitlines()
+        want_header, *want = heur.history_path.read_bytes().splitlines()
+        assert lines == want
+        assert json.loads(header)["config"]["backend"]["kind"] == "LLM"
+        assert json.loads(want_header)["config"]["backend"]["kind"] == "HEURISTIC"
+        failed = {r.getMessage().split(" failed", 1)[0] for r in caplog.records}
+        assert failed == {"LLM proposer", "LLM fixer", "LLM coarse judge", "LLM fine judge"}
 
 
 class TestBestDesignFile:
@@ -582,11 +620,11 @@ class TestBestDesignFile:
 
 def _fold_state(runner: _Runner) -> tuple:
     """Everything a resumed run carries on from."""
-    judge = runner.judge
+    agent = runner.agent
     return (
         runner.sel_state,
-        judge.theta,
-        list(judge.lessons),
+        agent.theta,
+        list(agent.lessons),
         runner.outcomes,
         runner.best,
         runner.iter_entries,
@@ -601,7 +639,7 @@ def _edited(state: bytes, **fields) -> bytes:
 
 CHAIN_CONFIGS = {
     "heuristic_spmv": dict(history_window=6),
-    "llm_fallback": dict(backend=AgentBackend(kind=BackendKind.LLM, seed=1), history_window=6),
+    "llm_fallback": dict(backend=AgentBackend(kind=BackendKind.LLM), history_window=6),
     "empty_fir": dict(
         kernel="fir",
         proposals_per_iteration=3,
