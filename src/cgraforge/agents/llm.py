@@ -18,6 +18,7 @@ import os
 import re
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -49,6 +50,9 @@ PostFn = Callable[[str, dict, dict, float], dict]
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\s*\n(.*?)```", re.DOTALL)
 
 
+NOT_CONFIGURED = f"LLM endpoint not configured (need {ENV_URL} and {ENV_MODEL})"
+
+
 class LlmError(Exception):
     """Transport, endpoint, or response-shape failure from the LLM layer."""
 
@@ -77,11 +81,18 @@ class LlmClient:
     backend: AgentBackend
     post: PostFn | None = None
 
-    def chat(self, prompt: str) -> str:
+    def endpoint(self) -> tuple[str, str] | None:
+        """The base URL and model, from the backend record or else the
+        environment, or None when either is missing."""
         base_url = self.backend.base_url or os.environ.get(ENV_URL)
         model = self.backend.model or os.environ.get(ENV_MODEL)
-        if not base_url or not model:
-            raise LlmError(f"LLM endpoint not configured (need {ENV_URL} and {ENV_MODEL})")
+        return (base_url, model) if base_url and model else None
+
+    def chat(self, prompt: str) -> str:
+        endpoint = self.endpoint()
+        if endpoint is None:
+            raise LlmError(NOT_CONFIGURED)
+        base_url, model = endpoint
         url = base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": model,
@@ -103,9 +114,14 @@ class LlmClient:
         raise LlmError(f"chat request failed after retries: {last}")
 
 
+@lru_cache(maxsize=None)  # one per prompt file
+def _template(template_name: str) -> string.Template:
+    text = resources.files("cgraforge.data.prompts").joinpath(template_name).read_text(encoding="utf-8")
+    return string.Template(text)
+
+
 def _render(template_name: str, **subs: str) -> str:
-    tpl = resources.files("cgraforge.data.prompts").joinpath(template_name).read_text(encoding="utf-8")
-    return string.Template(tpl).substitute(**subs)
+    return _template(template_name).substitute(**subs)
 
 
 def _objective_dict(obj: Objective) -> dict:
@@ -155,16 +171,24 @@ class LlmAgent(HeuristicAgent):
     Proposal, repair, coarse ranking and selection go to the model, and
     each falls back to the inherited heuristic method when the model's
     answer cannot be used. Lessons and theta are the heuristic judge's, so
-    a fallback continues from a calibrated state rather than zero.
+    a fallback continues from a calibrated state rather than zero. Whether
+    an endpoint is configured is checked once, when the agent is built:
+    without one, every role is the heuristic method, no prompt is
+    rendered, and one warning is logged.
     """
 
     def __init__(self, backend: AgentBackend, objective: Objective, seed: int = 0):
         super().__init__(objective, seed)
         self.client = LlmClient(backend)
+        self.online = self.client.endpoint() is not None
+        if not self.online:
+            log.warning("%s; the heuristic agent answers every role", NOT_CONFIGURED)
 
     def propose(self, req: ProposalRequest) -> list[DesignPoint]:
         """Ask the model for drafts; top up to req.count with heuristic
         drafts (which also covers the total-failure case)."""
+        if not self.online:
+            return super().propose(req)
         drafts: list[DesignPoint] = []
         try:
             prompt = _render(
@@ -209,6 +233,8 @@ class LlmAgent(HeuristicAgent):
 
     def repair_once(self, d: DesignPoint, err: FixableError) -> DesignPoint:
         """One model-guided repair step; falls back to the rule table."""
+        if not self.online:
+            return super().repair_once(d, err)
         try:
             prompt = _render(
                 "fixer.txt",
@@ -233,6 +259,8 @@ class LlmAgent(HeuristicAgent):
         candidate set; ids the model forgot keep their proxy order at the
         tail."""
         fallback = super().coarse_rank(cands)
+        if not self.online:
+            return fallback
         try:
             prompt = _render(
                 "coarse_judge.txt",
@@ -256,6 +284,8 @@ class LlmAgent(HeuristicAgent):
         return out
 
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]:
+        if not self.online:
+            return super().select(cands)
         ids = {c.design.id for c in cands}
         try:
             prompt = _render(

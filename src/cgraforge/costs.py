@@ -26,6 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -96,11 +97,21 @@ class EvalReport:
 
 
 def load_cost_coeffs(path: str | Path | None = None) -> CostCoeffs:
-    """Load coefficients from `path`, or the packaged defaults when None."""
+    """Load coefficients from `path`, or the packaged defaults when None.
+    Equal texts give one shared object, which must not be changed, while
+    they are among the last COST_TEXTS_KEPT loaded, as in load_kernel."""
     if path is None:
         text = resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8")
     else:
         text = read_text(path, CostConfigError)
+    return _parsed_coeffs(text)
+
+
+COST_TEXTS_KEPT = 4
+
+
+@lru_cache(maxsize=COST_TEXTS_KEPT)  # a text that fails to parse raises and is not kept
+def _parsed_coeffs(text: str) -> CostCoeffs:
     f = Fields(loads(text, CostConfigError), CostConfigError, [x.name for x in dataclasses.fields(CostCoeffs)])
 
     def table(key: str, cls: type[Enum], positive: bool) -> dict:

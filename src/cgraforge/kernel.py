@@ -25,6 +25,7 @@ Both transforms require the factor to divide trip_count exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -313,14 +314,24 @@ def parse_kernel(text: str) -> KernelGraph:
 
 
 def load_kernel(name_or_path: str) -> KernelGraph:
-    """Load a built-in kernel by name, or any kernel JSON file by path."""
+    """Load a built-in kernel by name, or any kernel JSON file by path.
+    The file is read on every call; equal texts give one shared kernel
+    object while they are among the last KERNEL_TEXTS_KEPT loaded, so what
+    is kept per kernel object is shared, and an edited file is parsed
+    again."""
     if name_or_path in BUILTIN_KERNELS:
         text = resources.files("cgraforge.data.kernels").joinpath(f"{name_or_path}.json").read_text("utf-8")
-        return parse_kernel(text)
+        return _parsed_kernel(text)
     p = Path(name_or_path)
     if p.suffix == ".json" and p.exists():
-        return parse_kernel(read_text(p, KernelError))
+        return _parsed_kernel(read_text(p, KernelError))
     raise UnknownKernelError(name_or_path)
+
+
+#: The 11 built-in kernels and a few files.
+KERNEL_TEXTS_KEPT = 16
+
+_parsed_kernel = lru_cache(maxsize=KERNEL_TEXTS_KEPT)(parse_kernel)  # a text that fails raises, and is not kept
 
 
 @dataclass(frozen=True)

@@ -394,9 +394,10 @@ class _FabricMemo:
         return ft
 
 
-# Kernel tables by id(kernel), each dropped when its kernel is: a run holds
-# one kernel object per (unroll, vectorize) it transforms, so a run's
-# tables live as long as the run does.
+# Kernel tables by id(kernel), each dropped when its kernel is: the runs
+# of a process share one kernel object per (unroll, vectorize) they
+# transform (orchestrate's kernel memo), so the tables live as long as the
+# loaded kernel they were transformed from.
 _KERNEL_TABLES: dict[int, _KernelTables] = {}
 # Every grid up to 6x6 in all three topologies takes 24 843 cells, one 16x16
 # grid 65 536.
@@ -616,8 +617,8 @@ class _Attempt:
                 self.dep_rejected = True
                 continue
             if len(stack) == depth:
-                cols = self.ft.cols
-                return {nid: (divmod(tile, cols), r) for nid, (tile, r) in self.place.items()}
+                coords = self.ft.coords  # one (row, col) pair per tile, shared by every result kept
+                return {nid: (coords[tile], r) for nid, (tile, r) in self.place.items()}
             nxt = self._frame(len(stack))
             if nxt is None:
                 self._undo(fr.nid, fr.tile, residue, undo)

@@ -33,6 +33,8 @@ import json
 import os
 import sys
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,6 +59,7 @@ from .agents import (
 )
 from .arch import (
     DesignPoint,
+    FabricSpec,
     FuKind,
     Provenance,
     design_dict,
@@ -400,16 +403,54 @@ class BestRecord:
     report: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Shape:
-    """What the transforms and the mapping search gave for one design shape
-    (unroll, vectorize, rows, cols, topology): the transformed kernel or
-    the transform's error, one object shared by every shape of that
-    (unroll, vectorize), then the search outcome, None until searched."""
+    """What the mapping search gave for one design shape (unroll,
+    vectorize, rows, cols, topology) under one budget: the mapping or the
+    search's error, and for a mapping the transformed trip count and the
+    speedup."""
 
-    kernel: KernelGraph | TransformError
-    search: MappingResult | MapError | None = None
+    search: MappingResult | MapError
+    trip_after: int = 0
     speedup: float = 0.0
+
+
+#: Searched shapes a kernel's memo keeps between runs; a kept mapping costs
+#: about 2 KB. Measured on perfbench's resume_chain (seed 8), keeping 32
+#: cut its searches from 1 938 to 984 for 0.8 MB more peak memory, and
+#: keeping 64 to 836 for 1.1 MB more, near the 5% (1.3 MB) allowed.
+SHAPES_KEPT = 32
+
+
+class _KernelMemo:
+    """What a loaded kernel's content alone decides, shared by the runs and
+    resumes of a process: its transforms by (unroll, vectorize) and its
+    searches by (unroll, vectorize, rows, cols, topology, budget), failures
+    included. A run keeps every search it makes; trim() then keeps the
+    SHAPES_KEPT used last. The memo never refers to its kernel, so that it
+    goes with it: the identity transform is kept as None."""
+
+    def __init__(self):
+        self.transforms: dict[tuple[int, int], KernelGraph | TransformError | None] = {}
+        self.shapes: OrderedDict[tuple, _Shape] = OrderedDict()
+
+    def trim(self) -> None:
+        while len(self.shapes) > SHAPES_KEPT:
+            self.shapes.popitem(last=False)
+
+
+# Memos by id(kernel), each dropped when its kernel is freed, as the
+# mapper's kernel tables are. load_kernel gives one object per kernel text,
+# so the runs of a process that load the same content share one memo.
+_KERNEL_MEMOS: dict[int, _KernelMemo] = {}
+
+
+def _kernel_memo(k: KernelGraph) -> _KernelMemo:
+    memo = _KERNEL_MEMOS.get(id(k))
+    if memo is None:
+        memo = _KERNEL_MEMOS[id(k)] = _KernelMemo()
+        weakref.finalize(k, _KERNEL_MEMOS.pop, id(k), None)
+    return memo
 
 
 @dataclass
@@ -422,8 +463,12 @@ class RunResult:
     best_design_path: Path | None
 
 
-#: A design_key that _check has not seen yet (None is a verdict: it passed).
+#: A design_key that _check has not seen yet.
 _UNCHECKED = object()
+
+#: The search fabric's FU kinds: every kind, so that the search reads only
+#: the shape.
+_ALL_KINDS = frozenset(FuKind)
 
 _COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "mapped_post_total")
 
@@ -448,85 +493,94 @@ class _Runner:
         self.drafts_total = 0
         self.mapped_pre_total = 0
         self.mapped_post_total = 0
-        self._transforms: dict[tuple[int, int], KernelGraph | TransformError] = {}
-        self._map_cache: dict[tuple, _Shape] = {}
-        self._verdicts: dict[tuple, FixableError | None] = {}
+        self.memo = _kernel_memo(self.kernel)
+        self._verdicts: dict[tuple, FixableError | _Shape] = {}
 
     # ----- shared checking -------------------------------------------------
 
     def _transformed(self, unroll: int, vectorize: int) -> KernelGraph | TransformError:
+        """The kernel under (unroll, vectorize), or the transform's error,
+        from the memo: every shape of a pair shares one kernel object, so
+        the mapper builds its tables once."""
+        transforms = self.memo.transforms
         key = (unroll, vectorize)
-        kernel = self._transforms.get(key)
-        if kernel is None:
+        try:
+            kernel = transforms[key]
+        except KeyError:
             try:
                 kernel = apply_sw_params(self.kernel, unroll, vectorize)
             except TransformError as e:
-                kernel = e
-            self._transforms[key] = kernel
-        return kernel
+                kernel = e.with_traceback(None)  # its frames would hold the kernel
+            transforms[key] = None if kernel is self.kernel else kernel
+            return kernel
+        return self.kernel if kernel is None else kernel
 
-    def _shape(self, d: DesignPoint) -> _Shape:
-        f = d.fabric
-        key = (d.sw.unroll_factor, d.sw.vectorize_factor, f.rows, f.cols, f.topology)
-        shape = self._map_cache.get(key)
-        if shape is None:
-            shape = self._map_cache[key] = _Shape(self._transformed(d.sw.unroll_factor, d.sw.vectorize_factor))
+    def _search(self, d: DesignPoint, kernel: KernelGraph) -> _Shape:
+        """The search of d's shape from the memo, run on first need on the
+        fabric with every FU kind and a config memory as deep as max_ii,
+        so that it reads only the shape and the budget."""
+        f, budget = d.fabric, self.cfg.budget
+        key = (d.sw.unroll_factor, d.sw.vectorize_factor, f.rows, f.cols, f.topology, budget)
+        shapes = self.memo.shapes
+        shape = shapes.get(key)
+        if shape is not None:
+            shapes.move_to_end(key)
+            return shape
+        fabric = FabricSpec(f.rows, f.cols, _ALL_KINDS, budget.max_ii, f.data_mem_kb, f.topology)
+        search = map_kernel(kernel, fabric, budget)
+        if isinstance(search, MappingResult):
+            shape = _Shape(search, kernel.trip_count, compute_speedup(self.kernel, search, kernel.trip_count))
+        else:
+            shape = _Shape(search)
+        shapes[key] = shape
         return shape
 
     def _check(self, d: DesignPoint) -> FixableError | None:
         """The repair loop's oracle, memoized per design_key for the run:
         the verdict reads only the design's file-visible fields (its
         shape, FU kinds and config memory depth) and the run's kernel,
-        budget and caches, never its id or note, so each distinct design
-        is checked once and a repeated draft costs one lookup."""
+        budget and memo, never its id or note, so each distinct design is
+        checked once and a repeated draft costs one lookup. A design that
+        passed keeps its search, for _mapped."""
         key = design_key(d)
         verdict = self._verdicts.get(key, _UNCHECKED)
         if verdict is _UNCHECKED:
             verdict = self._verdicts[key] = self._verdict(d)
-        return verdict
+        return None if type(verdict) is _Shape else verdict
 
-    def _verdict(self, d: DesignPoint) -> FixableError | None:
+    def _verdict(self, d: DesignPoint) -> FixableError | _Shape:
         """Structural validation, the loop transforms, the FU kinds, the
         mapping search, the config memory depth, in that order, as in
-        map_kernel. The transforms read only (unroll, vectorize) and run
-        once per pair, failures included; every shape of a pair shares the
-        one kernel object, so the mapper builds that kernel's tables once.
-        The search reads only the design's shape, so the map cache keys on
-        (unroll, vectorize, rows, cols, topology) and holds what each shape
-        gave, failures included: the search runs once per shape, on the
-        fabric with every FU kind and a config memory as deep as max_ii,
-        and the FU-kind and depth checks run per distinct design."""
+        map_kernel; the search's _Shape if all pass. The FU-kind and depth
+        checks run per distinct design."""
         violations = validate_design(d)
         if violations:
             return violations
-        shape = self._shape(d)
-        if isinstance(shape.kernel, TransformError):
-            return shape.kernel
-        err = fu_kinds_error(shape.kernel, d.fabric)
+        kernel = self._transformed(d.sw.unroll_factor, d.sw.vectorize_factor)
+        if isinstance(kernel, TransformError):
+            return kernel
+        err = fu_kinds_error(kernel, d.fabric)
         if err is not None:
             return err
-        if shape.search is None:
-            budget = self.cfg.budget
-            fabric = dataclasses.replace(d.fabric, fu_kinds=frozenset(FuKind), config_mem_depth=budget.max_ii)
-            shape.search = map_kernel(shape.kernel, fabric, budget)
-            if isinstance(shape.search, MappingResult):
-                shape.speedup = compute_speedup(self.kernel, shape.search, shape.kernel.trip_count)
+        shape = self._search(d, kernel)
         if isinstance(shape.search, MapError):
             return shape.search
-        return config_depth_error(shape.search.ii, d.fabric)
+        return config_depth_error(shape.search.ii, d.fabric) or shape
 
     def _mapped(self, d: DesignPoint) -> MappedDesign:
         """The mapping of a design that _check passed."""
-        shape = self._shape(d)
-        return MappedDesign(design=d, mapping=shape.search, trip_after=shape.kernel.trip_count, speedup=shape.speedup)
+        shape = self._verdicts[design_key(d)]
+        return MappedDesign(design=d, mapping=shape.search, trip_after=shape.trip_after, speedup=shape.speedup)
 
     # ----- live iteration ---------------------------------------------------
 
     def run_iteration(self, it: int) -> None:
         """Do one iteration's work, then log its events in one block; the
-        run state takes them in through the fold."""
+        run state takes them in through the fold, with the designs the
+        events log as the objects that were logged."""
         cfg = self.cfg
         events: list[dict] = []
+        designs: list[DesignPoint] = []  # one per proposal and fix event, in event order
 
         req = ProposalRequest(
             kernel=self.ksum,
@@ -543,6 +597,7 @@ class _Runner:
         mapped: list[MappedDesign] = []
         for d in drafts:
             events.append(_design_event("proposal", it, d))
+            designs.append(d)
             err = self._check(d)
             if err is None:
                 m = self._mapped(d)
@@ -552,6 +607,7 @@ class _Runner:
             events.append(_failure_event(it, d.id, err))
             fixed = fix_design(d, err, self.agent, self._check, max_rounds=cfg.max_fix_rounds)
             if isinstance(fixed, FixFailure):
+                designs.append(fixed.design)
                 events.append(
                     {
                         **_design_event("fix", it, fixed.design),
@@ -562,13 +618,14 @@ class _Runner:
                 )
             else:
                 m = self._mapped(fixed)
+                designs.append(fixed)
                 rounds = fixed.note.count("repair:") - d.note.count("repair:")
                 events.append({**_map_ok_event(it, m), **_design_event("fix", it, fixed), "rounds": rounds})
                 mapped.append(m)
 
         events += self._select(it, mapped) if mapped else [{"type": "iteration_empty", "iteration": it}]
         self.history.append(events)
-        self._apply(it, events)
+        self._fold(it, events, designs)
 
     def _select(self, it: int, mapped: list[MappedDesign]) -> list[dict]:
         """Screen the mapped candidates to the top-K and let the controller
@@ -609,10 +666,17 @@ class _Runner:
     # ----- the fold -----------------------------------------------------------
 
     def _apply(self, it: int, events: list[dict]) -> None:
-        """Fold one complete iteration's events into the run state. Live and
-        resumed runs both come through here, and nothing else writes the
-        outcomes, SR counters, best-so-far, iteration entries, controller
-        state or the judge's lessons."""
+        """Fold one complete logged iteration into the run state, with each
+        design decoded from its event."""
+        self._fold(it, events, [_event_design(ev) for ev in events if ev["type"] in ("proposal", "fix")])
+
+    def _fold(self, it: int, events: list[dict], logged: list[DesignPoint]) -> None:
+        """Fold one complete iteration's events into the run state; `logged`
+        holds the design of each proposal and fix event, in event order.
+        Live and resumed runs both come through here, and nothing else
+        writes the outcomes, SR counters, best-so-far, iteration entries,
+        controller state or the judge's lessons."""
+        logged = iter(logged)
         designs: dict[str, DesignPoint] = {}  # latest version, in proposal order
         mapped: set[str] = set()
         mapped_pre = 0
@@ -623,7 +687,7 @@ class _Runner:
             kind = ev["type"]
             did = ev.get("design_id")
             if kind in ("proposal", "fix"):
-                designs[did] = _event_design(ev)
+                designs[did] = next(logged)
             if kind == "map_result" and ev["ok"]:
                 mapped_pre += 1
                 mapped.add(did)
@@ -892,10 +956,13 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
         if runner.history.seq == 0:  # a fresh log starts with its header
             runner.history.append([{"type": "run_header", "config": cfg.to_header_dict()}])
         log = _progress_log()
-        for it in range(start_iter, cfg.iterations + 1):
-            runner.run_iteration(it)
-            if log is not None:
-                log.info("%s", iteration_line(runner.iter_entries[-1]))
+        try:
+            for it in range(start_iter, cfg.iterations + 1):
+                runner.run_iteration(it)
+                if log is not None:
+                    log.info("%s", iteration_line(runner.iter_entries[-1]))
+        finally:
+            runner.memo.trim()
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE

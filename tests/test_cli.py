@@ -221,6 +221,33 @@ class TestMalformedKernelFile:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_a_kernel_file_edited_between_runs_is_read_again(self, capsys, tmp_path):
+        """Runs in one process share what a kernel's content decides, keyed
+        by the text: a run after an edit maps the new content, and an edit
+        that spoils the file still exits 2."""
+        kernel = _kernel_file(tmp_path, "ADD")
+
+        def trips(out) -> set[int]:
+            """trip_count of the kernel each mapped design was transformed from."""
+            sw, got = {}, set()
+            for line in (out / "history.jsonl").read_text().splitlines():
+                ev = json.loads(line)
+                if ev["type"] in ("proposal", "fix"):
+                    sw[ev["design_id"]] = ev["design"]["unroll_factor"] * ev["design"]["vectorize_factor"]
+                if ev["type"] in ("map_result", "fix") and ev.get("ok"):
+                    got.add(ev["trip_after"] * sw[ev["design_id"]])
+            return got
+
+        assert run_cli(capsys, "run", "--kernel", kernel, "--iterations", "3", "--out", str(tmp_path / "a"))[0] == EXIT_OK
+        doc = json.loads(Path(kernel).read_text())
+        Path(kernel).write_text(json.dumps({**doc, "trip_count": 16}))
+        assert run_cli(capsys, "run", "--kernel", kernel, "--iterations", "3", "--out", str(tmp_path / "b"))[0] == EXIT_OK
+        assert (trips(tmp_path / "a"), trips(tmp_path / "b")) == ({8}, {16})
+        _kernel_file(tmp_path, 7)
+        code, _, err = run_cli(capsys, "run", "--kernel", kernel, "--out", str(tmp_path / "c"))
+        assert code == EXIT_USAGE and "nodes[1].kind must be" in err
+        assert not (tmp_path / "c").exists()
+
     def test_a_bad_kernel_leaves_no_default_run_directory(self, capsys, tmp_path, monkeypatch):
         kernel = _kernel_file(tmp_path, 7)
         cwd = tmp_path / "cwd"

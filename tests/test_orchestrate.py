@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from cgraforge import mapper, orchestrate
 from cgraforge.agents import AgentBackend, BackendKind, error_payload, llm
 from cgraforge.arch import (
     FuKind,
@@ -58,6 +59,23 @@ def quick_cfg(**overrides):
     base = dict(kernel="spmv", iterations=3, proposals_per_iteration=4, top_k=2, seed=1)
     base.update(overrides)
     return RunConfig(**base)
+
+
+def fresh_memos(monkeypatch):
+    """Start the process-wide memos empty for one test, as in a new
+    process: the runs' kernel memo, and the mapper's kernel and fabric
+    tables."""
+    monkeypatch.setattr(orchestrate, "_KERNEL_MEMOS", {})
+    monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
+    monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(mapper._FABRIC_TABLES.capacity))
+
+
+def run_bytes(result) -> tuple[bytes, str, bytes]:
+    """A run's history, metrics without their meta block, and best design."""
+    metrics = json.loads(result.metrics_path.read_text())
+    metrics.pop("meta")
+    best = result.best_design_path.read_bytes() if result.best_design_path else b""
+    return result.history_path.read_bytes(), json.dumps(metrics, sort_keys=True), best
 
 
 class TestRunConfig:
@@ -562,9 +580,9 @@ class TestWholeRuns:
         assert api.history_path.read_bytes() == loaded.history_path.read_bytes()
 
     def test_llm_backend_without_an_endpoint_runs_as_the_heuristic_one(self, tmp_path, monkeypatch, caplog):
-        """With no endpoint every LLM call fails, and each role falls back
-        to the heuristic agent's answer: the history differs only in its
-        header's backend kind."""
+        """With no endpoint, every role is the heuristic agent's: the
+        history differs only in its header's backend kind, and the run
+        logs one warning, when its agent is built."""
         monkeypatch.delenv(llm.ENV_URL, raising=False)
         monkeypatch.delenv(llm.ENV_MODEL, raising=False)
         cfg = RunConfig(
@@ -582,8 +600,9 @@ class TestWholeRuns:
         assert lines == want
         assert json.loads(header)["config"]["backend"]["kind"] == "LLM"
         assert json.loads(want_header)["config"]["backend"]["kind"] == "HEURISTIC"
-        failed = {r.getMessage().split(" failed", 1)[0] for r in caplog.records}
-        assert failed == {"LLM proposer", "LLM fixer", "LLM coarse judge", "LLM fine judge"}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{llm.NOT_CONFIGURED}; the heuristic agent answers every role"
+        ]
 
 
 class TestBestDesignFile:
@@ -858,7 +877,8 @@ class TestMapCache:
             return e
         return map_kernel(tk, d.fabric, budget)
 
-    def test_verdicts_equal_uncached_mapping(self, tmp_path):
+    def test_verdicts_equal_uncached_mapping(self, tmp_path, monkeypatch):
+        fresh_memos(monkeypatch)
         rng = random.Random(5)
         codes = set()
         for name in BUILTIN_KERNELS:
@@ -878,7 +898,7 @@ class TestMapCache:
                 else:
                     assert error_payload(got) == error_payload(want), (name, d)
                     codes.add(error_payload(want)["code"])
-            assert len(runner._map_cache) <= 4
+            assert len(runner.memo.shapes) <= 4
         # the sample reaches every stage of the check
         assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
 
@@ -930,11 +950,12 @@ class TestMapCache:
                 assert again.fabric is back.fabric and again.sw is back.sw
 
     def test_each_software_setting_is_prepared_once(self, tmp_path, monkeypatch):
-        """In one run, the transforms and the mapper's kernel tables run
-        once per distinct (unroll, vectorize) the run validates, however
-        many fabric shapes it maps that setting on."""
-        from cgraforge import mapper, orchestrate
-
+        """In a process, the transforms and the mapper's kernel tables run
+        once per distinct (unroll, vectorize) the runs of a kernel
+        validate, however many fabric shapes they map that setting on and
+        however many runs there are: a second run transforms nothing and
+        builds no tables, and a failed transform is kept for it too."""
+        fresh_memos(monkeypatch)
         validated, transforms, kernels_ok, built = [], [], [], []
         real_validate, real_transform = orchestrate.validate_design, orchestrate.apply_sw_params
 
@@ -958,16 +979,26 @@ class TestMapCache:
         monkeypatch.setattr(orchestrate, "validate_design", validate)
         monkeypatch.setattr(orchestrate, "apply_sw_params", transform)
         monkeypatch.setattr(mapper, "_KernelTables", Counted)
-        run(RunConfig(kernel="fft", iterations=12, proposals_per_iteration=6, seed=3), tmp_path / "out")
+        cfg = RunConfig(kernel="fft", iterations=12, proposals_per_iteration=6, seed=3)
+        first = run(cfg, tmp_path / "out")
         settings = {shape[:2] for shape in validated}
         assert len({shape for shape in validated}) > len(settings)  # settings met several shapes
         assert sorted(transforms) == sorted(settings)
         assert sorted(built) == sorted(kernels_ok)
-        # A failed transform is kept too: unroll 5 does not divide fft's 192 trips.
-        runner = _Runner(RunConfig(kernel="fft"), tmp_path / "direct")
+        # A second run of the kernel in the process: the same work, none of it redone.
         transforms.clear()
+        built.clear()
+        again = run(cfg, tmp_path / "again")
+        assert (transforms, built) == ([], [])
+        assert again.history_path.read_bytes() == first.history_path.read_bytes()
+        # A failed transform is kept too: unroll 5 does not divide fft's 192
+        # trips. Another run gets the same error object without transforming.
+        runner = _Runner(RunConfig(kernel="fft"), tmp_path / "direct")
         for rows in (1, 2, 3):
             assert isinstance(runner._check(make_design(rows=rows, unroll_factor=5)), TransformError)
+        assert transforms == [(5, 1)]
+        other = _Runner(RunConfig(kernel="fft", seed=9), tmp_path / "other")
+        assert other._check(make_design(unroll_factor=5)) is runner._check(make_design(unroll_factor=5))
         assert transforms == [(5, 1)]
 
     def test_cached_mappings_check_against_the_design_fabric(self, tmp_path):
@@ -982,3 +1013,59 @@ class TestMapCache:
                     assert check_mapping(tk, d.fabric, m.mapping) == [], (name, d)
                     checked += 1
         assert checked >= 10
+
+
+class TestProcessMemo:
+    """The transforms and searches of a kernel are kept for every run and
+    resume of the process that loads the same kernel content; what a run
+    writes must not depend on what the process ran before it."""
+
+    CFG = RunConfig(kernel="fft", iterations=8, seed=2)
+
+    @pytest.mark.parametrize("chained", [False, True], ids=["whole", "chained"])
+    def test_a_warm_process_writes_what_a_cold_one_writes(self, tmp_path, monkeypatch, chained):
+        fresh_memos(monkeypatch)
+        cold = run_bytes(run(self.CFG, tmp_path / "cold"))
+        # Fill the memo: the same kernel under another seed and under
+        # another budget (whose searches differ), and another kernel.
+        warmups = (
+            dataclasses.replace(self.CFG, seed=5),
+            dataclasses.replace(self.CFG, budget=MapBudget(max_ii=4, placement_attempts=30)),
+            dataclasses.replace(self.CFG, kernel="relu"),
+        )
+        for i, cfg in enumerate(warmups):
+            other = run(cfg, tmp_path / f"warmup{i}").history_path.read_bytes()
+            assert other.split(b"\n", 1)[1] != cold[0].split(b"\n", 1)[1]  # past the header
+        assert len(orchestrate._KERNEL_MEMOS) == 2
+        out = tmp_path / "warm"
+        for it in range(1, self.CFG.iterations + 1) if chained else [self.CFG.iterations]:
+            warm = run(dataclasses.replace(self.CFG, iterations=it), out, resume=chained and it > 1)
+        assert run_bytes(warm) == cold
+
+    def test_the_searches_kept_never_pass_their_cap(self, tmp_path, monkeypatch):
+        """A run keeps every search it makes, so it searches each shape it
+        meets once; when it ends, its kernel's memo keeps the cap's worth
+        of shapes, the ones it used last, and the next run finds them."""
+        fresh_memos(monkeypatch)
+        cap = 5
+        monkeypatch.setattr(orchestrate, "SHAPES_KEPT", cap)
+        used, searched = [], []
+        real_search, real_map = _Runner._search, orchestrate.map_kernel
+
+        def search(self, d, kernel):
+            used.append((d.sw.unroll_factor, d.sw.vectorize_factor, d.fabric.rows, d.fabric.cols, d.fabric.topology))
+            return real_search(self, d, kernel)
+
+        monkeypatch.setattr(_Runner, "_search", search)
+        monkeypatch.setattr(orchestrate, "map_kernel", lambda *a: searched.append(a) or real_map(*a))
+        cfg = RunConfig(kernel="fft", iterations=12, proposals_per_iteration=6, seed=3)
+        first = run(cfg, tmp_path / "first")
+        last_used = list(dict.fromkeys(reversed(used)))[:cap][::-1]
+        assert len(searched) == len(set(used)) > 3 * cap
+        memo = orchestrate._kernel_memo(load_kernel("fft"))
+        assert [key[:5] for key in memo.shapes] == last_used
+        searched.clear()
+        again = run(cfg, tmp_path / "again")
+        assert len(searched) == len(set(used)) - cap
+        assert len(memo.shapes) == cap
+        assert run_bytes(again) == run_bytes(first)
