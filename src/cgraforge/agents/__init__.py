@@ -207,13 +207,17 @@ def proxy_score(cand: MappedDesign) -> float:
 
 
 def make_fine_judge(backend: AgentBackend, objective: Objective, seed: int) -> Agent:
-    """The run's one agent; the only code that reads backend.kind."""
-    if backend.kind is BackendKind.LLM:
-        from .llm import LlmAgent
-
-        return LlmAgent(backend, objective, seed)
+    """The run's one agent; the only code that reads backend.kind. An LLM
+    backend without a configured endpoint gets the heuristic agent and one
+    warning, since none of its calls could reach a model."""
     from .heuristic import HeuristicAgent
 
+    if backend.kind is BackendKind.LLM:
+        from . import llm
+
+        if llm.LlmClient(backend).endpoint() is not None:
+            return llm.LlmAgent(backend, objective, seed)
+        llm.log.warning("%s; the heuristic agent answers every role", llm.NOT_CONFIGURED)
     return HeuristicAgent(objective, seed)
 
 

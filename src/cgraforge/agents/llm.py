@@ -171,24 +171,17 @@ class LlmAgent(HeuristicAgent):
     Proposal, repair, coarse ranking and selection go to the model, and
     each falls back to the inherited heuristic method when the model's
     answer cannot be used. Lessons and theta are the heuristic judge's, so
-    a fallback continues from a calibrated state rather than zero. Whether
-    an endpoint is configured is checked once, when the agent is built:
-    without one, every role is the heuristic method, no prompt is
-    rendered, and one warning is logged.
+    a fallback continues from a calibrated state rather than zero.
+    make_fine_judge builds one only when an endpoint is configured.
     """
 
     def __init__(self, backend: AgentBackend, objective: Objective, seed: int = 0):
         super().__init__(objective, seed)
         self.client = LlmClient(backend)
-        self.online = self.client.endpoint() is not None
-        if not self.online:
-            log.warning("%s; the heuristic agent answers every role", NOT_CONFIGURED)
 
     def propose(self, req: ProposalRequest) -> list[DesignPoint]:
         """Ask the model for drafts; top up to req.count with heuristic
         drafts (which also covers the total-failure case)."""
-        if not self.online:
-            return super().propose(req)
         drafts: list[DesignPoint] = []
         try:
             prompt = _render(
@@ -233,8 +226,6 @@ class LlmAgent(HeuristicAgent):
 
     def repair_once(self, d: DesignPoint, err: FixableError) -> DesignPoint:
         """One model-guided repair step; falls back to the rule table."""
-        if not self.online:
-            return super().repair_once(d, err)
         try:
             prompt = _render(
                 "fixer.txt",
@@ -259,8 +250,6 @@ class LlmAgent(HeuristicAgent):
         candidate set; ids the model forgot keep their proxy order at the
         tail."""
         fallback = super().coarse_rank(cands)
-        if not self.online:
-            return fallback
         try:
             prompt = _render(
                 "coarse_judge.txt",
@@ -284,8 +273,6 @@ class LlmAgent(HeuristicAgent):
         return out
 
     def select(self, cands: Sequence[MappedDesign]) -> tuple[str, float]:
-        if not self.online:
-            return super().select(cands)
         ids = {c.design.id for c in cands}
         try:
             prompt = _render(

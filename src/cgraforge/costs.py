@@ -29,7 +29,8 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .arch import DesignPoint, FuKind, Topology
 from .decode import Fields, InputError, loads, member, read_text
@@ -70,14 +71,17 @@ class CostConfigError(EvalError):
 
 @dataclass(frozen=True)
 class CostCoeffs:
-    fu_power_mw: dict[FuKind, float]
-    fu_area_kum2: dict[FuKind, float]
+    """The cost model's constants; the tables are read-only mappings, so a
+    loaded object can be shared."""
+
+    fu_power_mw: Mapping[FuKind, float]
+    fu_area_kum2: Mapping[FuKind, float]
     tile_base_power_mw: float
     tile_base_area_kum2: float
     ctx_power_mw: float
     ctx_area_kum2: float
     data_mem_area_kum2_per_kb: float
-    wiring_mult: dict[Topology, float]
+    wiring_mult: Mapping[Topology, float]
     lane_power_slope: float
     lane_area_slope: float
     activity_power_mw_per_op: float
@@ -98,8 +102,8 @@ class EvalReport:
 
 def load_cost_coeffs(path: str | Path | None = None) -> CostCoeffs:
     """Load coefficients from `path`, or the packaged defaults when None.
-    Equal texts give one shared object, which must not be changed, while
-    they are among the last COST_TEXTS_KEPT loaded, as in load_kernel."""
+    Equal texts give one shared object while they are among the last
+    COST_TEXTS_KEPT loaded, as in load_kernel."""
     if path is None:
         text = resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8")
     else:
@@ -114,9 +118,9 @@ COST_TEXTS_KEPT = 4
 def _parsed_coeffs(text: str) -> CostCoeffs:
     f = Fields(loads(text, CostConfigError), CostConfigError, [x.name for x in dataclasses.fields(CostCoeffs)])
 
-    def table(key: str, cls: type[Enum], positive: bool) -> dict:
+    def table(key: str, cls: type[Enum], positive: bool) -> Mapping:
         t = f.object(key, cls.__members__)
-        return {m: float(t.number(m.name, positive=positive)) for m in cls}
+        return MappingProxyType({m: float(t.number(m.name, positive=positive)) for m in cls})
 
     def scalar(key: str) -> float:
         return float(f.number(key, positive=True))

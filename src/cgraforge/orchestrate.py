@@ -443,9 +443,20 @@ class _KernelMemo:
 # mapper's kernel tables are. load_kernel gives one object per kernel text,
 # so the runs of a process that load the same content share one memo.
 _KERNEL_MEMOS: dict[int, _KernelMemo] = {}
+# The functions whose results the memos hold.
+_MEMO_FNS: tuple = ()
 
 
 def _kernel_memo(k: KernelGraph) -> _KernelMemo:
+    """k's memo. A memo holds what this module's apply_sw_params, map_kernel
+    and compute_speedup gave, so a run that finds other functions bound to
+    those names (a stub, a tracer's wrapper) empties every memo first, and
+    calls the functions it finds."""
+    global _MEMO_FNS
+    fns = (apply_sw_params, map_kernel, compute_speedup)
+    if fns != _MEMO_FNS:
+        _KERNEL_MEMOS.clear()
+        _MEMO_FNS = fns
     memo = _KERNEL_MEMOS.get(id(k))
     if memo is None:
         memo = _KERNEL_MEMOS[id(k)] = _KernelMemo()

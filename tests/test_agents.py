@@ -841,22 +841,19 @@ class TestLlmFineJudge:
         assert isinstance(judge, llm.LlmAgent)
         assert (judge.objective, judge.seed, judge.client.backend) == (OBJ, 11, LLM_BACKEND)
 
-    def test_without_an_endpoint_every_role_is_the_heuristic_one(self, monkeypatch, caplog):
-        """The endpoint is checked once, when the agent is built: without
-        one, each role gives the heuristic agent's answer, no prompt is
-        rendered, and the agent logs one warning."""
+    def test_without_an_endpoint_the_factory_builds_the_heuristic_agent(self, monkeypatch, caplog):
+        """The endpoint is checked once, when the run's agent is built:
+        without one, the agent is the heuristic one, no prompt is rendered,
+        and one warning is logged."""
         monkeypatch.setattr(llm, "_render", lambda *a, **k: pytest.fail("a prompt was rendered"))
         with caplog.at_level("WARNING", logger=llm.__name__):
-            agent = llm.LlmAgent(AgentBackend(kind=BackendKind.LLM), OBJ, seed=11)
-        assert not agent.online and len(caplog.records) == 1
-        heur = heuristic.HeuristicAgent(OBJ, seed=11)
-        c = candidate("jc", speedup=2.0, rows=2, cols=2)
-        err = MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]})
-        assert agent.propose(request(count=4)) == heur.propose(request(count=4))
-        assert agent.repair_once(c.design, err) == heur.repair_once(c.design, err)
-        assert agent.coarse_rank([c]) == heur.coarse_rank([c])
-        assert agent.select([c]) == heur.select([c])
-        assert len(caplog.records) == 1
+            agent = make_fine_judge(AgentBackend(kind=BackendKind.LLM), OBJ, 11)
+        assert type(agent) is heuristic.HeuristicAgent
+        assert (agent.objective, agent.seed) == (OBJ, 11)
+        assert [r.getMessage() for r in caplog.records] == [f"{llm.NOT_CONFIGURED}; the heuristic agent answers every role"]
+        monkeypatch.setenv(llm.ENV_URL, "http://env.test/api/")
+        monkeypatch.setenv(llm.ENV_MODEL, "env-model")
+        assert isinstance(make_fine_judge(AgentBackend(kind=BackendKind.LLM), OBJ, 11), llm.LlmAgent)
 
     def test_one_client_serves_every_role(self, monkeypatch):
         """The agent builds its client once, and every role's call goes

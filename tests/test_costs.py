@@ -106,6 +106,15 @@ class TestLoadCostCoeffs:
             load_cost_coeffs(tmp_path / "missing.json")
         assert ei.value.code == "UNREADABLE" and "cannot read" in str(ei.value)
 
+    def test_a_loaded_table_cannot_be_changed(self):
+        """Equal texts load as one shared object, so its tables are read-only."""
+        c = load_cost_coeffs()
+        assert load_cost_coeffs() is c
+        for table, key in ((c.fu_power_mw, FuKind.ADD), (c.fu_area_kum2, FuKind.ADD), (c.wiring_mult, Topology.MESH)):
+            with pytest.raises(TypeError):
+                table[key] = 9.0
+        assert load_cost_coeffs().fu_power_mw == c.fu_power_mw
+
     def test_wiring_order_is_strict_in_defaults(self):
         c = load_cost_coeffs()
         assert 0 < c.wiring_mult[Topology.MESH] < c.wiring_mult[Topology.KINGMESH] < c.wiring_mult[Topology.CROSSBAR]

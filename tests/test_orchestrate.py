@@ -1042,6 +1042,23 @@ class TestProcessMemo:
             warm = run(dataclasses.replace(self.CFG, iterations=it), out, resume=chained and it > 1)
         assert run_bytes(warm) == cold
 
+    def test_a_run_calls_the_mapper_it_finds_bound(self, tmp_path, monkeypatch):
+        """The memos hold what the module's transform, mapper and speedup
+        functions gave: after a run, a run that finds another map_kernel
+        bound (a stub, a tracer's wrapper) searches every shape through it,
+        and a run after that finds the kept searches."""
+        fresh_memos(monkeypatch)
+        plain = run_bytes(run(self.CFG, tmp_path / "plain"))
+        searched = []
+        real_map = orchestrate.map_kernel
+        monkeypatch.setattr(orchestrate, "map_kernel", lambda *a: searched.append(a) or real_map(*a))
+        assert run_bytes(run(self.CFG, tmp_path / "wrapped")) == plain
+        shapes = len(searched)
+        assert shapes > orchestrate.SHAPES_KEPT
+        searched.clear()
+        assert run_bytes(run(self.CFG, tmp_path / "again")) == plain
+        assert len(searched) == shapes - orchestrate.SHAPES_KEPT
+
     def test_the_searches_kept_never_pass_their_cap(self, tmp_path, monkeypatch):
         """A run keeps every search it makes, so it searches each shape it
         meets once; when it ends, its kernel's memo keeps the cap's worth
