@@ -18,9 +18,13 @@ lower bounds. Each II attempt is a depth-first search over (tile, residue)
 assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
 dataflow neighbors, each order sorted once per attempt and kept for every
-frame whose neighbors sit on the same tiles) and which backtracks under
-MapBudget.placement_attempts. The search keeps an explicit stack, so
-kernel size is not limited by the interpreter's recursion depth.
+level whose neighbors sit on the same tiles) and which backtracks under
+MapBudget.placement_attempts. The nodes are numbered in that order, so
+the placed nodes are always a prefix of it and every per-node table is a
+tuple or list indexed by the number. The search is one loop over an
+explicit stack, with the current level's state in local variables, so
+kernel size is not limited by the interpreter's recursion depth and a
+placement makes no call but the one that builds the next level.
 Occupancy is one int of tiles * II bits, tile-major (bit tile * II + r
 for slot (tile, r)). Each level of the stack builds, once, a table of
 the residues to try, in the same layout: the free slots ANDed with the
@@ -68,8 +72,8 @@ from .arch import GRID_STEPS, DesignPoint, FabricSpec, FuKind, Topology, neighbo
 from .kernel import KernelGraph
 
 Tile = tuple[int, int]
-# node u -> a window (v, lo, span) per later node v that has u as a partner
-Fanout = dict[int, list[tuple[int, int, int]]]
+# by node number, a window (v, lo, span) per later node v that has the node as a partner
+Windows = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -242,16 +246,17 @@ def _hop_rows(f: FabricSpec) -> list[bytes]:
 
 class _KernelTables:
     """What every search of one kernel reads and none writes: latencies,
-    the schedule order and rank, dependence adjacency, cyclic components,
-    the node kinds with their counts, and RecMII. Read by map_kernel,
-    min_ii_bounds and fu_kinds_error through _kernel_tables. Holds no
-    reference to the kernel object itself, so that the tables can go when
-    the kernel does."""
+    the schedule order, dependence adjacency, cyclic components, the node
+    kinds with their counts, and RecMII. Read by map_kernel, min_ii_bounds
+    and fu_kinds_error through _kernel_tables. The nodes are numbered 0..n-1
+    in schedule order (node i has id order[i]), and every per-node table is
+    a tuple indexed by that number, so the search reads each with one index
+    and, since it places the nodes in that order, the placed nodes are
+    always 0..i-1. Holds no reference to the kernel object itself, so that
+    the tables can go when the kernel does."""
 
     def __init__(self, k: KernelGraph):
         self.edges = k.edges
-        self.lat = {n.id: n.latency for n in k.nodes}
-        self.max_lat = max(self.lat.values(), default=0)
         self.census: dict[FuKind, int] = {}  # kind -> node count, in first-node order
         for n in k.nodes:
             self.census[n.kind] = self.census.get(n.kind, 0) + 1
@@ -259,42 +264,52 @@ class _KernelTables:
         self.max_census = max(self.census.values(), default=0)
         self.rec_mii = _rec_mii(k)
         self.order = _schedule_order(k)
-        self.rank = {nid: i for i, nid in enumerate(self.order)}
-        # Dependence adjacency among kernel nodes (u -> v, latency(u), d).
-        self.out_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.in_edges: dict[int, list[tuple[int, int, int]]] = {n.id: [] for n in k.nodes}
-        self.dfg_neighbors: dict[int, list[int]] = {n.id: [] for n in k.nodes}
+        pos = {nid: i for i, nid in enumerate(self.order)}
+        lat = {n.id: n.latency for n in k.nodes}
+        self.lat = tuple(lat[nid] for nid in self.order)
+        self.max_lat = max(self.lat, default=0)
+        # By node, in edge order: every out-edge (v, latency, distance), the
+        # in-edges (u, latency(u), distance) from earlier nodes, and the
+        # earlier DFG neighbours, one entry per edge.
+        n = len(self.order)
+        out_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        in_back: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        near: list[list[int]] = [[] for _ in range(n)]
         for e in k.edges:
-            self.out_edges[e.src].append((e.dst, self.lat[e.src], e.distance))
-            self.in_edges[e.dst].append((e.src, self.lat[e.src], e.distance))
-            if e.src != e.dst:
-                self.dfg_neighbors[e.src].append(e.dst)
-                self.dfg_neighbors[e.dst].append(e.src)
-        succs = {nid: [dst for dst, _, _ in self.out_edges[nid]] for nid in self.out_edges}
-        self.cycles = [comp for comp in _sccs(sorted(succs), succs) if len(comp) > 1]
-        # Nodes whose out-edges, self-loops aside, all go to later nodes in
-        # schedule order: placing one propagates to no placed node, and a
-        # self-loop holds at any II from RecMII up, so its _try_add cannot fail.
-        self.forward_only = frozenset(
-            u for u, outs in self.out_edges.items() if all(v == u or self.rank[v] > self.rank[u] for v, _, _ in outs)
-        )
-        self._windows: dict[int, Fanout] = {}  # II -> windows(II)
+            u, v = pos[e.src], pos[e.dst]
+            out_edges[u].append((v, self.lat[u], e.distance))
+            if u < v:
+                in_back[v].append((u, self.lat[u], e.distance))
+            if u != v:
+                near[max(u, v)].append(min(u, v))
+        self.out_edges = tuple(map(tuple, out_edges))
+        self.in_back = tuple(map(tuple, in_back))
+        self.near = tuple(map(tuple, near))
+        succs = [[v for v, _, _ in outs] for outs in out_edges]
+        self.cycles = [comp for comp in _sccs(range(n), succs) if len(comp) > 1]
+        # Nodes whose out-edges, self-loops aside, all go to later nodes:
+        # placing one propagates to no placed node, and a self-loop holds at
+        # any II from RecMII up, so its placements cannot fail.
+        self.forward_only = tuple(all(v >= u for v, _, _ in outs) for u, outs in enumerate(out_edges))
+        # Nodes with an out-edge to themselves or an earlier node: only their
+        # placements can change a placed node's longest-path value.
+        self.feeds_back = tuple(any(v <= u for v, _, _ in outs) for u, outs in enumerate(out_edges))
+        self._windows: dict[int, Windows] = {}  # II -> windows(II)
 
-    def windows(self, ii: int) -> Fanout:
+    def windows(self, ii: int) -> Windows:
         """Static start-time windows between nodes that share a dependence
         cycle, built once per II. For u, v in one strongly connected
         component, the zero-hop longest paths D[u][v] and D[v][u] bound any
         schedule: D[u][v] <= start(v) - start(u) <= -D[v][u]. Checking a
         candidate slot against these windows refutes a dead branch when the
         slot is chosen, not levels deeper when the cycle finally closes. A
-        window is listed under the earlier node u of the pair in schedule
-        order, as (v, D[u][v], span) with span = -D[v][u] - D[u][v] + 1 the
-        number of start differences it allows: placing u narrows the later
-        v's table at once. Nodes that are no later node's partner have no
-        entry. Callers only read the result."""
+        window is listed under the earlier node u of the pair, as (v,
+        D[u][v], span) with span = -D[v][u] - D[u][v] + 1 the number of
+        start differences it allows: placing u narrows the later v's table
+        at once. Callers only read the result."""
         if ii in self._windows:
             return self._windows[ii]
-        fanout: Fanout = {}
+        fanout: dict[int, list[tuple[int, int, int]]] = {}
         neg_inf = float("-inf")
         for comp in self.cycles:
             dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
@@ -316,11 +331,11 @@ class _KernelTables:
                             du[v] = cand
             for v in comp:
                 for u in comp:
-                    if self.rank[u] < self.rank[v] and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
+                    if u < v and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
                         lo, hi = int(dist[u][v]), -int(dist[v][u])
                         fanout.setdefault(u, []).append((v, lo, hi - lo + 1))
-        self._windows[ii] = fanout
-        return fanout
+        windows = self._windows[ii] = tuple(tuple(fanout.get(u, ())) for u in range(len(self.order)))
+        return windows
 
 
 class _FabricTables:
@@ -414,41 +429,19 @@ def _kernel_tables(k: KernelGraph) -> _KernelTables:
     return kt
 
 
-class _Frame:
-    """One level of the search: a node, its candidate tiles in try order,
-    and `allow`, one wide bitset of the residues it may take, in the same
-    tile-major layout as the attempt's occupancy: bit tile * II + r is set
-    when residue r is free on the tile and inside every placed window
-    partner's interval, the free slots ANDed with the node's product in
-    the attempt's acc. The tile list comes from the attempt's memo and is
-    shared with every frame whose placed neighbors sit on the same tiles,
-    so a frame only reads it. On the current tile the frame keeps the
-    residues still to try."""
-
-    __slots__ = ("nid", "tiles", "allow", "next_tile", "tile", "full", "left", "residue", "undo")
-
-    def __init__(self, nid: int, tiles: list[int], allow: int, full: int):
-        self.nid = nid
-        self.tiles = tiles
-        self.allow = allow
-        self.next_tile = 0
-        self.tile = -1
-        self.full = full  # the residues this level tries on every tile
-        self.left = 0
-        self.residue = -1  # the residue placed while a deeper level searches
-        self.undo: list[tuple[int, int]] = []
-
-
 class _Attempt:
     """One II attempt: DFS over (tile, residue) assignments with incremental
     longest-path feasibility over the dependence difference constraints.
-    Occupancy is one int of tiles * II bits, tile-major: bit tile * II + r
-    is set while slot (tile, r) is taken. acc[v], in the same layout, is
-    the AND of the wide masks of v's placed window partners, all slots
-    while none is placed. Each placement ANDs into the acc of its later
-    partners (fanout) and pushes the values it replaced on the trail; its
-    undo pops them back, so the trail always holds the placed nodes'
-    entries in placement order."""
+    Nodes are the kernel tables' schedule positions, placed in that order,
+    so node i is placed while the search is deeper than level i; tile_of,
+    res_of and q hold its tile, residue and longest-path value. Occupancy
+    is one int of tiles * II bits, tile-major: bit tile * II + r is set
+    while slot (tile, r) is taken. acc[v], in the same layout, is the AND of
+    the wide masks of v's placed window partners, all slots while none is
+    placed. Each placement ANDs into the acc of its later partners (fanout)
+    and pushes the values it replaced on the trail; its undo pops them
+    back, so the trail always holds the placed nodes' entries in placement
+    order."""
 
     def __init__(self, kt: _KernelTables, ft: _FabricTables, ii: int, attempts_left: int):
         self.kt = kt
@@ -462,17 +455,16 @@ class _Attempt:
         hop_bound = max(ft.rows + ft.cols, 2)
         per_edge = math.ceil((kt.max_lat + hop_bound + ii - 1) / ii)
         self.dist_ub = max(1, per_edge * max(1, len(kt.edges)))
-        self.place: dict[int, tuple[int, int]] = {}  # id -> (tile, residue)
-        self.q: dict[int, int] = {}  # id -> longest-path value
-        self.occ = 0  # taken slots, tile-major
+        n = len(kt.order)
+        self.tile_of = [0] * n
+        self.res_of = [0] * n
+        self.q = [0] * n  # longest-path values, in units of II
+        self.occ = 0  # taken slots, tile-major; kept by run, stored when it stops
         self.dep_rejected = False  # a dependence rejected a free slot or a placement
         # u -> (v, lo, span * slots) per later window partner v
-        self.fanout: Fanout = dict.fromkeys(kt.order, ())
-        for u, later in kt.windows(ii).items():
-            self.fanout[u] = [(v, lo, span * self.slots) for v, lo, span in later]
+        self.fanout = [[(v, lo, span * self.slots) for v, lo, span in later] for later in kt.windows(ii)]
         self.wide_masks: dict[int, int] = {}  # span * slots + tile_u * II + start -> _wide_mask
-        # id -> the AND of the wide masks of its placed window partners
-        self.acc = dict.fromkeys(kt.order, self.wide)
+        self.acc = [self.wide] * n  # the AND of the wide masks of each node's placed window partners
         self.trail: list[int] = []  # the acc values placements replaced, latest last
         self.orders: dict[tuple[int, ...], list[int]] = {}  # placed neighbors' tiles -> _tile_order
 
@@ -502,51 +494,54 @@ class _Attempt:
             wide = (wide << ii) | masks[h]
         return wide
 
-    def _frame(self, idx: int) -> _Frame | None:
-        """The frame for the idx-th node of the schedule order, or None when
-        it is dead or doomed. Its residue table is exact for the frame's
-        whole life: the occupancy and the placed partners it reads stay as
-        they are while it lives, because deeper levels undo their
-        placements before control returns to it. A table that leaves out a
-        free slot sets dep_rejected. A frame is dead when its table is
-        empty. A doomed frame's placements are charged here in one step
-        (one-level forward checking, Haralick & Elliott 1980); the test
-        that finds it reads the next node's table, one more AND. A live
-        frame's tile order is keyed by the tiles of its placed DFG
-        neighbors, in dfg_neighbors order, and looked up in the attempt's
-        memo: hard searches meet the same few keys over and over, so the
-        grid is sorted once per key."""
+    def _frame(self, idx: int, occ: int) -> tuple[list[int], int] | None:
+        """Level idx of the search, with nodes 0..idx-1 placed on the slots
+        in occ: its candidate tiles in try order and `allow`, one wide
+        bitset in occ's layout of the residues node idx may take, the free
+        slots ANDed with acc[idx]; None when the level is dead or doomed.
+        Its table is exact for the level's whole life: the occupancy and
+        the placed partners it reads stay as they are while it lives,
+        because deeper levels undo their placements before control returns
+        to it. A table that leaves out a free slot sets dep_rejected. A
+        level is dead when its table is empty. A doomed level's placements
+        are charged here in one step (one-level forward checking, Haralick
+        & Elliott 1980); the test that finds it reads the next node's
+        table, one more AND. A live level's tile order is keyed by the
+        tiles of node idx's placed DFG neighbors, in `near` order, and
+        looked up in the attempt's memo: hard searches meet the same few
+        keys over and over, so the grid is sorted once per key. The root
+        tries residue 0 on its first tiles only."""
+        if not idx:
+            return self.ft.first_tiles, sum(1 << t * self.ii for t in self.ft.first_tiles)
         kt = self.kt
-        nid = kt.order[idx]
-        if idx == 0:
-            return _Frame(nid, self.ft.first_tiles, self.wide, 1)  # residue 0 only
-        allow = self._table(nid)
+        free = self.wide ^ occ
+        allow = free & self.acc[idx]
         k = allow.bit_count()
         if idx + k < self.slots:  # idx slots are taken, the rest are out of the table
             self.dep_rejected = True
         if not k:
             return None
-        if idx + 1 < len(kt.order) and nid in kt.forward_only:
-            # Doomed: the next node's table, empty before nid's slot and
+        if kt.forward_only[idx] and idx + 1 < len(kt.order):
+            # Doomed: the next node's table, empty before idx's slot and
             # window join it, makes every child dead. The scan would place
             # each of the k candidates (none can fail), and each child's
             # empty table would leave out its free slots. With fewer than k
             # attempts left the budget runs out inside that scan, so the
-            # frame is searched as usual.
-            if self.attempts_left >= k and not self._table(kt.order[idx + 1]):
+            # level is searched as usual.
+            if self.attempts_left >= k and not free & self.acc[idx + 1]:
                 self.attempts_left -= k
                 if idx + 1 < self.slots:
                     self.dep_rejected = True
                 return None
-        place = self.place
-        near = tuple([place[m][0] for m in kt.dfg_neighbors[nid] if m in place])
-        return _Frame(nid, self._tile_order(near), allow, self.full)
+        tile_of = self.tile_of
+        near = tuple([tile_of[m] for m in kt.near[idx]])
+        return self.orders.get(near) or self._tile_order(near), allow
 
     def _tile_order(self, near: tuple[int, ...]) -> list[int]:
         """Every tile, nearest-first to the tiles in near: by the sum of
         its hops to them, row-major among equals (a stable sort). It reads
         only the hop rows, so it is memoized per attempt on near, and every
-        frame that asks shares the one list, read-only."""
+        level that asks shares the one list, read-only."""
         tiles = self.orders.get(near)
         if tiles is None:
             tiles = self.orders[near] = list(range(self.ft.tiles))
@@ -555,163 +550,139 @@ class _Attempt:
                 tiles.sort(key=sums.__getitem__)
         return tiles
 
-    def _table(self, nid: int) -> int:
-        """The free slots ANDed with acc[nid], the wide masks of nid's
-        placed window partners, which _try_add keeps ANDed as they are
-        placed: a partner u at (tile_u, r_u) with window [lo, hi], h hops
-        from a tile, needs start(nid) - start(u) in [lo + h, hi - h]."""
-        return (self.wide ^ self.occ) & self.acc[nid]
-
-    def _next_residue(self, fr: _Frame) -> int:
-        """The next residue to try for fr.nid, on fr.tile, moving on to the
-        next tile when the current one has none left; -1 when no tile has.
-        A tile's residues to try are its field of fr.allow, bits tile * II
-        up, read with a shift, so a tile with none to try costs one shift."""
-        left = fr.left
-        if not left:
-            tiles = fr.tiles
-            allow = fr.allow
-            full = fr.full
-            ii = self.ii
-            i = fr.next_tile
-            n = len(tiles)
-            while True:
-                if i == n:
-                    return -1  # the frame is popped
-                tile = tiles[i]
-                i += 1
-                left = (allow >> tile * ii) & full
-                if left:
-                    break
-            fr.tile = tile
-            fr.next_tile = i
-        low = left & -left
-        fr.left = left ^ low
-        return low.bit_length() - 1
-
     def run(self) -> dict[int, tuple[Tile, int]] | None:
-        """Depth-first search over the schedule order with an explicit
-        frame stack, one frame per placed node plus the one being tried.
-        A placement whose next frame is dead or doomed is undone at once,
-        and the search goes on with the current frame; that frame is never
-        pushed. Only full placements draw on the budget, a doomed frame's
-        settled ones included; the slots the per-frame tables rule out are
-        two orders of magnitude cheaper."""
-        stack = [self._frame(0)]
-        depth = len(self.kt.order)
-        while True:
-            fr = stack[-1]
-            residue = self._next_residue(fr)
-            if residue < 0:
-                stack.pop()
-                if not stack:
-                    return None
-                parent = stack[-1]
-                self._undo(parent.nid, parent.tile, parent.residue, parent.undo)
-                continue
-            self.attempts_left -= 1
-            if self.attempts_left < 0:
-                raise _BudgetExhausted()
-            undo = self._try_add(fr.nid, fr.tile, residue)
-            if undo is None:
-                self.dep_rejected = True
-                continue
-            if len(stack) == depth:
-                coords = self.ft.coords  # one (row, col) pair per tile, shared by every result kept
-                return {nid: (coords[tile], r) for nid, (tile, r) in self.place.items()}
-            nxt = self._frame(len(stack))
-            if nxt is None:
-                self._undo(fr.nid, fr.tile, residue, undo)
-                continue
-            fr.residue = residue
-            fr.undo = undo
-            stack.append(nxt)
-
-    def _try_add(self, nid: int, tile: int, residue: int) -> list[tuple[int, int]] | None:
-        """Tentatively place nid; return an undo log, or None if the
-        dependence system becomes infeasible (positive cycle). An edge
-        u -> v of latency lat_u and distance d weighs
-        ceil((lat_u + hops + r_u - r_v) / II) - d in the longest-path
-        system over the placed nodes. Only once the placement holds, it
-        ANDs its wide mask into acc[v] of each later window partner v
-        (forward checking, Haralick & Elliott 1980), pushing the old values
-        on the trail for _undo, so a frame's table costs one AND."""
-        place = self.place
-        q = self.q
+        """Depth-first search over the schedule order: the placement by node
+        id, or None when the attempt is searched to exhaustion. Level idx
+        tries node idx at each residue its table allows, tile by tile in the
+        level's order, lowest residue first; a tile with none to try costs
+        one shift. The levels below the current one wait on an explicit
+        stack, so kernel size is not limited by the interpreter's recursion
+        depth. A placement sets the node's longest-path value from its
+        placed predecessors, then propagates it along the out-edges among
+        the placed nodes; an edge u -> v of latency lat_u and distance d
+        weighs ceil((lat_u + hops + r_u - r_v) / II) - d. A node updated
+        more often than there are placed nodes, or a value past dist_ub,
+        proves a positive cycle, and the placement is taken back. Only once it holds
+        does it AND its wide mask into acc[v] of each later window partner
+        v. A placement whose next level is dead or doomed is taken back at
+        once, and that level is never pushed. Only full placements draw on
+        the budget, a doomed level's settled ones included; the slots the
+        tables rule out are two orders of magnitude cheaper."""
+        kt = self.kt
+        n = len(kt.order)
         ii = self.ii
+        full = self.full
         hop_rows = self.hop_rows
-        place[nid] = (tile, residue)
-        self.occ |= 1 << (tile * ii + residue)
-        base = 0
-        for u, lat_u, d in self.kt.in_edges[nid]:
-            if u in place and u != nid:
-                tu, ru = place[u]
-                w = -((residue - lat_u - hop_rows[tu][tile] - ru) // ii) - d
-                base = max(base, q[u] + w)
-        q[nid] = base
-        undo: list[tuple[int, int]] = []
-        queue: deque[int] = deque([nid])
-        # A longest simple path over the placed subgraph updates each node
-        # fewer than len(place) times; more frequent updates (or a distance
-        # past dist_ub) prove a positive cycle.
-        update_cap = len(place)
-        dist_ub = self.dist_ub
-        updates: dict[int, int] = {}
-        out_edges = self.kt.out_edges
-        while queue:
-            u = queue.popleft()
-            tu, ru = place[u]
-            row = hop_rows[tu]
-            for v, lat_u, d in out_edges[u]:
-                if v not in place:
-                    continue
-                tv, rv = place[v]
-                # q[u] is read per edge: a self-loop on u may raise it here
-                cand = q[u] - ((rv - lat_u - row[tv] - ru) // ii) - d
-                if cand > q[v]:
-                    seen = updates.get(v, 0) + 1
-                    if cand > dist_ub or seen > update_cap:  # positive cycle
-                        self._retract(nid, tile, residue, undo)
-                        return None
-                    updates[v] = seen
-                    undo.append((v, q[v]))
-                    q[v] = cand
-                    queue.append(v)
-        acc = self.acc
-        push = self.trail.append
+        in_back = kt.in_back
+        out_edges = kt.out_edges
+        feeds_back = kt.feeds_back
+        fanout = self.fanout
+        tile_of, res_of, q, acc = self.tile_of, self.res_of, self.q, self.acc
+        push, pop = self.trail.append, self.trail.pop
         wide_masks = self.wide_masks
-        at = tile * ii
-        for v, lo, span_at in self.fanout[nid]:
-            start = (residue + lo) % ii
-            key = span_at + at + start
-            mask = wide_masks.get(key)
-            if mask is None:
-                mask = wide_masks[key] = self._wide_mask(tile, start, span_at // self.slots)
-            old = acc[v]
-            push(old)
-            acc[v] = old & mask
-        return undo
+        dist_ub = self.dist_ub
+        frame = self._frame
+        attempts_left = self.attempts_left
+        occ = 0
+        stack: list[tuple[list[int], int, int, int, list[tuple[int, int]]]] = []  # suspended levels
+        idx = 0
+        tiles, allow = frame(0, 0)
+        nt = left = 0  # the next tile to try, the residues left on the current one
+        while True:
+            if not left:
+                while nt < len(tiles):
+                    tile = tiles[nt]
+                    nt += 1
+                    left = (allow >> tile * ii) & full
+                    if left:
+                        break
+            if left:
+                low = left & -left
+                left ^= low
+                residue = low.bit_length() - 1
+                attempts_left -= 1
+                if attempts_left < 0:
+                    self.occ, self.attempts_left = occ, attempts_left
+                    raise _BudgetExhausted()
+                row = hop_rows[tile]  # hops are symmetric
+                base = 0
+                for u, lat_u, d in in_back[idx]:
+                    w = q[u] - ((residue - lat_u - row[tile_of[u]] - res_of[u]) // ii) - d
+                    if w > base:
+                        base = w
+                tile_of[idx] = tile
+                res_of[idx] = residue
+                q[idx] = base
+                occ |= 1 << (tile * ii + residue)
+                undo: list[tuple[int, int]] = []  # (node, q value replaced)
+                updates: dict[int, int] = {}
+                cyclic = False
+                queue = [idx] if feeds_back[idx] else ()  # otherwise no placed node's value can move
+                for u in queue:
+                    tu = tile_of[u]
+                    ru = res_of[u]
+                    row = hop_rows[tu]
+                    for v, lat_u, d in out_edges[u]:
+                        if v > idx:  # not placed
+                            continue
+                        # q[u] is read per edge: a self-loop on u may raise it here
+                        cand = q[u] - ((res_of[v] - lat_u - row[tile_of[v]] - ru) // ii) - d
+                        if cand > q[v]:
+                            seen = updates.get(v, 0) + 1
+                            if cand > dist_ub or seen > idx + 1:
+                                cyclic = True
+                                break
+                            updates[v] = seen
+                            undo.append((v, q[v]))
+                            q[v] = cand
+                            queue.append(v)
+                    if cyclic:
+                        break
+                if cyclic:
+                    for v, old in reversed(undo):
+                        q[v] = old
+                    occ ^= 1 << (tile * ii + residue)
+                    self.dep_rejected = True
+                    continue
+                at = tile * ii
+                for v, lo, span_at in fanout[idx]:
+                    start = (residue + lo) % ii
+                    key = span_at + at + start
+                    mask = wide_masks.get(key)
+                    if mask is None:
+                        mask = wide_masks[key] = self._wide_mask(tile, start, span_at // self.slots)
+                    old = acc[v]
+                    push(old)
+                    acc[v] = old & mask
+                if idx + 1 == n:
+                    self.occ, self.attempts_left = occ, attempts_left
+                    coords = self.ft.coords  # one (row, col) pair per tile, shared by every result kept
+                    return {nid: (coords[tile_of[i]], res_of[i]) for i, nid in enumerate(kt.order)}
+                self.attempts_left = attempts_left
+                nxt = frame(idx + 1, occ)
+                attempts_left = self.attempts_left
+                if nxt is not None:
+                    stack.append((tiles, allow, nt, left, undo))
+                    idx += 1
+                    tiles, allow = nxt
+                    nt = left = 0
+                    continue
+            else:  # the level is exhausted: back to the one below, whose placement goes
+                if not idx:
+                    self.occ, self.attempts_left = occ, attempts_left
+                    return None
+                idx -= 1
+                tiles, allow, nt, left, undo = stack.pop()
+                tile, residue = tile_of[idx], res_of[idx]
+            # take back node idx's placement at (tile, residue)
+            for v, _, _ in reversed(fanout[idx]):
+                acc[v] = pop()
+            for v, old in reversed(undo):
+                q[v] = old
+            occ ^= 1 << (tile * ii + residue)
 
-    def _undo(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
-        """Take back a placement that _try_add made: the later partners'
-        acc values from the trail, the latest first, then the rest."""
-        acc = self.acc
-        pop = self.trail.pop
-        for v, _, _ in reversed(self.fanout[nid]):
-            acc[v] = pop()
-        self._retract(nid, tile, residue, undo)
 
-    def _retract(self, nid: int, tile: int, residue: int, undo: list[tuple[int, int]]) -> None:
-        """Take back nid's slot, node and longest-path updates."""
-        q = self.q
-        for v, old in reversed(undo):
-            q[v] = old
-        del self.place[nid]
-        self.occ ^= 1 << (tile * self.ii + residue)
-        q.pop(nid, None)
-
-
-def _sccs(ids: list[int], succs: dict[int, list[int]]) -> list[list[int]]:
+def _sccs(ids: range, succs: list[list[int]]) -> list[list[int]]:
     """Strongly connected components (iterative Tarjan), deterministic."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -872,13 +843,14 @@ def _build_result(
     f: FabricSpec,
     ii: int,
     placement: dict[int, tuple[Tile, int]],
-    q: dict[int, int],
+    q: list[int],
 ) -> MappingResult:
-    schedule: dict[int, tuple[Tile, int]] = {}
-    for nid in sorted(placement):
-        tile, residue = placement[nid]
-        schedule[nid] = (tile, residue + ii * q[nid])
-    schedule_len = max(start + kt.lat[nid] for nid, (_, start) in schedule.items())
+    """The mapping of a placement by node id, as _Attempt.run returns it,
+    with q, its longest-path values by schedule position: each start is the
+    residue plus II times the node's value."""
+    starts = {nid: placement[nid][1] + ii * qv for nid, qv in zip(kt.order, q)}
+    schedule = {nid: (placement[nid][0], starts[nid]) for nid in sorted(starts)}
+    schedule_len = max(starts[nid] + lat for nid, lat in zip(kt.order, kt.lat))
     index = {nid: r * ft.cols + c for nid, ((r, c), _) in schedule.items()}
     routes = tuple(ft.route(f, index[e.src], index[e.dst]) for e in kt.edges)
     return MappingResult(ii=ii, schedule=schedule, routes=routes, schedule_len=schedule_len)

@@ -959,7 +959,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
         if not resume:
             raise RunConfigError(f"{hist_path} already exists; resume the run or pick a fresh directory")
         start_iter = runner.resume() + 1
-    elif resume:
+    elif resume and not hist_path.exists():  # an empty one, killed before its header, starts afresh
         raise RunConfigError(f"cannot resume: no history at {hist_path}")
     out.mkdir(parents=True, exist_ok=True)
 

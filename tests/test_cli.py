@@ -419,6 +419,22 @@ class TestRunAndReport:
         )
         assert code == EXIT_USAGE
 
+    def test_resume_of_an_empty_history_starts_afresh(self, capsys, tmp_path):
+        """A kill after the history file is made but before its header is
+        written leaves it empty. A resume then runs from the start, to the
+        files of a run that was never stopped (metrics without their meta)."""
+        fresh, killed = tmp_path / "fresh", tmp_path / "killed"
+        args = ("run", "--kernel", "spmv", "--iterations", "2", "--seed", "3")
+        assert run_cli(capsys, *args, "--out", str(fresh))[0] == EXIT_OK
+        killed.mkdir()
+        (killed / "history.jsonl").write_bytes(b"")
+        assert run_cli(capsys, *args, "--out", str(killed), "--resume")[0] == EXIT_OK
+        for name in ("history.jsonl", "best_design.json"):
+            assert (killed / name).read_bytes() == (fresh / name).read_bytes(), name
+        got, want = (json.loads((d / "metrics.json").read_text()) for d in (killed, fresh))
+        got.pop("meta"), want.pop("meta")
+        assert got == want
+
     @pytest.mark.parametrize(
         "index, spoil, where",
         [

@@ -217,6 +217,10 @@ SEARCH_GOLDEN = [
     ("fir", 1, 1, 1, 2, "MESH", 2, 2000, None, 1984, False),
     ("pair", 1, 1, 2, 2, "MESH", 2, 100, None, 99, True),
     ("fed_pair", 1, 1, 2, 2, "MESH", 2, 100, None, 92, True),
+    # the winning attempts of the deepest searches CI runs (map's budget)
+    ("latnrm", 2, 1, 2, 2, "MESH", 20, 50000, "5869e71128e8273b", 37866, True),
+    ("latnrm", 2, 1, 3, 3, "MESH", 20, 50000, "5869e71128e8273b", 4194, True),
+    ("latnrm", 2, 1, 4, 4, "KINGMESH", 21, 50000, "4c7978bdeaab81e0", 48682, True),
 ]
 
 
@@ -271,6 +275,41 @@ class TestSearchGolden:
 
         a = _Attempt(_KernelTables(load_kernel("fir")), _FabricTables(fabric()), 2, 2000)
         assert a.run() == {0: ((0, 0), 0), 1: ((0, 1), 0), 2: ((0, 1), 1), 3: ((1, 1), 0), 4: ((0, 0), 1)}
+
+
+class TestBudgetMonotonicity:
+    """The search order is fixed and a budget only cuts the search short, so
+    a larger placement_attempts searches a superset: for one shape, the II
+    map_kernel finds never gets worse as the budget grows (an error is worse
+    than any II), and every mapping passes check_mapping."""
+
+    @staticmethod
+    def assert_never_worse(k: KernelGraph, f: FabricSpec, budgets, max_ii: int = 32) -> list:
+        iis = []
+        for attempts in budgets:
+            got = map_checked(k, f, MapBudget(max_ii=max_ii, placement_attempts=attempts))
+            iis.append(got.ii if isinstance(got, MappingResult) else None)
+        for smaller, larger in zip(iis, iis[1:]):
+            assert smaller is None or (larger is not None and larger <= smaller), (budgets, iis)
+        return iis
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(list(Topology)),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 60), min_size=2, max_size=8, unique=True),
+    )
+    def test_random_kernels(self, seed, topo, rows, cols, budgets):
+        k = random_dfg(random.Random(seed), max_nodes=8)
+        self.assert_never_worse(k, fabric(rows=rows, cols=cols, topology=topo), sorted(budgets), max_ii=12)
+
+    def test_a_hard_shape_improves_with_budget(self):
+        """latnrm at unroll 2 on a 2x2 mesh, at run's budget and map's: the
+        larger one reaches a smaller II."""
+        k = apply_sw_params(load_kernel("latnrm"), 2, 1)
+        assert self.assert_never_worse(k, fabric(depth=32), [2000, 50_000]) == [21, 20]
 
 
 def wide_window_kernel() -> KernelGraph:
@@ -360,8 +399,8 @@ class TestReferenceSearch:
         dead = []  # per frame built, whether it was dead
         real_frame = _Attempt._frame
 
-        def frame(self, idx):
-            fr = real_frame(self, idx)
+        def frame(self, idx, occ):
+            fr = real_frame(self, idx, occ)
             dead.append(fr is None)
             return fr
 
@@ -391,10 +430,10 @@ class TestReferenceSearch:
         live = []  # per live frame past the root, its placed DFG neighbors
         real_frame = _Attempt._frame
 
-        def frame(self, idx):
-            fr = real_frame(self, idx)
+        def frame(self, idx, occ):
+            fr = real_frame(self, idx, occ)
             if fr is not None and idx:
-                live.append(sum(m in self.place for m in self.kt.dfg_neighbors[fr.nid]))
+                live.append(len(self.kt.near[idx]))  # nodes 0..idx-1 are the placed ones
             return fr
 
         monkeypatch.setattr(_Attempt, "_frame", frame)
@@ -469,17 +508,18 @@ class TestDoomedFrames:
         fired = {"settled": 0, "searched": 0}  # doomed frames, by how they ended
         real_frame = _Attempt._frame
 
-        def frame(self, idx):
+        def frame(self, idx, occ):
             left = self.attempts_left
-            fr = real_frame(self, idx)
+            fr = real_frame(self, idx, occ)
             if fr is None:
                 fired["settled"] += self.attempts_left < left
             elif (
                 idx + 1 < len(self.kt.order)
-                and fr.nid in self.kt.forward_only
-                and not self._table(self.kt.order[idx + 1])
+                and self.kt.forward_only[idx]
+                and not (self.wide ^ occ) & self.acc[idx + 1]
             ):
-                assert self.attempts_left < fr.allow.bit_count()
+                _, allow = fr
+                assert self.attempts_left < allow.bit_count()
                 fired["searched"] += 1
             return fr
 
@@ -498,9 +538,9 @@ class TestDoomedFrames:
         k = knot_kernel()  # order 0, 1, 2, 4, 3, 5; node 5 feeds PHI 1 back
         kt = _KernelTables(k)
         assert kt.order == [0, 1, 2, 4, 3, 5]
-        assert kt.forward_only == {0, 1, 2, 3, 4}
+        assert {kt.order[i] for i, only in enumerate(kt.forward_only) if only} == {0, 1, 2, 3, 4}
         # a self-loop does not count against its node
-        assert _KernelTables(accumulator_kernel()).forward_only == {0}
+        assert _KernelTables(accumulator_kernel()).forward_only == (True, False)
 
 
 def window_slots(a: _Attempt, tile_u: int, r_u: int, lo: int, span: int) -> int:
@@ -519,11 +559,11 @@ def window_slots(a: _Attempt, tile_u: int, r_u: int, lo: int, span: int) -> int:
 
 
 class TestWindowProducts:
-    """_try_add keeps acc[v], the AND of the wide masks of v's placed window
-    partners, up to date as they are placed and undone. At every frame the
-    search builds, and where the search ends, each unplaced node's acc must
-    equal a fresh AND over its placed partners, each mask worked out slot
-    by slot."""
+    """The search keeps acc[v], the AND of the wide masks of v's placed
+    window partners, up to date as they are placed and undone. At every
+    frame the search builds, and where the search ends, each unplaced
+    node's acc must equal a fresh AND over its placed partners, each mask
+    worked out slot by slot."""
 
     @staticmethod
     def checked_search(k: KernelGraph, f: FabricSpec, ii: int, attempts: int) -> int:
@@ -531,33 +571,32 @@ class TestWindowProducts:
         checks compared."""
         a = _Attempt(_KernelTables(k), _FabricTables(f), ii, attempts)
         windows: dict[int, list[tuple[int, int, int]]] = {}  # v -> (partner, lo, span)
-        for u, later in a.kt.windows(ii).items():
+        for u, later in enumerate(a.kt.windows(ii)):
             for v, lo, span in later:
                 windows.setdefault(v, []).append((u, lo, span))
         masks: dict[tuple[int, int, int, int], int] = {}
         compared = 0
 
-        def check(idx):
+        def check(placed, label):
+            """Nodes 0..placed-1 are placed, the rest are not."""
             nonlocal compared
-            for v in a.kt.order:
-                if v in a.place:
-                    continue
+            for v in range(placed, len(a.kt.order)):
                 want = a.wide
                 for u, lo, span in windows.get(v, ()):
-                    if u in a.place:
-                        key = (*a.place[u], lo, span)
+                    if u < placed:
+                        key = (a.tile_of[u], a.res_of[u], lo, span)
                         if key not in masks:
                             masks[key] = window_slots(a, *key)
                         want &= masks[key]
                         compared += 1
-                assert a.acc[v] == want, (idx, v)
+                assert a.acc[v] == want, (label, v)
 
         real_frame = _Attempt._frame
 
-        def frame(self, idx):
+        def frame(self, idx, occ):
             assert self is a
-            check(idx)
-            return real_frame(self, idx)
+            check(idx, idx)
+            return real_frame(self, idx, occ)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Attempt, "_frame", frame)
@@ -565,7 +604,7 @@ class TestWindowProducts:
                 a.run()
             except _BudgetExhausted:
                 pass
-        check("end")
+        check(a.occ.bit_count(), "end")  # one slot per placed node
         return compared
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
