@@ -185,8 +185,6 @@ def _cmd_validate(args) -> int:
 def _map_design(design_path: str, kernel_name: str, budget: MapBudget = MapBudget()):
     """Shared validate + transform + map pipeline for map/evaluate; raises
     CliError or returns (design, kernel, transformed kernel, mapping)."""
-    if budget.max_ii < 1 or budget.placement_attempts < 1:
-        raise CliError(EXIT_USAGE, "--max-ii and --attempts must be >= 1")
     d = _load_design(design_path)
     violations = validate_design(d)
     if violations:

@@ -46,19 +46,22 @@ built once per kernel object: latencies, the schedule order, adjacency,
 cycles, the static windows per II, the node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
 per (rows, cols, topology). The kernel tables live as long as the kernel
-object, the fabric tables in a memo bounded by their size, so a caller
-that maps one kernel on many fabrics, or many kernels on one grid,
-prepares each half once. Start cycles are recovered from the residues by
-a longest-path solve over the dependence difference constraints, so on
-small instances the search is effectively exhaustive and the returned II
-is optimal. The whole pipeline is deterministic: identical inputs give
+object or a kept search of it, the fabric tables in a memo bounded by
+their size, so a caller that maps one kernel on many fabrics, or many
+kernels on one grid, prepares each half once. Start cycles are recovered
+from the residues by a longest-path solve over the dependence difference
+constraints, so on small instances the search is effectively exhaustive
+and the returned II is optimal. The whole pipeline is deterministic: identical inputs give
 byte-identical results.
 
 The search reads only the kernel, the budget and the fabric's rows, cols
 and topology. The fabric's FU kinds and config memory depth enter through
-one check each (fu_kinds_error before the search, config_depth_error
-after it), so callers that map many fabrics of one shape can search once
-and apply those checks per fabric.
+one check each, made by map_kernel on every call: the FU kinds before the
+search, the config memory depth after it. So map_kernel keeps each search
+in a process-wide memo keyed by (kernel tables, rows, cols, topology,
+budget), the SEARCHES_KEPT used last, and answers every fabric of one
+shape from one search. The key holds the kernel's tables, not its id: a
+freed kernel's id can be reused, its kept tables cannot.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from .arch import GRID_STEPS, DesignPoint, FabricSpec, FuKind, Topology, neighbors
+from .decode import InputError
 from .kernel import KernelGraph
 
 Tile = tuple[int, int]
@@ -85,11 +89,18 @@ class MapBudget:
     residue) triple that passes the slot and window checks and goes on to
     the longest-path update. Triples those checks reject are free, so one
     attempt can cost far more than placement_attempts probes. A doomed
-    level's placements, settled unmade, count as made.
+    level's placements, settled unmade, count as made. Both must be at
+    least 1; a smaller value is bad input (InputError, code BAD_VALUE).
     """
 
     max_ii: int = 32
     placement_attempts: int = 50_000
+
+    def __post_init__(self):
+        for name in ("max_ii", "placement_attempts"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InputError("BAD_VALUE", f"budget.{name}={value} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,10 +113,12 @@ class MapError:
     hint: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingResult:
     """A verified-shape mapping. schedule maps node id -> (tile, start);
-    routes[i] is the tile path for kernel edge i, endpoints included."""
+    routes[i] is the tile path for kernel edge i, endpoints included.
+    map_kernel hands one result to every caller that maps the same search,
+    so callers must not change its schedule."""
 
     ii: int
     schedule: dict[int, tuple[Tile, int]]
@@ -185,7 +198,13 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
     if not kt.kinds <= f.fu_kinds:
         kind = next(kind for kind in kt.census if kind not in f.fu_kinds)
         raise ValueError(f"node kind {kind.name} not in fabric fu_kinds")
-    return max(1, math.ceil(kt.max_census / f.tiles)), kt.rec_mii
+    return _ii_bounds(kt, f.tiles)
+
+
+def _ii_bounds(kt: _KernelTables, tiles: int) -> tuple[int, int]:
+    """min_ii_bounds from a kernel's tables, on a grid of that many tiles
+    whose FUs cover every node kind."""
+    return max(1, math.ceil(kt.max_census / tiles)), kt.rec_mii
 
 
 def _rec_mii(k: KernelGraph) -> int:
@@ -247,13 +266,13 @@ def _hop_rows(f: FabricSpec) -> list[bytes]:
 class _KernelTables:
     """What every search of one kernel reads and none writes: latencies,
     the schedule order, dependence adjacency, cyclic components, the node
-    kinds with their counts, and RecMII. Read by map_kernel, min_ii_bounds
-    and fu_kinds_error through _kernel_tables. The nodes are numbered 0..n-1
+    kinds with their counts, and RecMII. Read by map_kernel and
+    min_ii_bounds through _kernel_tables. The nodes are numbered 0..n-1
     in schedule order (node i has id order[i]), and every per-node table is
     a tuple indexed by that number, so the search reads each with one index
     and, since it places the nodes in that order, the placed nodes are
     always 0..i-1. Holds no reference to the kernel object itself, so that
-    the tables can go when the kernel does."""
+    the tables can go when the kernel does and no search of it is kept."""
 
     def __init__(self, k: KernelGraph):
         self.edges = k.edges
@@ -751,31 +770,11 @@ def _schedule_order(k: KernelGraph) -> list[int]:
     return sorted(asap, key=lambda nid: (asap[nid], nid))
 
 
-def fu_kinds_error(k: KernelGraph, f: FabricSpec) -> MapError | None:
-    """MISSING_FU_KIND when some node kind of k has no FU on f; the only
-    check that reads f.fu_kinds. The kernel's kinds are read from its
-    tables, so each call compares two sets of at most 12 kinds."""
-    kinds = _kernel_tables(k).kinds
-    if kinds <= f.fu_kinds:
-        return None
-    missing = sorted(kind.name for kind in kinds - f.fu_kinds)
-    return MapError(
-        "MISSING_FU_KIND",
-        f"fabric lacks FU kind(s): {', '.join(missing)}",
-        hint={"missing_kinds": missing},
-    )
-
-
-def config_depth_error(ii: int, f: FabricSpec) -> MapError | None:
-    """CONFIG_MEM_OVERFLOW when the smallest feasible II does not fit f's
-    config memory; the only check that reads f.config_mem_depth."""
-    if ii <= f.config_mem_depth:
-        return None
-    return MapError(
-        "CONFIG_MEM_OVERFLOW",
-        f"smallest feasible II {ii} exceeds config_mem_depth {f.config_mem_depth}",
-        hint={"required_depth": ii},
-    )
+#: Searches map_kernel keeps, least recently used out first. A kept
+#: mapping costs about 2 KB, and its key keeps the kernel's tables (6 KB for
+#: a typical transformed kernel) alive until it leaves.
+SEARCHES_KEPT = 256
+_SEARCHES: OrderedDict[tuple, MappingResult | MapError] = OrderedDict()
 
 
 def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -> MappingResult | MapError:
@@ -784,15 +783,42 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
     Deterministic; see module docstring for the search strategy and the
     meaning of each error code. Hints are machine-readable and drive the
     automatic repair rules. The checks run in a fixed order: FU kinds,
-    II bounds, the search, then config memory depth. The search itself
-    reads only k, the budget and f's rows, cols and topology.
+    II bounds, the search, then config memory depth. The bounds and the
+    search read only k, the budget and f's rows, cols and topology, and
+    are kept in the search memo: every call with the same kernel object,
+    grid and budget is answered from one search, and calls whose mapping
+    fits their fabric share one MappingResult.
     """
     budget = budget or MapBudget()
-    err = fu_kinds_error(k, f)
-    if err is not None:
-        return err
     kt = _kernel_tables(k)
-    res, rec = min_ii_bounds(k, f)
+    if not kt.kinds <= f.fu_kinds:  # the only check that reads f.fu_kinds
+        missing = sorted(kind.name for kind in kt.kinds - f.fu_kinds)
+        return MapError(
+            "MISSING_FU_KIND",
+            f"fabric lacks FU kind(s): {', '.join(missing)}",
+            hint={"missing_kinds": missing},
+        )
+    key = (kt, f.rows, f.cols, f.topology, budget)
+    found = _SEARCHES.get(key)
+    if found is None:
+        found = _SEARCHES[key] = _search(kt, f, budget)
+        if len(_SEARCHES) > SEARCHES_KEPT:
+            _SEARCHES.popitem(last=False)
+    else:
+        _SEARCHES.move_to_end(key)
+    if type(found) is MapError or found.ii <= f.config_mem_depth:  # the only read of config_mem_depth
+        return found
+    return MapError(
+        "CONFIG_MEM_OVERFLOW",
+        f"smallest feasible II {found.ii} exceeds config_mem_depth {f.config_mem_depth}",
+        hint={"required_depth": found.ii},
+    )
+
+
+def _search(kt: _KernelTables, f: FabricSpec, budget: MapBudget) -> MappingResult | MapError:
+    """The II bounds, then one attempt per II from the lower bound up: the
+    mapping at the first II that places, whatever f's config memory."""
+    res, rec = _ii_bounds(kt, f.tiles)
     if res > budget.max_ii:
         return MapError(
             "INSUFFICIENT_TILES",
@@ -806,7 +832,7 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
             hint={"min_ii": rec, "max_ii": budget.max_ii},
         )
     # Extra sound lower bound: n nodes need n distinct (tile, residue) slots.
-    lower = max(res, rec, math.ceil(len(k.nodes) / f.tiles))
+    lower = max(res, rec, math.ceil(len(kt.order) / f.tiles))
     ft = _FABRIC_TABLES.get(f)
     dep_rejected = False  # by the last attempt; read only when none ran out of budget
     budget_hit = False
@@ -818,12 +844,8 @@ def map_kernel(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -
             budget_hit = True
             continue
         dep_rejected = attempt.dep_rejected
-        if placement is None:
-            continue
-        err = config_depth_error(ii, f)
-        if err is not None:
-            return err
-        return _build_result(kt, ft, f, ii, placement, attempt.q)
+        if placement is not None:
+            return _build_result(kt, ft, f, ii, placement, attempt.q)
     if dep_rejected and not budget_hit:
         return MapError(
             "ROUTING_FAILURE",

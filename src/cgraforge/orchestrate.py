@@ -34,7 +34,6 @@ import os
 import sys
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,8 +58,6 @@ from .agents import (
 )
 from .arch import (
     DesignPoint,
-    FabricSpec,
-    FuKind,
     Provenance,
     design_dict,
     design_from_dict,
@@ -79,15 +76,7 @@ from .costs import (
 )
 from .decode import Fields, InputError, about
 from .kernel import KernelGraph, TransformError, apply_sw_params, load_kernel, summarize
-from .mapper import (
-    MapBudget,
-    MapError,
-    MappedDesign,
-    MappingResult,
-    config_depth_error,
-    fu_kinds_error,
-    map_kernel,
-)
+from .mapper import MapBudget, MapError, MappedDesign, map_kernel
 from .mapper import speedup as compute_speedup
 from .selection import SelectionConfig, SelectionConfigError, SelectionState, ToolRound, select_step
 
@@ -142,8 +131,6 @@ class RunConfig:
             raise RunConfigError(f"max_fix_rounds={self.max_fix_rounds} must be >= 0")
         if self.history_window < 1:
             raise RunConfigError(f"history_window={self.history_window} must be >= 1")
-        if self.budget.max_ii < 1 or self.budget.placement_attempts < 1:
-            raise RunConfigError("budget fields must be >= 1")
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
@@ -403,63 +390,20 @@ class BestRecord:
     report: dict
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """What the mapping search gave for one design shape (unroll,
-    vectorize, rows, cols, topology) under one budget: the mapping or the
-    search's error, and for a mapping the transformed trip count and the
-    speedup."""
-
-    search: MappingResult | MapError
-    trip_after: int = 0
-    speedup: float = 0.0
+#: Transforms of a kernel by (unroll, vectorize), failed ones included, by
+#: id(kernel), each dropped when its kernel is freed. load_kernel gives one
+#: object per kernel text, so the runs and resumes of a process that load
+#: the same content share them, and every shape of a setting maps one
+#: transformed kernel object, whose searches the mapper keeps. A memo never
+#: refers to its kernel, so that it goes with it: the identity transform is
+#: kept as None.
+_KERNEL_MEMOS: dict[int, dict[tuple[int, int], KernelGraph | TransformError | None]] = {}
 
 
-#: Searched shapes a kernel's memo keeps between runs; a kept mapping costs
-#: about 2 KB. Measured on perfbench's resume_chain (seed 8), keeping 32
-#: cut its searches from 1 938 to 984 for 0.8 MB more peak memory, and
-#: keeping 64 to 836 for 1.1 MB more, near the 5% (1.3 MB) allowed.
-SHAPES_KEPT = 32
-
-
-class _KernelMemo:
-    """What a loaded kernel's content alone decides, shared by the runs and
-    resumes of a process: its transforms by (unroll, vectorize) and its
-    searches by (unroll, vectorize, rows, cols, topology, budget), failures
-    included. A run keeps every search it makes; trim() then keeps the
-    SHAPES_KEPT used last. The memo never refers to its kernel, so that it
-    goes with it: the identity transform is kept as None."""
-
-    def __init__(self):
-        self.transforms: dict[tuple[int, int], KernelGraph | TransformError | None] = {}
-        self.shapes: OrderedDict[tuple, _Shape] = OrderedDict()
-
-    def trim(self) -> None:
-        while len(self.shapes) > SHAPES_KEPT:
-            self.shapes.popitem(last=False)
-
-
-# Memos by id(kernel), each dropped when its kernel is freed, as the
-# mapper's kernel tables are. load_kernel gives one object per kernel text,
-# so the runs of a process that load the same content share one memo.
-_KERNEL_MEMOS: dict[int, _KernelMemo] = {}
-# The functions whose results the memos hold.
-_MEMO_FNS: tuple = ()
-
-
-def _kernel_memo(k: KernelGraph) -> _KernelMemo:
-    """k's memo. A memo holds what this module's apply_sw_params, map_kernel
-    and compute_speedup gave, so a run that finds other functions bound to
-    those names (a stub, a tracer's wrapper) empties every memo first, and
-    calls the functions it finds."""
-    global _MEMO_FNS
-    fns = (apply_sw_params, map_kernel, compute_speedup)
-    if fns != _MEMO_FNS:
-        _KERNEL_MEMOS.clear()
-        _MEMO_FNS = fns
+def _kernel_memo(k: KernelGraph) -> dict[tuple[int, int], KernelGraph | TransformError | None]:
     memo = _KERNEL_MEMOS.get(id(k))
     if memo is None:
-        memo = _KERNEL_MEMOS[id(k)] = _KernelMemo()
+        memo = _KERNEL_MEMOS[id(k)] = {}
         weakref.finalize(k, _KERNEL_MEMOS.pop, id(k), None)
     return memo
 
@@ -476,10 +420,6 @@ class RunResult:
 
 #: A design_key that _check has not seen yet.
 _UNCHECKED = object()
-
-#: The search fabric's FU kinds: every kind, so that the search reads only
-#: the shape.
-_ALL_KINDS = frozenset(FuKind)
 
 _COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "mapped_post_total")
 
@@ -504,8 +444,8 @@ class _Runner:
         self.drafts_total = 0
         self.mapped_pre_total = 0
         self.mapped_post_total = 0
-        self.memo = _kernel_memo(self.kernel)
-        self._verdicts: dict[tuple, FixableError | _Shape] = {}
+        self.transforms = _kernel_memo(self.kernel)
+        self._verdicts: dict[tuple, FixableError | MappedDesign] = {}
 
     # ----- shared checking -------------------------------------------------
 
@@ -513,7 +453,7 @@ class _Runner:
         """The kernel under (unroll, vectorize), or the transform's error,
         from the memo: every shape of a pair shares one kernel object, so
         the mapper builds its tables once."""
-        transforms = self.memo.transforms
+        transforms = self.transforms
         key = (unroll, vectorize)
         try:
             kernel = transforms[key]
@@ -526,62 +466,37 @@ class _Runner:
             return kernel
         return self.kernel if kernel is None else kernel
 
-    def _search(self, d: DesignPoint, kernel: KernelGraph) -> _Shape:
-        """The search of d's shape from the memo, run on first need on the
-        fabric with every FU kind and a config memory as deep as max_ii,
-        so that it reads only the shape and the budget."""
-        f, budget = d.fabric, self.cfg.budget
-        key = (d.sw.unroll_factor, d.sw.vectorize_factor, f.rows, f.cols, f.topology, budget)
-        shapes = self.memo.shapes
-        shape = shapes.get(key)
-        if shape is not None:
-            shapes.move_to_end(key)
-            return shape
-        fabric = FabricSpec(f.rows, f.cols, _ALL_KINDS, budget.max_ii, f.data_mem_kb, f.topology)
-        search = map_kernel(kernel, fabric, budget)
-        if isinstance(search, MappingResult):
-            shape = _Shape(search, kernel.trip_count, compute_speedup(self.kernel, search, kernel.trip_count))
-        else:
-            shape = _Shape(search)
-        shapes[key] = shape
-        return shape
-
     def _check(self, d: DesignPoint) -> FixableError | None:
         """The repair loop's oracle, memoized per design_key for the run:
         the verdict reads only the design's file-visible fields (its
-        shape, FU kinds and config memory depth) and the run's kernel,
-        budget and memo, never its id or note, so each distinct design is
-        checked once and a repeated draft costs one lookup. A design that
-        passed keeps its search, for _mapped."""
+        shape, FU kinds and config memory depth) and the run's kernel and
+        budget, never its id or note, so each distinct design is checked
+        once and a repeated draft costs one lookup. A design that passed
+        keeps its mapping, for _mapped."""
         key = design_key(d)
         verdict = self._verdicts.get(key, _UNCHECKED)
         if verdict is _UNCHECKED:
             verdict = self._verdicts[key] = self._verdict(d)
-        return None if type(verdict) is _Shape else verdict
+        return None if type(verdict) is MappedDesign else verdict
 
-    def _verdict(self, d: DesignPoint) -> FixableError | _Shape:
-        """Structural validation, the loop transforms, the FU kinds, the
-        mapping search, the config memory depth, in that order, as in
-        map_kernel; the search's _Shape if all pass. The FU-kind and depth
-        checks run per distinct design."""
+    def _verdict(self, d: DesignPoint) -> FixableError | MappedDesign:
+        """Structural validation, the loop transforms, then map_kernel, as
+        cli's map does; the mapping with its speedup if all pass."""
         violations = validate_design(d)
         if violations:
             return violations
         kernel = self._transformed(d.sw.unroll_factor, d.sw.vectorize_factor)
         if isinstance(kernel, TransformError):
             return kernel
-        err = fu_kinds_error(kernel, d.fabric)
-        if err is not None:
-            return err
-        shape = self._search(d, kernel)
-        if isinstance(shape.search, MapError):
-            return shape.search
-        return config_depth_error(shape.search.ii, d.fabric) or shape
+        m = map_kernel(kernel, d.fabric, self.cfg.budget)
+        if isinstance(m, MapError):
+            return m
+        return MappedDesign(d, m, kernel.trip_count, compute_speedup(self.kernel, m, kernel.trip_count))
 
     def _mapped(self, d: DesignPoint) -> MappedDesign:
-        """The mapping of a design that _check passed."""
-        shape = self._verdicts[design_key(d)]
-        return MappedDesign(design=d, mapping=shape.search, trip_after=shape.trip_after, speedup=shape.speedup)
+        """The mapping of a design that _check passed, as d's own."""
+        v = self._verdicts[design_key(d)]
+        return MappedDesign(design=d, mapping=v.mapping, trip_after=v.trip_after, speedup=v.speedup)
 
     # ----- live iteration ---------------------------------------------------
 
@@ -967,13 +882,10 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
         if runner.history.seq == 0:  # a fresh log starts with its header
             runner.history.append([{"type": "run_header", "config": cfg.to_header_dict()}])
         log = _progress_log()
-        try:
-            for it in range(start_iter, cfg.iterations + 1):
-                runner.run_iteration(it)
-                if log is not None:
-                    log.info("%s", iteration_line(runner.iter_entries[-1]))
-        finally:
-            runner.memo.trim()
+        for it in range(start_iter, cfg.iterations + 1):
+            runner.run_iteration(it)
+            if log is not None:
+                log.info("%s", iteration_line(runner.iter_entries[-1]))
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import OrderedDict
 
+from cgraforge import mapper, orchestrate
 from cgraforge.arch import DesignPoint, FabricSpec, FuKind, SwParams, Topology, parse_design
 from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph, validate_graph
 from cgraforge.mapper import MapBudget, MapError, MappingResult, check_mapping, map_kernel
@@ -13,6 +15,18 @@ ALL_KINDS = frozenset(FuKind)
 FULL_FABRIC = FabricSpec(
     rows=4, cols=4, topology=Topology.MESH, fu_kinds=ALL_KINDS, config_mem_depth=32, data_mem_kb=32
 )
+
+
+def fresh_memos(monkeypatch, fabric_cells: int | None = None) -> None:
+    """Start the process-wide memos empty for one test, as in a new
+    process: the runs' transforms, and the mapper's kernel tables, searches
+    and fabric tables, these bounded by fabric_cells hop-table cells (by
+    default the mapper's own bound)."""
+    cells = mapper._FABRIC_TABLES.capacity if fabric_cells is None else fabric_cells
+    monkeypatch.setattr(orchestrate, "_KERNEL_MEMOS", {})
+    monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
+    monkeypatch.setattr(mapper, "_SEARCHES", OrderedDict())
+    monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(cells))
 
 
 def map_checked(k: KernelGraph, f: FabricSpec, budget: MapBudget | None = None) -> MappingResult | MapError:

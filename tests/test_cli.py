@@ -144,6 +144,12 @@ class TestMap:
         code, _, err = run_cli(capsys, "map", design_file, "--kernel", "fir", "--attempts", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("max_ii", ["0", "-3"])
+    def test_max_ii_below_one_is_usage_error(self, capsys, design_file, max_ii):
+        code, out, err = run_cli(capsys, "map", design_file, "--kernel", "fir", "--max-ii", max_ii, "--json")
+        assert code == EXIT_USAGE
+        assert out == "" and f"budget.max_ii={max_ii} must be >= 1" in err
+
 
 class TestEvaluate:
     def test_json_report(self, capsys, design_file):
@@ -373,6 +379,14 @@ class TestRunAndReport:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
         assert code == EXIT_DOMAIN
         assert "no feasible design" in err
+
+    def test_run_budget_below_one_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": "spmv", "budget": {"max_ii": 0}}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert "budget.max_ii=0 must be >= 1" in err
+        assert not (tmp_path / "r").exists()
 
     def test_run_without_kernel_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--iterations", "1")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cgraforge import mapper
 from cgraforge.arch import FabricSpec, FuKind, Topology, neighbors
+from cgraforge.decode import InputError
 from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph, apply_sw_params, load_kernel
 from cgraforge.mapper import (
     MapBudget,
@@ -30,7 +31,7 @@ from cgraforge.mapper import (
     route_path,
     speedup,
 )
-from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, map_checked, random_dfg
+from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, fresh_memos, map_checked, random_dfg
 from oracles import bfs_routes, brute_force_min_ii, oracle_hops, rec_mii_by_enumeration, reference_attempt
 
 ORACLE_BUDGET = MapBudget(max_ii=4, placement_attempts=500_000)
@@ -169,7 +170,7 @@ class TestMapKernelSuccess:
 
         k = load_kernel("fir")
         a = map_kernel(k, FULL_FABRIC)
-        b = map_kernel(k, FULL_FABRIC)
+        b = map_kernel(dataclasses.replace(k), FULL_FABRIC)  # a copy is searched afresh
         assert a == b
 
     def test_matches_exhaustive_oracle(self):
@@ -668,25 +669,18 @@ class TestPreparedTables:
         fabric(rows=2, cols=3, topology=Topology.CROSSBAR, kinds=ALL_KINDS - {FuKind.DIV}),
     )
 
-    CAPACITY = mapper._FABRIC_TABLES.capacity
-
-    @staticmethod
-    def fresh_memos(monkeypatch, capacity=CAPACITY):
-        monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
-        monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(capacity))
-
     def test_shared_tables_map_as_fresh_ones(self, monkeypatch):
         kernels = builtin_variants()
         assert len(kernels) == 113
         # Reference: a fresh copy of each kernel, and a fabric memo that
         # keeps nothing.
-        self.fresh_memos(monkeypatch, 0)
+        fresh_memos(monkeypatch, 0)
         want = {
             (i, j): map_kernel(dataclasses.replace(k), f, self.BUDGET)
             for i, k in enumerate(kernels)
             for j, f in enumerate(self.FABRICS)
         }
-        self.fresh_memos(monkeypatch)
+        fresh_memos(monkeypatch)
         builds = []
 
         class Counted(mapper._KernelTables):
@@ -713,7 +707,7 @@ class TestPreparedTables:
         """Kernels mapped on grids that share tables, fabrics of one shape
         with different FU kinds among them: every route a result asked for,
         and then every other pair, equals a fresh route_path."""
-        self.fresh_memos(monkeypatch)
+        fresh_memos(monkeypatch)
         fabrics = self.FABRICS + (
             fabric(rows=2, cols=3, topology=Topology.MESH, kinds=ALL_KINDS - {FuKind.DIV}),
             fabric(rows=3, cols=3, topology=Topology.KINGMESH),
@@ -741,7 +735,7 @@ class TestPreparedTables:
         assert asked > 20, asked
 
     def test_kernel_tables_go_with_their_kernel(self, monkeypatch):
-        self.fresh_memos(monkeypatch)
+        fresh_memos(monkeypatch)
         memo = mapper._KERNEL_TABLES
         for _ in range(40):
             assert isinstance(map_kernel(chain_kernel(length=3), FULL_FABRIC), MappingResult)
@@ -756,7 +750,7 @@ class TestPreparedTables:
         assert memo == {}
 
     def test_fabric_memo_keeps_at_most_its_bound(self, monkeypatch):
-        self.fresh_memos(monkeypatch)
+        fresh_memos(monkeypatch)
         memo = mapper._FABRIC_TABLES
         k = chain_kernel(length=2)
         shapes = [(r, c, topo) for topo in Topology for r in range(1, 9) for c in range(1, 9)]
@@ -769,6 +763,100 @@ class TestPreparedTables:
         before = list(memo.entries)
         assert isinstance(map_kernel(k, fabric(rows=17, cols=17)), MappingResult)
         assert list(memo.entries) == before
+
+
+class TestSearchMemo:
+    """map_kernel keeps each search by (kernel tables, rows, cols, topology,
+    budget) and checks the FU kinds and the config memory depth on every
+    call: a kept answer must equal a fresh search on every fabric of its
+    shape, and belong to the kernel object it was made for."""
+
+    BUDGET = MapBudget(max_ii=12, placement_attempts=300)
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """Record each search the mapper runs, by its memo key."""
+        searches = []
+        real = mapper._search
+
+        def search(kt, f, budget):
+            searches.append((kt, f.rows, f.cols, f.topology, budget))
+            return real(kt, f, budget)
+
+        monkeypatch.setattr(mapper, "_search", search)
+        return searches
+
+    def test_kept_results_equal_fresh_searches_on_every_fabric_of_a_shape(self, monkeypatch):
+        fresh_memos(monkeypatch)
+        searches = self.counted(monkeypatch)
+        codes = set()
+        for k in builtin_variants()[::4]:
+            kinds = frozenset(n.kind for n in k.nodes)
+            kt = mapper._kernel_tables(k)
+            for rows, cols, topo in [(1, 1, Topology.MESH), (2, 3, Topology.KINGMESH), (1, 3, Topology.CROSSBAR)]:
+                fits = []
+                for depth in (1, 4, 32):
+                    for fu in (ALL_KINDS, kinds, kinds - {k.nodes[-1].kind}):
+                        f = fabric(rows=rows, cols=cols, topology=topo, depth=depth, kinds=fu)
+                        got = map_kernel(k, f, self.BUDGET)
+                        assert got == map_kernel(dataclasses.replace(k), f, self.BUDGET), (k.name, f)
+                        codes.add(getattr(got, "code", "OK"))
+                        if isinstance(got, MappingResult):
+                            fits.append(got)
+                assert all(m is fits[0] for m in fits)  # one result, shared
+            own = [key for key in searches if key[0] is kt]
+            assert len(own) == len(set(own)) == 3, k.name  # one search per shape
+        assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES", "II_BOUND_EXCEEDED"} <= codes, codes
+
+    def test_fu_kinds_and_depth_are_checked_on_every_call(self, monkeypatch):
+        fresh_memos(monkeypatch)
+        searches = self.counted(monkeypatch)
+        k = apply_sw_params(load_kernel("fir"), 2, 1)
+        m = map_checked(k, fabric(depth=32))
+        assert isinstance(m, MappingResult) and m.ii > 1
+        lacking = ALL_KINDS - {k.nodes[0].kind}
+        for depth in (32, 1):  # a missing kind wins over the kept mapping and over the depth
+            err = map_kernel(k, fabric(depth=depth, kinds=lacking))
+            assert isinstance(err, MapError) and err.code == "MISSING_FU_KIND"
+        err = map_kernel(k, fabric(depth=m.ii - 1))
+        assert isinstance(err, MapError) and err.code == "CONFIG_MEM_OVERFLOW"
+        assert err.hint == {"required_depth": m.ii}
+        assert map_kernel(k, fabric(depth=m.ii)) is m
+        assert len(searches) == 1
+
+    def test_a_kernel_at_a_freed_kernels_id_gets_its_own_search(self, monkeypatch):
+        """A kernel freed after its search, and a new kernel that the
+        allocator puts at the same id: the new one is searched, and its
+        answer is its own, not the kept one."""
+        fresh_memos(monkeypatch)
+        template = chain_kernel(length=3)
+        want = map_kernel(dataclasses.replace(template), FULL_FABRIC)
+        assert want.ii == 1
+        fields = {f.name: getattr(template, f.name) for f in dataclasses.fields(template)}
+        reused = 0
+        for _ in range(200):
+            old = accumulator_kernel()
+            assert map_kernel(old, FULL_FABRIC).ii == 2
+            old_id = id(old)
+            del old  # its search stays kept
+            new = KernelGraph(**fields)
+            if id(new) == old_id:
+                reused += 1
+                assert map_kernel(new, FULL_FABRIC) == want
+        assert reused > 0
+
+    def test_the_memo_keeps_the_searches_used_last(self, monkeypatch):
+        fresh_memos(monkeypatch)
+        monkeypatch.setattr(mapper, "SEARCHES_KEPT", 3)
+        searches = self.counted(monkeypatch)
+        k = chain_kernel(length=4)
+        for rows in (1, 2, 3, 1, 4, 2, 1):
+            assert isinstance(map_kernel(k, fabric(rows=rows)), MappingResult)
+            assert len(mapper._SEARCHES) <= 3
+        # 1, 2, 3 kept; 1 found and moved last; 4 drops 2, the least
+        # recently used; 2 is searched again and drops 3; 1 found again
+        assert [key[1] for key in searches] == [1, 2, 3, 4, 2]
+        assert [key[1] for key in mapper._SEARCHES] == [4, 2, 1]
 
 
 class TestLargeKernels:
@@ -846,6 +934,13 @@ class TestMapKernelErrors:
         err = map_kernel(pair_kernel(fed), fabric(topology=topo), MapBudget(max_ii=2))
         assert isinstance(err, MapError) and err.code == "ROUTING_FAILURE"
         assert map_checked(pair_kernel(fed), fabric(topology=topo), MapBudget(max_ii=3)).ii == 3
+
+    @pytest.mark.parametrize("kwargs", [{"max_ii": 0}, {"max_ii": -3}, {"placement_attempts": 0}])
+    def test_budget_below_one_is_bad_input(self, kwargs):
+        with pytest.raises(InputError) as raised:
+            MapBudget(**kwargs)
+        assert raised.value.code == "BAD_VALUE"
+        assert f"budget.{next(iter(kwargs))}=" in str(raised.value)
 
     def test_budget_exhaustion_reports_ii_bound(self):
         from cgraforge.kernel import load_kernel

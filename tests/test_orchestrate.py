@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -22,6 +23,7 @@ from cgraforge.arch import (
     validate_design,
 )
 from cgraforge.costs import Objective, ObjectiveMode
+from cgraforge.decode import InputError
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
 from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
@@ -41,7 +43,7 @@ from cgraforge.orchestrate import (
 )
 from cgraforge.selection import SelectionConfig
 
-from helpers import make_design, map_checked
+from helpers import fresh_memos, make_design, map_checked
 
 ITER_ENTRY_KEYS = {
     "best_so_far",
@@ -59,15 +61,6 @@ def quick_cfg(**overrides):
     base = dict(kernel="spmv", iterations=3, proposals_per_iteration=4, top_k=2, seed=1)
     base.update(overrides)
     return RunConfig(**base)
-
-
-def fresh_memos(monkeypatch):
-    """Start the process-wide memos empty for one test, as in a new
-    process: the runs' kernel memo, and the mapper's kernel and fabric
-    tables."""
-    monkeypatch.setattr(orchestrate, "_KERNEL_MEMOS", {})
-    monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
-    monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(mapper._FABRIC_TABLES.capacity))
 
 
 def run_bytes(result) -> tuple[bytes, str, bytes]:
@@ -159,12 +152,15 @@ class TestRunConfig:
             {"top_k": 0},
             {"max_fix_rounds": -1},
             {"history_window": 0},
-            {"budget": MapBudget(max_ii=0)},
+            {"budget": {"max_ii": 0}},
         ],
     )
     def test_field_bounds(self, kwargs):
-        with pytest.raises(RunConfigError):
-            quick_cfg(**kwargs)
+        """A config read from JSON is held to every bound; the budget's are
+        MapBudget's own, so a config file and map's flags share them."""
+        with pytest.raises(InputError) as raised:
+            RunConfig.from_json({"kernel": "spmv", **kwargs})
+        assert raised.value.code == ("BAD_VALUE" if "budget" in kwargs else "BAD_CONFIG")
 
     def test_header_excludes_iteration_target(self):
         header = quick_cfg().to_header_dict()
@@ -875,18 +871,26 @@ class TestMapCache:
             tk = apply_sw_params(kernel, d.sw.unroll_factor, d.sw.vectorize_factor)
         except TransformError as e:
             return e
-        return map_kernel(tk, d.fabric, budget)
+        # a copy, whose tables and searches are its own: map_kernel keeps
+        # each search per kernel object
+        return map_kernel(dataclasses.replace(tk), d.fabric, budget)
 
     def test_verdicts_equal_uncached_mapping(self, tmp_path, monkeypatch):
         fresh_memos(monkeypatch)
+        searches = []
+        real_search = mapper._search
+        monkeypatch.setattr(mapper, "_search", lambda *a: searches.append(a) or real_search(*a))
         rng = random.Random(5)
         codes = set()
         for name in BUILTIN_KERNELS:
             runner = _Runner(RunConfig(kernel=name, budget=self.BUDGET), tmp_path)
             designs = self.designs(rng, {n.kind for n in runner.kernel.nodes})
             rng.shuffle(designs)
+            searched = 0  # by the runner's checks
             for d in designs:
+                before = len(searches)
                 got = runner._check(d)
+                searched += len(searches) - before
                 want = self.uncached(runner.kernel, d, self.BUDGET)
                 if isinstance(want, MappingResult):
                     assert got is None, (name, d)
@@ -898,7 +902,7 @@ class TestMapCache:
                 else:
                     assert error_payload(got) == error_payload(want), (name, d)
                     codes.add(error_payload(want)["code"])
-            assert len(runner.memo.shapes) <= 4
+            assert searched <= 4  # once per shape, for all of its designs
         # the sample reaches every stage of the check
         assert {"OK", "MISSING_FU_KIND", "CONFIG_MEM_OVERFLOW", "INSUFFICIENT_TILES"} <= codes
 
@@ -1042,47 +1046,78 @@ class TestProcessMemo:
             warm = run(dataclasses.replace(self.CFG, iterations=it), out, resume=chained and it > 1)
         assert run_bytes(warm) == cold
 
+    @staticmethod
+    def counted(monkeypatch) -> tuple[list, list]:
+        """Wrap orchestrate's map_kernel and the mapper's search: the first
+        list gets each lookup's search key, (kernel tables, rows, cols,
+        topology, budget), for every call the FU kinds pass, the second
+        each key actually searched."""
+        used, searched = [], []
+        real_map, real_search = orchestrate.map_kernel, mapper._search
+
+        def lookup(k, f, budget):
+            kt = mapper._kernel_tables(k)
+            if kt.kinds <= f.fu_kinds:
+                used.append((kt, f.rows, f.cols, f.topology, budget))
+            return real_map(k, f, budget)
+
+        def search(kt, f, budget):
+            searched.append((kt, f.rows, f.cols, f.topology, budget))
+            return real_search(kt, f, budget)
+
+        monkeypatch.setattr(orchestrate, "map_kernel", lookup)
+        monkeypatch.setattr(mapper, "_search", search)
+        return used, searched
+
     def test_a_run_calls_the_mapper_it_finds_bound(self, tmp_path, monkeypatch):
-        """The memos hold what the module's transform, mapper and speedup
-        functions gave: after a run, a run that finds another map_kernel
-        bound (a stub, a tracer's wrapper) searches every shape through it,
-        and a run after that finds the kept searches."""
+        """A run maps through the map_kernel bound in this module, so a
+        stub or a tracer's wrapper installed after a run sees every shape
+        the next run maps, and the mapper answers that run from the
+        searches it kept."""
         fresh_memos(monkeypatch)
+        first = []
+        real_search = mapper._search
+        monkeypatch.setattr(
+            mapper, "_search", lambda kt, f, b: first.append((kt, f.rows, f.cols, f.topology, b)) or real_search(kt, f, b)
+        )
         plain = run_bytes(run(self.CFG, tmp_path / "plain"))
-        searched = []
-        real_map = orchestrate.map_kernel
-        monkeypatch.setattr(orchestrate, "map_kernel", lambda *a: searched.append(a) or real_map(*a))
+        assert len(first) == len(set(first)) <= mapper.SEARCHES_KEPT  # each shape searched once
+        used, searched = self.counted(monkeypatch)
         assert run_bytes(run(self.CFG, tmp_path / "wrapped")) == plain
-        shapes = len(searched)
-        assert shapes > orchestrate.SHAPES_KEPT
-        searched.clear()
-        assert run_bytes(run(self.CFG, tmp_path / "again")) == plain
-        assert len(searched) == shapes - orchestrate.SHAPES_KEPT
+        assert set(used) == set(first)
+        assert searched == []
 
     def test_the_searches_kept_never_pass_their_cap(self, tmp_path, monkeypatch):
-        """A run keeps every search it makes, so it searches each shape it
-        meets once; when it ends, its kernel's memo keeps the cap's worth
-        of shapes, the ones it used last, and the next run finds them."""
+        """The mapper keeps the SEARCHES_KEPT searches used last, so a run
+        makes exactly the searches a least-recently-used memo of that size
+        misses, and the next run finds the ones the first used last."""
         fresh_memos(monkeypatch)
         cap = 5
-        monkeypatch.setattr(orchestrate, "SHAPES_KEPT", cap)
-        used, searched = [], []
-        real_search, real_map = _Runner._search, orchestrate.map_kernel
+        monkeypatch.setattr(mapper, "SEARCHES_KEPT", cap)
+        used, searched = self.counted(monkeypatch)
 
-        def search(self, d, kernel):
-            used.append((d.sw.unroll_factor, d.sw.vectorize_factor, d.fabric.rows, d.fabric.cols, d.fabric.topology))
-            return real_search(self, d, kernel)
+        def lru_misses(keys, kept):
+            misses = []
+            for key in keys:
+                if key in kept:
+                    kept.move_to_end(key)
+                    continue
+                misses.append(key)
+                kept[key] = None
+                if len(kept) > cap:
+                    kept.popitem(last=False)
+            return misses
 
-        monkeypatch.setattr(_Runner, "_search", search)
-        monkeypatch.setattr(orchestrate, "map_kernel", lambda *a: searched.append(a) or real_map(*a))
         cfg = RunConfig(kernel="fft", iterations=12, proposals_per_iteration=6, seed=3)
         first = run(cfg, tmp_path / "first")
-        last_used = list(dict.fromkeys(reversed(used)))[:cap][::-1]
-        assert len(searched) == len(set(used)) > 3 * cap
-        memo = orchestrate._kernel_memo(load_kernel("fft"))
-        assert [key[:5] for key in memo.shapes] == last_used
+        kept = OrderedDict()
+        assert searched == lru_misses(used, kept)
+        assert len(set(used)) > 3 * cap
+        assert list(mapper._SEARCHES) == list(kept)  # the cap's worth, used last
+        # The next run, with room for all it searches, finds the kept ones.
+        monkeypatch.setattr(mapper, "SEARCHES_KEPT", 1000)
+        used.clear()
         searched.clear()
         again = run(cfg, tmp_path / "again")
         assert len(searched) == len(set(used)) - cap
-        assert len(memo.shapes) == cap
         assert run_bytes(again) == run_bytes(first)
