@@ -25,7 +25,7 @@ from ..arch import (
     Topology,
     design_key,
 )
-from ..costs import BIG, EvalReport, Objective, ObjectiveMode
+from ..costs import BIG, EvalReport, Objective, score_point
 from ..kernel import KernelSummary, TransformError
 from ..mapper import MapError, MappedDesign
 from . import (
@@ -540,13 +540,9 @@ class HeuristicAgent:
         )
 
     def _base(self, cand: MappedDesign) -> float:
-        if cand.speedup < self.objective.min_speedup:
-            return BIG + (self.objective.min_speedup - cand.speedup)
         f = cand.design.fabric
         proxy_power = JUDGE_POWER_SCALE * f.tiles * len(f.fu_kinds) * PROXY_WIRING[f.topology]
-        if self.objective.mode is ObjectiveMode.MIN_POWER:
-            return proxy_power
-        return -cand.speedup / proxy_power
+        return score_point(self.objective, cand.speedup, proxy_power)
 
     def _score(self, cand: MappedDesign) -> float:
         base = self._base(cand)

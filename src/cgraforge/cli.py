@@ -20,10 +20,9 @@ from pathlib import Path
 from .arch import DesignPoint, parse_design, validate_design
 from .costs import Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
 from .decode import InputError, about, loads, read_text
-from .kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, summarize
-from .mapper import MapBudget, MapError, MappedDesign, map_kernel
-from .mapper import speedup as compute_speedup
-from .orchestrate import RunConfig, RunConfigError, iteration_line, run
+from .kernel import BUILTIN_KERNELS, TransformError, load_kernel, summarize
+from .mapper import MapBudget, MappedDesign
+from .orchestrate import RunConfig, RunConfigError, check_design, iteration_line, run
 from .selection import SelectionConfigError, load_sim_script, run_selection, trace_to_jsonl
 
 EXIT_OK = 0
@@ -182,36 +181,29 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-def _map_design(design_path: str, kernel_name: str, budget: MapBudget = MapBudget()):
-    """Shared validate + transform + map pipeline for map/evaluate; raises
-    CliError or returns (design, kernel, transformed kernel, mapping)."""
-    d = _load_design(design_path)
-    violations = validate_design(d)
-    if violations:
-        raise CliError(
-            EXIT_DOMAIN,
-            "design is structurally invalid: " + "; ".join(f"{v.code}({v.field})" for v in violations),
-        )
-    k = _load_kernel(kernel_name)
-    try:
-        tk = apply_sw_params(k, d.sw.unroll_factor, d.sw.vectorize_factor)
-    except TransformError as e:
-        raise CliError(EXIT_DOMAIN, f"transform failed: {e.code}: {e}") from None
-    res = map_kernel(tk, d.fabric, budget)
-    if isinstance(res, MapError):
-        hint = f" hint={json.dumps(res.hint, sort_keys=True)}" if res.hint else ""
-        raise CliError(EXIT_DOMAIN, f"mapping failed: {res.code}: {res.detail}{hint}")
-    return d, k, tk, res
+def _mapped(args, budget: MapBudget) -> MappedDesign:
+    """The verdict of a run's repair loop (orchestrate.check_design) on the
+    design file for --kernel at `budget`: the mapped design, or exit 3
+    naming the first stage that failed, as {"error": ...} too under --json.
+    The design, then the kernel, load before the verdict."""
+    d = _load_design(args.design)
+    verdict = check_design(_load_kernel(args.kernel), d, budget)
+    if isinstance(verdict, MappedDesign):
+        return verdict
+    if isinstance(verdict, list):
+        message = "design is structurally invalid: " + "; ".join(f"{v.code}({v.field})" for v in verdict)
+    elif isinstance(verdict, TransformError):
+        message = f"transform failed: {verdict.code}: {verdict}"
+    else:
+        hint = f" hint={json.dumps(verdict.hint, sort_keys=True)}" if verdict.hint else ""
+        message = f"mapping failed: {verdict.code}: {verdict.detail}{hint}"
+    if args.json:
+        _print_json({"error": message})
+    raise CliError(EXIT_DOMAIN, message)
 
 
 def _cmd_map(args) -> int:
-    try:
-        budget = MapBudget(max_ii=args.max_ii, placement_attempts=args.attempts)
-        *_, res = _map_design(args.design, args.kernel, budget)
-    except CliError as e:
-        if args.json and e.code == EXIT_DOMAIN:
-            _print_json({"error": str(e)})
-        raise
+    res = _mapped(args, MapBudget(max_ii=args.max_ii, placement_attempts=args.attempts)).mapping
     doc = {
         "ii": res.ii,
         "schedule_len": res.schedule_len,
@@ -230,16 +222,14 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    d, k, tk, res = _map_design(args.design, args.kernel)
     obj = Objective(mode=ObjectiveMode.parse(args.objective), min_speedup=args.min_speedup)
     with about("cost coefficients"):
         coeffs = load_cost_coeffs(args.coeffs)
-    sp = compute_speedup(k, res, tk.trip_count)
-    cand = MappedDesign(design=d, mapping=res, trip_after=tk.trip_count, speedup=sp)
+    cand = _mapped(args, MapBudget())
     report = tool_evaluate([cand], obj, coeffs)[0]
     doc = {
         "design_id": report.design_id,
-        "ii": res.ii,
+        "ii": cand.mapping.ii,
         "speedup": report.speedup,
         "power_mw": report.power_mw,
         "area_kum2": report.area_kum2,
@@ -251,7 +241,7 @@ def _cmd_evaluate(args) -> int:
         _print_json(doc)
     else:
         print(
-            f"{report.design_id}: ii={res.ii} speedup={report.speedup:.3f} power={report.power_mw:.4f}mW "
+            f"{report.design_id}: ii={cand.mapping.ii} speedup={report.speedup:.3f} power={report.power_mw:.4f}mW "
             f"area={report.area_kum2:.2f}kum2 efficiency={report.power_efficiency:.4f} "
             f"score={report.score:.6g} feasible={report.feasible}"
         )

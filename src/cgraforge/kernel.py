@@ -25,7 +25,7 @@ Both transforms require the factor to divide trip_count exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -124,6 +124,15 @@ class KernelGraph:
 
     def total_latency(self) -> int:
         return sum(n.latency for n in self.nodes)
+
+    @cached_property
+    def derived(self) -> dict:
+        """What other modules derive from this kernel object and keep for
+        as long as it lives: orchestrate's transforms, keyed by (unroll,
+        vectorize), and the mapper's search tables, keyed "tables". Not a
+        field, so equality, hashing, repr and replace ignore it, and a
+        copy starts with its own."""
+        return {}
 
 
 def validate_graph(k: KernelGraph) -> None:

@@ -60,14 +60,12 @@ one check each, made by map_kernel on every call: the FU kinds before the
 search, the config memory depth after it. So map_kernel keeps each search
 in a process-wide memo keyed by (kernel tables, rows, cols, topology,
 budget), the SEARCHES_KEPT used last, and answers every fabric of one
-shape from one search. The key holds the kernel's tables, not its id: a
-freed kernel's id can be reused, its kept tables cannot.
+shape from one search.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
@@ -428,23 +426,18 @@ class _FabricMemo:
         return ft
 
 
-# Kernel tables by id(kernel), each dropped when its kernel is: the runs
-# of a process share one kernel object per (unroll, vectorize) they
-# transform (orchestrate's kernel memo), so the tables live as long as the
-# loaded kernel they were transformed from.
-_KERNEL_TABLES: dict[int, _KernelTables] = {}
 # Every grid up to 6x6 in all three topologies takes 24 843 cells, one 16x16
 # grid 65 536.
 _FABRIC_TABLES = _FabricMemo(1 << 16)
 
 
 def _kernel_tables(k: KernelGraph) -> _KernelTables:
-    # Keyed by identity, not by value: hashing a kernel hashes every node.
-    # The entry leaves while k is freed, before its id can be reused.
-    kt = _KERNEL_TABLES.get(id(k))
+    # Kept on the kernel object, not by its value: hashing a kernel hashes
+    # every node.
+    derived = k.derived
+    kt = derived.get("tables")
     if kt is None:
-        kt = _KERNEL_TABLES[id(k)] = _KernelTables(k)
-        weakref.finalize(k, _KERNEL_TABLES.pop, id(k), None)
+        kt = derived["tables"] = _KernelTables(k)
     return kt
 
 

@@ -33,7 +33,6 @@ import json
 import os
 import sys
 import time
-import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -390,22 +389,41 @@ class BestRecord:
     report: dict
 
 
-#: Transforms of a kernel by (unroll, vectorize), failed ones included, by
-#: id(kernel), each dropped when its kernel is freed. load_kernel gives one
-#: object per kernel text, so the runs and resumes of a process that load
-#: the same content share them, and every shape of a setting maps one
-#: transformed kernel object, whose searches the mapper keeps. A memo never
-#: refers to its kernel, so that it goes with it: the identity transform is
-#: kept as None.
-_KERNEL_MEMOS: dict[int, dict[tuple[int, int], KernelGraph | TransformError | None]] = {}
+#: A key that a memo has not seen yet.
+_UNCHECKED = object()
 
 
-def _kernel_memo(k: KernelGraph) -> dict[tuple[int, int], KernelGraph | TransformError | None]:
-    memo = _KERNEL_MEMOS.get(id(k))
-    if memo is None:
-        memo = _KERNEL_MEMOS[id(k)] = {}
-        weakref.finalize(k, _KERNEL_MEMOS.pop, id(k), None)
-    return memo
+def check_design(kernel: KernelGraph, design: DesignPoint, budget: MapBudget) -> FixableError | MappedDesign:
+    """A design's verdict, for run's repair loop and cli's map and evaluate
+    alike: structural validation, the loop transforms, then map_kernel; the
+    first stage's error, or the mapping with its speedup if all pass.
+
+    The transform of each (unroll, vectorize), or its error, is kept in
+    kernel.derived. The runs of a process that load one kernel content
+    share one kernel object (load_kernel), so each setting is transformed
+    once, and every shape of it maps one transformed kernel object, whose
+    tables and searches the mapper keeps. Nothing kept refers back to the
+    kernel, so it goes when its last user lets go: the identity transform
+    is kept as None, an error without its traceback."""
+    violations = validate_design(design)
+    if violations:
+        return violations
+    key = (design.sw.unroll_factor, design.sw.vectorize_factor)
+    tk = kernel.derived.get(key, _UNCHECKED)
+    if tk is _UNCHECKED:
+        try:
+            tk = apply_sw_params(kernel, *key)
+        except TransformError as e:
+            tk = e.with_traceback(None)  # its frames would hold the kernel
+        kernel.derived[key] = None if tk is kernel else tk
+    elif tk is None:
+        tk = kernel
+    if isinstance(tk, TransformError):
+        return tk
+    m = map_kernel(tk, design.fabric, budget)
+    if isinstance(m, MapError):
+        return m
+    return MappedDesign(design, m, tk.trip_count, compute_speedup(kernel, m, tk.trip_count))
 
 
 @dataclass
@@ -417,9 +435,6 @@ class RunResult:
     metrics_path: Path
     best_design_path: Path | None
 
-
-#: A design_key that _check has not seen yet.
-_UNCHECKED = object()
 
 _COUNTERS = ("tool_rounds", "llm_rounds", "drafts_total", "mapped_pre_total", "mapped_post_total")
 
@@ -444,54 +459,22 @@ class _Runner:
         self.drafts_total = 0
         self.mapped_pre_total = 0
         self.mapped_post_total = 0
-        self.transforms = _kernel_memo(self.kernel)
         self._verdicts: dict[tuple, FixableError | MappedDesign] = {}
 
     # ----- shared checking -------------------------------------------------
 
-    def _transformed(self, unroll: int, vectorize: int) -> KernelGraph | TransformError:
-        """The kernel under (unroll, vectorize), or the transform's error,
-        from the memo: every shape of a pair shares one kernel object, so
-        the mapper builds its tables once."""
-        transforms = self.transforms
-        key = (unroll, vectorize)
-        try:
-            kernel = transforms[key]
-        except KeyError:
-            try:
-                kernel = apply_sw_params(self.kernel, unroll, vectorize)
-            except TransformError as e:
-                kernel = e.with_traceback(None)  # its frames would hold the kernel
-            transforms[key] = None if kernel is self.kernel else kernel
-            return kernel
-        return self.kernel if kernel is None else kernel
-
     def _check(self, d: DesignPoint) -> FixableError | None:
-        """The repair loop's oracle, memoized per design_key for the run:
-        the verdict reads only the design's file-visible fields (its
-        shape, FU kinds and config memory depth) and the run's kernel and
-        budget, never its id or note, so each distinct design is checked
-        once and a repeated draft costs one lookup. A design that passed
-        keeps its mapping, for _mapped."""
+        """The repair loop's oracle: check_design, memoized per design_key
+        for the run. The verdict reads only the design's file-visible
+        fields (its shape, FU kinds and config memory depth) and the run's
+        kernel and budget, never its id or note, so each distinct design is
+        checked once and a repeated draft costs one lookup. A design that
+        passed keeps its mapping, for _mapped."""
         key = design_key(d)
         verdict = self._verdicts.get(key, _UNCHECKED)
         if verdict is _UNCHECKED:
-            verdict = self._verdicts[key] = self._verdict(d)
+            verdict = self._verdicts[key] = check_design(self.kernel, d, self.cfg.budget)
         return None if type(verdict) is MappedDesign else verdict
-
-    def _verdict(self, d: DesignPoint) -> FixableError | MappedDesign:
-        """Structural validation, the loop transforms, then map_kernel, as
-        cli's map does; the mapping with its speedup if all pass."""
-        violations = validate_design(d)
-        if violations:
-            return violations
-        kernel = self._transformed(d.sw.unroll_factor, d.sw.vectorize_factor)
-        if isinstance(kernel, TransformError):
-            return kernel
-        m = map_kernel(kernel, d.fabric, self.cfg.budget)
-        if isinstance(m, MapError):
-            return m
-        return MappedDesign(d, m, kernel.trip_count, compute_speedup(self.kernel, m, kernel.trip_count))
 
     def _mapped(self, d: DesignPoint) -> MappedDesign:
         """The mapping of a design that _check passed, as d's own."""

@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 import random
 from collections import OrderedDict
+from functools import lru_cache
 
-from cgraforge import mapper, orchestrate
+from cgraforge import kernel, mapper
 from cgraforge.arch import DesignPoint, FabricSpec, FuKind, SwParams, Topology, parse_design
 from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph, validate_graph
 from cgraforge.mapper import MapBudget, MapError, MappingResult, check_mapping, map_kernel
@@ -19,12 +20,12 @@ FULL_FABRIC = FabricSpec(
 
 def fresh_memos(monkeypatch, fabric_cells: int | None = None) -> None:
     """Start the process-wide memos empty for one test, as in a new
-    process: the runs' transforms, and the mapper's kernel tables, searches
-    and fabric tables, these bounded by fabric_cells hop-table cells (by
-    default the mapper's own bound)."""
+    process: the loaded kernel objects, so that the transforms and the
+    mapper's tables kept on them start empty too, and the mapper's
+    searches and fabric tables, these bounded by fabric_cells hop-table
+    cells (by default the mapper's own bound)."""
     cells = mapper._FABRIC_TABLES.capacity if fabric_cells is None else fabric_cells
-    monkeypatch.setattr(orchestrate, "_KERNEL_MEMOS", {})
-    monkeypatch.setattr(mapper, "_KERNEL_TABLES", {})
+    monkeypatch.setattr(kernel, "_parsed_kernel", lru_cache(maxsize=kernel.KERNEL_TEXTS_KEPT)(kernel.parse_kernel))
     monkeypatch.setattr(mapper, "_SEARCHES", OrderedDict())
     monkeypatch.setattr(mapper, "_FABRIC_TABLES", mapper._FabricMemo(cells))
 

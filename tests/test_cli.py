@@ -140,6 +140,11 @@ class TestMap:
         assert code == EXIT_USAGE
         assert "nonesuch" in err
 
+    def test_the_kernel_loads_before_the_verdict(self, capsys, bad_design_file):
+        code, out, err = run_cli(capsys, "map", bad_design_file, "--kernel", "nonesuch", "--json")
+        assert code == EXIT_USAGE
+        assert out == "" and "unknown kernel 'nonesuch'" in err
+
     def test_bad_budget_flags(self, capsys, design_file):
         code, _, err = run_cli(capsys, "map", design_file, "--kernel", "fir", "--attempts", "0")
         assert code == EXIT_USAGE
@@ -191,6 +196,48 @@ class TestEvaluate:
         code, out, err = run_cli(capsys, "evaluate", design_file, "--kernel", "fir", "--coeffs", str(coeffs))
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: cost coefficients: ctx_power_mw must be finite")
+
+
+class TestSharedVerdict:
+    """map and evaluate give the verdict of a run's repair loop
+    (orchestrate.check_design), each stage's failure with its own message."""
+
+    FAILURES = {
+        "design is structurally invalid: ROWS_RANGE(rows)": dict(rows=0),
+        "transform failed: CARRIED_DEP_BLOCKS_VECTORIZATION: carried edge": dict(vectorize_factor=2),
+        "mapping failed: CONFIG_MEM_OVERFLOW: ": dict(config_mem_depth=1),
+    }
+
+    @pytest.mark.parametrize("message", FAILURES, ids=["structural", "transform", "mapping"])
+    @pytest.mark.parametrize("command", ["map", "evaluate"])
+    def test_each_stage_fails_with_its_own_message(self, capsys, tmp_path, command, message):
+        path = tmp_path / "design.json"
+        path.write_text(serialize_design(make_design(**self.FAILURES[message])))
+        code, out, err = run_cli(capsys, command, str(path), "--kernel", "fir")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith(f"error: {message}")
+        code, doc, err = run_json(capsys, command, str(path), "--kernel", "fir", "--json")
+        assert code == EXIT_DOMAIN
+        assert doc["error"].startswith(message) and doc["error"] in err
+
+    @pytest.mark.parametrize(
+        "flag", [("--objective", "NOPE"), ("--min-speedup", "0"), ("--coeffs", "/nonexistent/coeffs.json")]
+    )
+    @pytest.mark.parametrize("design", ["reference", "maps"])
+    def test_evaluate_reads_its_flags_before_the_verdict(self, capsys, monkeypatch, design_file, design, flag):
+        """A bad flag is a usage error, both for a design that fails its
+        verdict (the packaged spmv reference on latnrm: vectorize 2 crosses a
+        carried edge) and for one that maps, which is never searched."""
+        from cgraforge import cli
+
+        if design == "reference":
+            path, kernel = str(resources.files("cgraforge.data.designs").joinpath("spmv_reference.json")), "latnrm"
+        else:
+            path, kernel = design_file, "fir"
+            monkeypatch.setattr(cli, "check_design", lambda *a: pytest.fail("checked before the flags"))
+        code, out, err = run_cli(capsys, "evaluate", path, "--kernel", kernel, *flag)
+        assert code == EXIT_USAGE
+        assert out == "" and "transform failed" not in err
 
 
 def _kernel_file(tmp_path, kind) -> str:

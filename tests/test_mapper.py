@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -670,11 +671,12 @@ class TestPreparedTables:
     )
 
     def test_shared_tables_map_as_fresh_ones(self, monkeypatch):
+        # Reference: a fresh copy of each kernel, and a fabric memo that
+        # keeps nothing. The variants are made after the memos are fresh,
+        # so the untransformed ones are loaded kernels that hold no tables.
+        fresh_memos(monkeypatch, 0)
         kernels = builtin_variants()
         assert len(kernels) == 113
-        # Reference: a fresh copy of each kernel, and a fabric memo that
-        # keeps nothing.
-        fresh_memos(monkeypatch, 0)
         want = {
             (i, j): map_kernel(dataclasses.replace(k), f, self.BUDGET)
             for i, k in enumerate(kernels)
@@ -735,19 +737,32 @@ class TestPreparedTables:
         assert asked > 20, asked
 
     def test_kernel_tables_go_with_their_kernel(self, monkeypatch):
+        """The tables are kept on their kernel object, one build per object
+        (equal kernels each get their own), and go with it: at once if no
+        search was kept, else when the kept searches whose keys hold them
+        leave the memo."""
         fresh_memos(monkeypatch)
-        memo = mapper._KERNEL_TABLES
         for _ in range(40):
-            assert isinstance(map_kernel(chain_kernel(length=3), FULL_FABRIC), MappingResult)
+            k = chain_kernel(length=3)
+            assert min_ii_bounds(k, FULL_FABRIC) == (1, 1)
+            tables = weakref.ref(k.derived["tables"])
+            del k
             gc.collect()
-            assert memo == {}
+            assert tables() is None
         kernels = [chain_kernel(length=3) for _ in range(40)]
         for k in kernels:
             assert isinstance(map_kernel(k, FULL_FABRIC), MappingResult)
-        assert sorted(memo) == sorted(map(id, kernels))
+            assert isinstance(map_kernel(k, FULL_FABRIC), MappingResult)
+        tables = [weakref.ref(k.derived["tables"]) for k in kernels]
+        assert len({id(t()) for t in tables}) == len(kernels)
+        freed = [weakref.ref(k) for k in kernels]
         del k, kernels
         gc.collect()
-        assert memo == {}
+        assert all(k() is None for k in freed)
+        assert all(t() is not None for t in tables)  # held by the kept searches' keys
+        mapper._SEARCHES.clear()
+        gc.collect()
+        assert all(t() is None for t in tables)
 
     def test_fabric_memo_keeps_at_most_its_bound(self, monkeypatch):
         fresh_memos(monkeypatch)

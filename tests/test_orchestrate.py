@@ -1,12 +1,15 @@
 """Closed-loop runner: config loading, event log, resume, metrics."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
 import os
 import random
+import weakref
 from collections import OrderedDict
+from importlib import resources
 
 import pytest
 
@@ -23,9 +26,9 @@ from cgraforge.arch import (
     validate_design,
 )
 from cgraforge.costs import Objective, ObjectiveMode
-from cgraforge.decode import InputError
-from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel
-from cgraforge.mapper import MapBudget, MappingResult, check_mapping, map_kernel
+from cgraforge.decode import InputError, read_text
+from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, parse_kernel
+from cgraforge.mapper import MapBudget, MappedDesign, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
     BEST_DESIGN_FILE,
     HISTORY_FILE,
@@ -37,7 +40,9 @@ from cgraforge.orchestrate import (
     RunConfig,
     RunConfigError,
     _COUNTERS,
+    _event_design,
     _Runner,
+    check_design,
     read_history,
     run,
 )
@@ -539,6 +544,9 @@ GOLDEN_RUNS = [
     ("hpc_mix", 20, 0, MPE, False, "1561aab851aa6260fbbfe571680ca4513c661286ed9e0f8e635d803eb26df9ec",
      "74697776d5671d07ca96cf9f42e1864d24ade52f7d7301205b991c60659da020",
      "8341a55bd9e08e37f9bbeb20de9c7ddab381d1aba2773195f667827f6a73e162"),
+    ("spmv", 20, 1, MPE, False, "8ac65b37196bd08d98d71ad9b923502a50610c914b9218b0a3269624c548bbc9",
+     "1e72c72d5df2c619a8ae04c028adccf941126e2ca8707f34591b16f32571c1b5",
+     "83db580e15df43f3290f7b74fc1853fcfb6da23eb97d4f6644f75a02e11ede8a"),
 ]
 
 
@@ -1040,7 +1048,9 @@ class TestProcessMemo:
         for i, cfg in enumerate(warmups):
             other = run(cfg, tmp_path / f"warmup{i}").history_path.read_bytes()
             assert other.split(b"\n", 1)[1] != cold[0].split(b"\n", 1)[1]  # past the header
-        assert len(orchestrate._KERNEL_MEMOS) == 2
+        # what the warm-ups derived is kept on fft's and relu's loaded kernels
+        for name in ("fft", "relu"):
+            assert any(isinstance(key, tuple) for key in load_kernel(name).derived), name
         out = tmp_path / "warm"
         for it in range(1, self.CFG.iterations + 1) if chained else [self.CFG.iterations]:
             warm = run(dataclasses.replace(self.CFG, iterations=it), out, resume=chained and it > 1)
@@ -1121,3 +1131,54 @@ class TestProcessMemo:
         again = run(cfg, tmp_path / "again")
         assert len(searched) == len(set(used)) - cap
         assert run_bytes(again) == run_bytes(first)
+
+    def test_a_freed_kernel_frees_its_transforms_and_tables(self, monkeypatch):
+        """What check_design derives from a kernel is kept on the kernel
+        object and refers nothing back to it: a freed kernel frees its
+        transforms, failed ones included, and their mapper tables, once
+        the kept searches that hold the tables leave."""
+        fresh_memos(monkeypatch)
+        k = parse_kernel(read_text(resources.files("cgraforge.data.kernels").joinpath("fft.json")))
+        budget = MapBudget(max_ii=12, placement_attempts=300)
+        for design in (make_design(), make_design(rows=3, cols=3, unroll_factor=2)):
+            assert isinstance(check_design(k, design, budget), MappedDesign)
+        assert isinstance(check_design(k, make_design(unroll_factor=5), budget), TransformError)
+        assert k.derived[1, 1] is None  # the identity, kept without a reference to k
+        kept = [k, k.derived[2, 1], k.derived[5, 1], k.derived["tables"], k.derived[2, 1].derived["tables"]]
+        refs = [weakref.ref(x) for x in kept]
+        del k, kept
+        mapper._SEARCHES.clear()
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+
+
+class TestSharedVerdict:
+    """check_design is the one verdict on a design: the runs' repair loop
+    and cli's map and evaluate all call it."""
+
+    @pytest.mark.parametrize("kernel", ["spmv", "fft", "fir"])
+    def test_check_design_agrees_with_every_logged_verdict(self, tmp_path, kernel):
+        """For each proposal a run logs, check_design at the run's budget
+        gives the event logged after it: a map_result's ok, ii and speedup,
+        or a violation's or failed map's error. Each fix gives its own
+        event: its ii and speedup if it mapped, else its error. (A run's
+        drafts are built clamped, so its failures are mapping failures.)"""
+        cfg = RunConfig(kernel=kernel, iterations=8, seed=1)
+        events = read_history(run(cfg, tmp_path / "out").history_path)
+        k = load_kernel(kernel)
+        checked = set()
+        for ev, after in zip(events, events[1:]):
+            if ev["type"] == "fix":
+                after = ev
+            elif ev["type"] != "proposal":
+                continue
+            verdict = check_design(k, _event_design(ev), cfg.budget)
+            assert after["design_id"] == ev["design_id"]
+            if isinstance(verdict, MappedDesign):
+                assert (after["ok"], after["ii"], after["speedup"]) == (True, verdict.mapping.ii, verdict.speedup)
+                checked.add("OK")
+            else:
+                assert after.get("ok") is not True
+                assert after["error"] == error_payload(verdict)
+                checked.add(after["error"].get("code", "STRUCTURAL"))
+        assert "OK" in checked and len(checked) > 1, checked
