@@ -20,9 +20,9 @@ from pathlib import Path
 from .arch import DesignPoint, parse_design, validate_design
 from .costs import Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
 from .decode import InputError, about, loads, read_text
-from .kernel import BUILTIN_KERNELS, TransformError, load_kernel, summarize
-from .mapper import MapBudget, MappedDesign
-from .orchestrate import RunConfig, RunConfigError, check_design, iteration_line, run
+from .kernel import BUILTIN_KERNELS, KernelGraph, TransformError, load_kernel, summarize
+from .mapper import MapBudget, MappedDesign, route_paths
+from .orchestrate import RunConfig, RunConfigError, check_design, iteration_line, run, transformed
 from .selection import SelectionConfigError, load_sim_script, run_selection, trace_to_jsonl
 
 EXIT_OK = 0
@@ -181,15 +181,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-def _mapped(args, budget: MapBudget) -> MappedDesign:
+def _mapped(args, budget: MapBudget) -> tuple[KernelGraph, MappedDesign]:
     """The verdict of a run's repair loop (orchestrate.check_design) on the
-    design file for --kernel at `budget`: the mapped design, or exit 3
-    naming the first stage that failed, as {"error": ...} too under --json.
-    The design, then the kernel, load before the verdict."""
+    design file for --kernel at `budget`: the kernel and the mapped design,
+    or exit 3 naming the first stage that failed, as {"error": ...} too
+    under --json. The design, then the kernel, load before the verdict."""
     d = _load_design(args.design)
-    verdict = check_design(_load_kernel(args.kernel), d, budget)
+    kernel = _load_kernel(args.kernel)
+    verdict = check_design(kernel, d, budget)
     if isinstance(verdict, MappedDesign):
-        return verdict
+        return kernel, verdict
     if isinstance(verdict, list):
         message = "design is structurally invalid: " + "; ".join(f"{v.code}({v.field})" for v in verdict)
     elif isinstance(verdict, TransformError):
@@ -203,17 +204,18 @@ def _mapped(args, budget: MapBudget) -> MappedDesign:
 
 
 def _cmd_map(args) -> int:
-    res = _mapped(args, MapBudget(max_ii=args.max_ii, placement_attempts=args.attempts)).mapping
+    kernel, cand = _mapped(args, MapBudget(max_ii=args.max_ii, placement_attempts=args.attempts))
+    res = cand.mapping
     doc = {
         "ii": res.ii,
         "schedule_len": res.schedule_len,
         "placements": {
             str(nid): {"tile": list(tile), "start": start} for nid, (tile, start) in sorted(res.schedule.items())
         },
-        "routes": [[list(t) for t in path] for path in res.routes],
     }
-    if args.json:
-        _print_json(doc)
+    if args.json:  # the routes of the kernel check_design mapped, from the transform it kept
+        routes = route_paths(transformed(kernel, cand.design.sw), cand.design.fabric, res)
+        _print_json({**doc, "routes": [[list(t) for t in path] for path in routes]})
     else:
         print(f"ii={res.ii} schedule_len={res.schedule_len} nodes={len(res.schedule)}")
         for nid, (tile, start) in sorted(res.schedule.items()):
@@ -225,7 +227,7 @@ def _cmd_evaluate(args) -> int:
     obj = Objective(mode=ObjectiveMode.parse(args.objective), min_speedup=args.min_speedup)
     with about("cost coefficients"):
         coeffs = load_cost_coeffs(args.coeffs)
-    cand = _mapped(args, MapBudget())
+    _, cand = _mapped(args, MapBudget())
     report = tool_evaluate([cand], obj, coeffs)[0]
     doc = {
         "design_id": report.design_id,

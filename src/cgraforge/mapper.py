@@ -17,14 +17,15 @@ Search strategy: II is searched ascending from the resource / recurrence
 lower bounds. Each II attempt is a depth-first search over (tile, residue)
 assignments whose first descent is exactly greedy list scheduling (nodes
 ordered by (ASAP level, id), tiles ordered nearest-first to already placed
-dataflow neighbors, each order sorted once per attempt and kept for every
-level whose neighbors sit on the same tiles) and which backtracks under
-MapBudget.placement_attempts. The nodes are numbered in that order, so
-the placed nodes are always a prefix of it and every per-node table is a
-tuple or list indexed by the number. The search is one loop over an
-explicit stack, with the current level's state in local variables, so
-kernel size is not limited by the interpreter's recursion depth and a
-placement makes no call but the one that builds the next level.
+dataflow neighbors, each order sorted once per grid and kept for every
+level of every search whose neighbors sit on the same tiles) and which
+backtracks under MapBudget.placement_attempts. The nodes are numbered in
+that order, so the placed nodes are always a prefix of it and every
+per-node table is a tuple or list indexed by the number. The search is
+one loop over an explicit stack, with the current level's state in local
+variables, so kernel size is not limited by the interpreter's recursion
+depth and a placement makes no call but the one that builds the next
+level.
 Occupancy is one int of tiles * II bits, tile-major (bit tile * II + r
 for slot (tile, r)). Each level of the stack builds, once, a table of
 the residues to try, in the same layout: the free slots ANDed with the
@@ -45,14 +46,17 @@ last one set it. What every search of one kernel reads is
 built once per kernel object: latencies, the schedule order, adjacency,
 cycles, the static windows per II, the node kinds and RecMII. What
 every search on one grid reads, tiles and the hop table, is built once
-per (rows, cols, topology). The kernel tables live as long as the kernel
-object or a kept search of it, the fabric tables in a memo bounded by
-their size, so a caller that maps one kernel on many fabrics, or many
-kernels on one grid, prepares each half once. Start cycles are recovered
-from the residues by a longest-path solve over the dependence difference
+per (rows, cols, topology), and the tile orders its searches sort are
+kept with it. The kernel tables live as long as the kernel object or a
+kept search of it, the fabric tables in a memo bounded by their size,
+so a caller that maps one kernel on many fabrics, or many kernels on one
+grid, prepares each half once. Start cycles are recovered from the
+residues by a longest-path solve over the dependence difference
 constraints, so on small instances the search is effectively exhaustive
-and the returned II is optimal. The whole pipeline is deterministic: identical inputs give
-byte-identical results.
+and the returned II is optimal. A search result carries no routes: each
+edge's route is route_path between its ends' tiles, derived by
+route_paths only where a route is printed or checked. The whole
+pipeline is deterministic: identical inputs give byte-identical results.
 
 The search reads only the kernel, the budget and the fabric's rows, cols
 and topology. The fabric's FU kinds and config memory depth enter through
@@ -113,15 +117,17 @@ class MapError:
 
 @dataclass(frozen=True)
 class MappingResult:
-    """A verified-shape mapping. schedule maps node id -> (tile, start);
-    routes[i] is the tile path for kernel edge i, endpoints included.
-    map_kernel hands one result to every caller that maps the same search,
-    so callers must not change its schedule."""
+    """A verified-shape mapping. schedule maps node id -> (tile, start).
+    routes, when a caller gives them, holds the tile path for each kernel
+    edge, endpoints included; the search leaves it None, and route_paths
+    derives the paths from the placements where they are printed or
+    checked. map_kernel hands one result to every caller that maps the
+    same search, so callers must not change its schedule."""
 
     ii: int
     schedule: dict[int, tuple[Tile, int]]
-    routes: tuple[tuple[Tile, ...], ...]
     schedule_len: int
+    routes: tuple[tuple[Tile, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,15 @@ def route_path(f: FabricSpec, a: Tile, b: Tile) -> tuple[Tile, ...]:
     return tuple(path)
 
 
+def route_paths(k: KernelGraph, f: FabricSpec, m: MappingResult) -> tuple[tuple[Tile, ...], ...]:
+    """The route of each of k's edges under mapping m of k on f: m.routes
+    when the mapping carries them, else route_path between the tiles the
+    edge's ends are placed on. Every tile in m's schedule must lie on f."""
+    if m.routes is not None:
+        return m.routes
+    return tuple(route_path(f, m.schedule[e.src][0], m.schedule[e.dst][0]) for e in k.edges)
+
+
 # ---------------------------------------------------------------------------
 # II lower bounds
 # ---------------------------------------------------------------------------
@@ -188,9 +203,9 @@ def min_ii_bounds(k: KernelGraph, f: FabricSpec) -> tuple[int, int]:
     The recurrence bound is max over dependence cycles of
     ceil(cycle latency / cycle distance), computed exactly as the smallest
     II under which no cycle has positive weight sum(latency) - II *
-    sum(distance): a binary search over II with a Bellman-Ford check. Both
-    are read from the kernel's tables, so RecMII is searched once per
-    kernel object.
+    sum(distance): per cyclic component, a binary search over II with a
+    Bellman-Ford check on that component's edges. Both are read from the
+    kernel's tables, so RecMII is searched once per kernel object.
     """
     kt = _kernel_tables(k)
     if not kt.kinds <= f.fu_kinds:
@@ -205,38 +220,39 @@ def _ii_bounds(kt: _KernelTables, tiles: int) -> tuple[int, int]:
     return max(1, math.ceil(kt.max_census / tiles)), kt.rec_mii
 
 
-def _rec_mii(k: KernelGraph) -> int:
+def _rec_mii(lat: tuple[int, ...], out_edges: tuple, comps: list[list[int]]) -> int:
     """Smallest II with no positive cycle under weights lat(u) - II * d;
-    1 when no edge is carried."""
-    if not any(e.distance > 0 for e in k.edges):
-        return 1
-    lat = {n.id: n.latency for n in k.nodes}
-    ids = sorted(lat)
-    index = {nid: i for i, nid in enumerate(ids)}
-    edges = [(index[e.src], index[e.dst], lat[e.src], e.distance) for e in k.edges]
-    n = len(ids)
+    1 without cyclic components (comps: SCCs and self-loop nodes). Each
+    cycle lies in one component, so each is searched on its own edges, up
+    to its latency sum: a valid cycle carries a distance of at least 1."""
+    rec = 1
+    for comp in comps:
+        local = {u: i for i, u in enumerate(comp)}
+        edges = [(i, local[v], w_lat, d) for i, u in enumerate(comp) for v, w_lat, d in out_edges[u] if v in local]
+        n = len(comp)
 
-    def has_positive_cycle(ii: int) -> bool:
-        dist = [0] * n
-        for round_no in range(n):
-            changed = False
-            for u, v, w_lat, d in edges:
-                w = w_lat - ii * d
-                if dist[u] + w > dist[v]:
-                    dist[v] = dist[u] + w
-                    changed = True
-            if not changed:
-                return False
-        return True
+        def has_positive_cycle(ii: int) -> bool:
+            dist = [0] * n
+            for round_no in range(n):
+                changed = False
+                for u, v, w_lat, d in edges:
+                    w = w_lat - ii * d
+                    if dist[u] + w > dist[v]:
+                        dist[v] = dist[u] + w
+                        changed = True
+                if not changed:
+                    return False
+            return True
 
-    lo, hi = 1, max(1, sum(lat.values()))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if has_positive_cycle(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+        lo, hi = rec, max(rec, sum(lat[u] for u in comp))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if has_positive_cycle(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        rec = lo
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +295,6 @@ class _KernelTables:
             self.census[n.kind] = self.census.get(n.kind, 0) + 1
         self.kinds = frozenset(self.census)
         self.max_census = max(self.census.values(), default=0)
-        self.rec_mii = _rec_mii(k)
         self.order = _schedule_order(k)
         pos = {nid: i for i, nid in enumerate(self.order)}
         lat = {n.id: n.latency for n in k.nodes}
@@ -304,6 +319,8 @@ class _KernelTables:
         self.near = tuple(map(tuple, near))
         succs = [[v for v, _, _ in outs] for outs in out_edges]
         self.cycles = [comp for comp in _sccs(range(n), succs) if len(comp) > 1]
+        loops = [[u] for u in range(n) if u in succs[u]]
+        self.rec_mii = _rec_mii(self.lat, self.out_edges, self.cycles + loops)
         # Nodes whose out-edges, self-loops aside, all go to later nodes:
         # placing one propagates to no placed node, and a self-loop holds at
         # any II from RecMII up, so its placements cannot fail.
@@ -327,39 +344,40 @@ class _KernelTables:
         if ii in self._windows:
             return self._windows[ii]
         fanout: dict[int, list[tuple[int, int, int]]] = {}
-        neg_inf = float("-inf")
         for comp in self.cycles:
-            dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
-            for u in comp:
-                dist[u][u] = 0
+            # dist[i][j]: the longest zero-hop path from comp[i] to comp[j],
+            # None while there is none
+            local = {u: i for i, u in enumerate(comp)}
+            dist: list[list[int | None]] = [[None] * len(comp) for _ in comp]
+            for i, u in enumerate(comp):
+                du = dist[i]
+                du[i] = 0
                 for v, lat_u, d in self.out_edges[u]:
-                    if v in dist[u]:
-                        dist[u][v] = max(dist[u][v], lat_u - d * ii)
-            for w in comp:
-                dw = dist[w]
-                for u in comp:
-                    duw = dist[u][w]
-                    if duw == neg_inf:
+                    j = local.get(v)
+                    if j is not None and (du[j] is None or lat_u - d * ii > du[j]):
+                        du[j] = lat_u - d * ii
+            for w, dw in enumerate(dist):
+                for du in dist:
+                    duw = du[w]
+                    if duw is None:
                         continue
-                    du = dist[u]
-                    for v in comp:
-                        cand = duw + dw[v]
-                        if cand > du[v]:
-                            du[v] = cand
-            for v in comp:
-                for u in comp:
-                    if u < v and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
-                        lo, hi = int(dist[u][v]), -int(dist[v][u])
+                    for j, dwv in enumerate(dw):
+                        if dwv is not None and (du[j] is None or duw + dwv > du[j]):
+                            du[j] = duw + dwv
+            for j, v in enumerate(comp):
+                for i, u in enumerate(comp):
+                    if u < v and dist[i][j] is not None and dist[j][i] is not None:
+                        lo, hi = dist[i][j], -dist[j][i]
                         fanout.setdefault(u, []).append((v, lo, hi - lo + 1))
         windows = self._windows[ii] = tuple(tuple(fanout.get(u, ())) for u in range(len(self.order)))
         return windows
 
 
 class _FabricTables:
-    """What every search on one grid reads and none writes: the tile count,
-    the hop table and the first node's tiles, and the routes every result
-    on the grid has asked for so far. Built from f's rows, cols and
-    topology alone. Tiles are row-major indices, tile (r, c) is r * cols + c."""
+    """What every search on one grid reads: the tile count, the hop table
+    and the first node's tiles, built from f's rows, cols and topology
+    alone, and the tile orders every search on the grid has sorted so far.
+    Tiles are row-major indices, tile (r, c) is r * cols + c."""
 
     def __init__(self, f: FabricSpec):
         self.rows = f.rows
@@ -384,50 +402,50 @@ class _FabricTables:
                 if 2 * r <= f.rows - 1 and 2 * c <= f.cols - 1 and (f.rows != f.cols or r <= c)
             ]
         self.coords = [divmod(t, f.cols) for t in range(self.tiles)]
-        self.routes: dict[int, tuple[Tile, ...]] = {}  # a * tiles + b -> route_path
-
-    def route(self, f: FabricSpec, a: int, b: int) -> tuple[Tile, ...]:
-        """route_path from tile a to tile b, memoized: it reads only f's
-        rows, cols and topology, the grid these tables were built for. The
-        memo's routes share one coordinate pair per tile."""
-        key = a * self.tiles + b
-        path = self.routes.get(key)
-        if path is None:
-            coords = self.coords
-            cols = self.cols
-            path = route_path(f, coords[a], coords[b])
-            path = self.routes[key] = tuple(coords[r * cols + c] for r, c in path)
-        return path
+        self.orders: dict[tuple[int, ...], list[int]] = {}  # placed neighbors' tiles -> _Attempt._tile_order
 
 
 class _FabricMemo:
     """Fabric tables by (rows, cols, topology), least recently used out
-    first, bounded by the hop-table cells (tiles squared) kept in total;
-    each grid's route memo holds at most one route per cell. A grid whose
-    table alone passes the bound is built but not kept."""
+    first, bounded by the cells they hold in total: tiles squared per hop
+    table (cells) and tiles per tile order (order_cells). The orders a
+    search sorts are charged at the next get, so the memo may pass its
+    bound within one search. A grid whose hop table alone passes it is
+    built but not kept."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
+        self.order_cells = 0
         self.entries: OrderedDict[tuple, _FabricTables] = OrderedDict()
+        self.last: _FabricTables | None = None  # the tables got last, if kept
+        self.last_orders = 0  # their orders charged so far
 
     def get(self, f: FabricSpec) -> _FabricTables:
+        last = self.last
+        if last is not None:  # charge the orders the last search sorted
+            self.order_cells += last.tiles * (len(last.orders) - self.last_orders)
         key = (f.rows, f.cols, f.topology)
         ft = self.entries.get(key)
-        if ft is not None:
+        if ft is None:
+            ft = _FabricTables(f)
+            if ft.tiles**2 <= self.capacity:
+                self.entries[key] = ft
+                self.cells += ft.tiles**2
+        else:
             self.entries.move_to_end(key)
-            return ft
-        ft = _FabricTables(f)
-        if ft.tiles**2 <= self.capacity:
-            self.entries[key] = ft
-            self.cells += ft.tiles**2
-            while self.cells > self.capacity:
-                self.cells -= self.entries.popitem(last=False)[1].tiles ** 2
+        self.last_orders = len(ft.orders)
+        while self.cells + self.order_cells > self.capacity:
+            gone = self.entries.popitem(last=False)[1]
+            self.cells -= gone.tiles**2
+            self.order_cells -= gone.tiles * len(gone.orders)
+        self.last = self.entries.get(key)
         return ft
 
 
-# Every grid up to 6x6 in all three topologies takes 24 843 cells, one 16x16
-# grid 65 536.
+# Every grid up to 6x6 in all three topologies takes 24 843 hop-table
+# cells, one 16x16 grid 65 536. A 100-iteration run of each of spmv, relu,
+# fft and hpc_mix at three seeds keeps about 33 000 order cells.
 _FABRIC_TABLES = _FabricMemo(1 << 16)
 
 
@@ -478,7 +496,7 @@ class _Attempt:
         self.wide_masks: dict[int, int] = {}  # span * slots + tile_u * II + start -> _wide_mask
         self.acc = [self.wide] * n  # the AND of the wide masks of each node's placed window partners
         self.trail: list[int] = []  # the acc values placements replaced, latest last
-        self.orders: dict[tuple[int, ...], list[int]] = {}  # placed neighbors' tiles -> _tile_order
+        self.orders = ft.orders  # the grid's, shared by every search on it
 
     def _window_masks(self, start: int, span: int) -> list[int]:
         """The residues a window partner allows, by hop distance h: those in
@@ -520,9 +538,10 @@ class _Attempt:
         & Elliott 1980); the test that finds it reads the next node's
         table, one more AND. A live level's tile order is keyed by the
         tiles of node idx's placed DFG neighbors, in `near` order, and
-        looked up in the attempt's memo: hard searches meet the same few
-        keys over and over, so the grid is sorted once per key. The root
-        tries residue 0 on its first tiles only."""
+        looked up in the grid's memo: hard searches meet the same few keys
+        over and over, and the searches on one grid share most keys, so
+        the grid is sorted once per key. The root tries residue 0 on its
+        first tiles only."""
         if not idx:
             return self.ft.first_tiles, sum(1 << t * self.ii for t in self.ft.first_tiles)
         kt = self.kt
@@ -552,8 +571,9 @@ class _Attempt:
     def _tile_order(self, near: tuple[int, ...]) -> list[int]:
         """Every tile, nearest-first to the tiles in near: by the sum of
         its hops to them, row-major among equals (a stable sort). It reads
-        only the hop rows, so it is memoized per attempt on near, and every
-        level that asks shares the one list, read-only."""
+        only the hop rows, so it is memoized on near in the grid's tables,
+        and every level of every search on the grid that asks shares the
+        one list, read-only."""
         tiles = self.orders.get(near)
         if tiles is None:
             tiles = self.orders[near] = list(range(self.ft.tiles))
@@ -838,7 +858,7 @@ def _search(kt: _KernelTables, f: FabricSpec, budget: MapBudget) -> MappingResul
             continue
         dep_rejected = attempt.dep_rejected
         if placement is not None:
-            return _build_result(kt, ft, f, ii, placement, attempt.q)
+            return _build_result(kt, ii, placement, attempt.q)
     if dep_rejected and not budget_hit:
         return MapError(
             "ROUTING_FAILURE",
@@ -852,23 +872,15 @@ def _search(kt: _KernelTables, f: FabricSpec, budget: MapBudget) -> MappingResul
     )
 
 
-def _build_result(
-    kt: _KernelTables,
-    ft: _FabricTables,
-    f: FabricSpec,
-    ii: int,
-    placement: dict[int, tuple[Tile, int]],
-    q: list[int],
-) -> MappingResult:
+def _build_result(kt: _KernelTables, ii: int, placement: dict[int, tuple[Tile, int]], q: list[int]) -> MappingResult:
     """The mapping of a placement by node id, as _Attempt.run returns it,
     with q, its longest-path values by schedule position: each start is the
-    residue plus II times the node's value."""
+    residue plus II times the node's value. Its routes are left to
+    route_paths."""
     starts = {nid: placement[nid][1] + ii * qv for nid, qv in zip(kt.order, q)}
     schedule = {nid: (placement[nid][0], starts[nid]) for nid in sorted(starts)}
     schedule_len = max(starts[nid] + lat for nid, lat in zip(kt.order, kt.lat))
-    index = {nid: r * ft.cols + c for nid, ((r, c), _) in schedule.items()}
-    routes = tuple(ft.route(f, index[e.src], index[e.dst]) for e in kt.edges)
-    return MappingResult(ii=ii, schedule=schedule, routes=routes, schedule_len=schedule_len)
+    return MappingResult(ii=ii, schedule=schedule, schedule_len=schedule_len)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +892,10 @@ def check_mapping(k: KernelGraph, f: FabricSpec, m: MappingResult) -> list[str]:
     """Re-verify every mapping invariant from scratch.
 
     Shares no state with the search: adjacency comes from arch.neighbors,
-    hop counts come from the stored route paths. Returns human-readable
-    problem strings, empty when the mapping is valid.
+    hop counts come from the route paths, m.routes or else route_path's
+    (route_paths). A placement off the grid is reported before any route
+    is derived, and ends the check. Returns human-readable problem
+    strings, empty when the mapping is valid.
     """
     problems: list[str] = []
     ids = {n.id for n in k.nodes}
@@ -895,11 +909,13 @@ def check_mapping(k: KernelGraph, f: FabricSpec, m: MappingResult) -> list[str]:
         problems.append(f"ii {m.ii} exceeds config_mem_depth {f.config_mem_depth}")
     lat = {n.id: n.latency for n in k.nodes}
     slots: dict[tuple[Tile, int], int] = {}
+    off_grid = False
     for nid in sorted(m.schedule):
         (tile, start) = m.schedule[nid]
         r, c = tile
         if not (0 <= r < f.rows and 0 <= c < f.cols):
             problems.append(f"node {nid} placed off-grid at {tile}")
+            off_grid = True
             continue
         if start < 0:
             problems.append(f"node {nid} start {start} negative")
@@ -908,11 +924,13 @@ def check_mapping(k: KernelGraph, f: FabricSpec, m: MappingResult) -> list[str]:
             problems.append(f"nodes {slots[slot]} and {nid} share slot {slot}")
         else:
             slots[slot] = nid
-    if len(m.routes) != len(k.edges):
-        problems.append(f"{len(m.routes)} routes for {len(k.edges)} edges")
+    if off_grid:  # route_path cannot reach a tile off the grid
         return problems
-    for i, e in enumerate(k.edges):
-        path = m.routes[i]
+    routes = route_paths(k, f, m)
+    if len(routes) != len(k.edges):
+        problems.append(f"{len(routes)} routes for {len(k.edges)} edges")
+        return problems
+    for e, path in zip(k.edges, routes):
         tile_u, start_u = m.schedule[e.src]
         tile_v, start_v = m.schedule[e.dst]
         if not path or path[0] != tile_u or path[-1] != tile_v:

@@ -58,6 +58,7 @@ from .agents import (
 from .arch import (
     DesignPoint,
     Provenance,
+    SwParams,
     design_dict,
     design_from_dict,
     design_key,
@@ -201,9 +202,23 @@ class RunConfig:
         }
 
 
-#: The encoder of every history line: the settings of
-#: json.dumps(..., sort_keys=True), made once instead of once per line.
+#: The settings of every history line: those of json.dumps(...,
+#: sort_keys=True).
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _line_encoder():
+    """_LINE_ENCODER.encode, whose every call builds a C encoder, as one
+    prebuilt C encoder with its settings and no circular-reference markers
+    (records are trees of fresh dicts and lists); without json's C
+    accelerator, _LINE_ENCODER.encode itself."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _LINE_ENCODER.encode
+    e = _LINE_ENCODER
+    chunks = make(None, e.default, json.encoder.encode_basestring_ascii, e.indent, e.key_separator,
+                  e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda record: "".join(chunks(record, 0))
 
 
 class History:
@@ -217,8 +232,8 @@ class History:
     its block is written, leaves nothing of itself behind; a kill during
     the write leaves a partial block, which a resume cuts. Each line is
     the record as json.dumps(record, sort_keys=True) writes it, encoded by
-    one module-level encoder with those settings. It keeps the size and a
-    running sha256 of its bytes, for the run's checkpoint."""
+    one encoder with those settings, built with the log. It keeps the size
+    and a running sha256 of its bytes, for the run's checkpoint."""
 
     def __init__(self, path: Path, seq: int = 0):
         self.path = path
@@ -226,6 +241,7 @@ class History:
         self.size = 0
         self.sha = hashlib.sha256()
         self._fh = None
+        self._encode = _line_encoder()
 
     def __enter__(self) -> "History":
         self._fh = self.path.open("ab")
@@ -238,7 +254,7 @@ class History:
     def append(self, records: list[dict]) -> None:
         """Write records as one block, each on its own line with the
         schema version and the next sequence number."""
-        encode = _LINE_ENCODER.encode
+        encode = self._encode
         lines = []
         for record in records:
             self.seq += 1
@@ -393,6 +409,21 @@ class BestRecord:
 _UNCHECKED = object()
 
 
+def transformed(kernel: KernelGraph, sw: SwParams) -> KernelGraph | TransformError:
+    """apply_sw_params(kernel, sw.unroll_factor, sw.vectorize_factor), or
+    the TransformError it raises, kept in kernel.derived (see
+    check_design)."""
+    key = (sw.unroll_factor, sw.vectorize_factor)
+    tk = kernel.derived.get(key, _UNCHECKED)
+    if tk is _UNCHECKED:
+        try:
+            tk = apply_sw_params(kernel, *key)
+        except TransformError as e:
+            tk = e.with_traceback(None)  # its frames would hold the kernel
+        kernel.derived[key] = None if tk is kernel else tk
+    return kernel if tk is None else tk
+
+
 def check_design(kernel: KernelGraph, design: DesignPoint, budget: MapBudget) -> FixableError | MappedDesign:
     """A design's verdict, for run's repair loop and cli's map and evaluate
     alike: structural validation, the loop transforms, then map_kernel; the
@@ -408,16 +439,7 @@ def check_design(kernel: KernelGraph, design: DesignPoint, budget: MapBudget) ->
     violations = validate_design(design)
     if violations:
         return violations
-    key = (design.sw.unroll_factor, design.sw.vectorize_factor)
-    tk = kernel.derived.get(key, _UNCHECKED)
-    if tk is _UNCHECKED:
-        try:
-            tk = apply_sw_params(kernel, *key)
-        except TransformError as e:
-            tk = e.with_traceback(None)  # its frames would hold the kernel
-        kernel.derived[key] = None if tk is kernel else tk
-    elif tk is None:
-        tk = kernel
+    tk = transformed(kernel, design.sw)
     if isinstance(tk, TransformError):
         return tk
     m = map_kernel(tk, design.fabric, budget)

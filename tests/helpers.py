@@ -23,7 +23,7 @@ def fresh_memos(monkeypatch, fabric_cells: int | None = None) -> None:
     process: the loaded kernel objects, so that the transforms and the
     mapper's tables kept on them start empty too, and the mapper's
     searches and fabric tables, these bounded by fabric_cells hop-table
-    cells (by default the mapper's own bound)."""
+    and tile-order cells (by default the mapper's own bound)."""
     cells = mapper._FABRIC_TABLES.capacity if fabric_cells is None else fabric_cells
     monkeypatch.setattr(kernel, "_parsed_kernel", lru_cache(maxsize=kernel.KERNEL_TEXTS_KEPT)(kernel.parse_kernel))
     monkeypatch.setattr(mapper, "_SEARCHES", OrderedDict())

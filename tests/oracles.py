@@ -335,6 +335,39 @@ def rec_mii_by_enumeration(k: KernelGraph) -> int:
     return best
 
 
+def windows_by_dict_floyd_warshall(kt, ii: int) -> tuple:
+    """_KernelTables.windows(ii) as the mapper used to compute it: per
+    cyclic component, Floyd-Warshall over dicts of dicts with -inf for a
+    missing path, every entry visited. kt is the mapper's _KernelTables;
+    its cycles and out_edges are read, in schedule positions."""
+    fanout: dict[int, list[tuple[int, int, int]]] = {}
+    neg_inf = float("-inf")
+    for comp in kt.cycles:
+        dist = {u: dict.fromkeys(comp, neg_inf) for u in comp}
+        for u in comp:
+            dist[u][u] = 0
+            for v, lat_u, d in kt.out_edges[u]:
+                if v in dist[u]:
+                    dist[u][v] = max(dist[u][v], lat_u - d * ii)
+        for w in comp:
+            dw = dist[w]
+            for u in comp:
+                duw = dist[u][w]
+                if duw == neg_inf:
+                    continue
+                du = dist[u]
+                for v in comp:
+                    cand = duw + dw[v]
+                    if cand > du[v]:
+                        du[v] = cand
+        for v in comp:
+            for u in comp:
+                if u < v and dist[u][v] != neg_inf and dist[v][u] != neg_inf:
+                    lo, hi = int(dist[u][v]), -int(dist[v][u])
+                    fanout.setdefault(u, []).append((v, lo, hi - lo + 1))
+    return tuple(tuple(fanout.get(u, ())) for u in range(len(kt.order)))
+
+
 # ---------------------------------------------------------------------------
 # Iteration-space dependence pairs
 # ---------------------------------------------------------------------------

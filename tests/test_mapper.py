@@ -24,16 +24,23 @@ from cgraforge.mapper import (
     _FabricTables,
     _hop_rows,
     _KernelTables,
-    _rec_mii,
     check_mapping,
     hop_distance,
     map_kernel,
     min_ii_bounds,
     route_path,
+    route_paths,
     speedup,
 )
 from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, fresh_memos, map_checked, random_dfg
-from oracles import bfs_routes, brute_force_min_ii, oracle_hops, rec_mii_by_enumeration, reference_attempt
+from oracles import (
+    bfs_routes,
+    brute_force_min_ii,
+    oracle_hops,
+    rec_mii_by_enumeration,
+    reference_attempt,
+    windows_by_dict_floyd_warshall,
+)
 
 ORACLE_BUDGET = MapBudget(max_ii=4, placement_attempts=500_000)
 
@@ -138,11 +145,28 @@ class TestMinIiBounds:
         rng = random.Random(21)
         for _ in range(150):
             k = random_dfg(rng)
-            assert _rec_mii(k) == rec_mii_by_enumeration(k)
+            assert _KernelTables(k).rec_mii == rec_mii_by_enumeration(k)
 
     def test_search_matches_enumeration_on_every_builtin_variant(self):
         for k in builtin_variants():
             assert min_ii_bounds(k, FULL_FABRIC)[1] == rec_mii_by_enumeration(k), k.name
+
+
+class TestWindows:
+    def test_equal_the_dict_floyd_warshall(self):
+        """The static windows from RecMII to RecMII + 2, where the searches
+        read them, equal those of the dict-based Floyd-Warshall kept in
+        oracles, on random kernels and every built-in variant."""
+        rng = random.Random(23)
+        kernels = [random_dfg(rng) for _ in range(150)] + builtin_variants()
+        windowed = 0
+        for k in kernels:
+            kt = _KernelTables(k)
+            for ii in range(kt.rec_mii, kt.rec_mii + 3):
+                got = kt.windows(ii)
+                assert got == windows_by_dict_floyd_warshall(kt, ii), (k.name, ii)
+                windowed += any(got)
+        assert windowed > 100, windowed
 
 
 class TestMapKernelSuccess:
@@ -705,36 +729,28 @@ class TestPreparedTables:
         assert sorted(builds) == sorted(map(id, kernels))  # one build per kernel object
         assert {"OK", "MISSING_FU_KIND", "INSUFFICIENT_TILES", "II_BOUND_EXCEEDED"} <= codes, codes
 
-    def test_memoized_routes_equal_route_path(self, monkeypatch):
+    def test_route_paths_equal_route_path(self, monkeypatch):
         """Kernels mapped on grids that share tables, fabrics of one shape
-        with different FU kinds among them: every route a result asked for,
-        and then every other pair, equals a fresh route_path."""
+        with different FU kinds among them: a search result carries no
+        routes, and route_paths gives each edge's route_path between its
+        ends' tiles, or the routes a result was given."""
         fresh_memos(monkeypatch)
         fabrics = self.FABRICS + (
             fabric(rows=2, cols=3, topology=Topology.MESH, kinds=ALL_KINDS - {FuKind.DIV}),
             fabric(rows=3, cols=3, topology=Topology.KINGMESH),
         )
+        mapped = 0
         for k in builtin_variants()[::4]:
             for f in fabrics:
                 got = map_kernel(k, f, self.BUDGET)
                 if isinstance(got, MappingResult):
-                    assert got.routes == tuple(
-                        route_path(f, got.schedule[e.src][0], got.schedule[e.dst][0]) for e in k.edges
-                    )
-        memo = mapper._FABRIC_TABLES
-        asked = 0
-        for (rows, cols, topo), ft in memo.entries.items():
-            f = fabric(rows=rows, cols=cols, topology=topo)
-            tiles = [(r, c) for r in range(rows) for c in range(cols)]
-            asked += len(ft.routes)
-            for key, path in list(ft.routes.items()):
-                a, b = divmod(key, ft.tiles)
-                assert path == route_path(f, tiles[a], tiles[b]), (f, a, b)
-            for a in range(ft.tiles):
-                for b in range(ft.tiles):
-                    assert ft.route(f, a, b) == route_path(f, tiles[a], tiles[b]), (f, a, b)
-            assert len(ft.routes) == ft.tiles**2
-        assert asked > 20, asked
+                    assert got.routes is None
+                    want = tuple(route_path(f, got.schedule[e.src][0], got.schedule[e.dst][0]) for e in k.edges)
+                    assert route_paths(k, f, got) == want
+                    given = dataclasses.replace(got, routes=want[::-1])
+                    assert route_paths(k, f, given) == want[::-1]
+                    mapped += 1
+        assert mapped > 20, mapped
 
     def test_kernel_tables_go_with_their_kernel(self, monkeypatch):
         """The tables are kept on their kernel object, one build per object
@@ -763,6 +779,101 @@ class TestPreparedTables:
         mapper._SEARCHES.clear()
         gc.collect()
         assert all(t() is None for t in tables)
+
+    def test_tile_orders_are_kept_per_grid(self, monkeypatch):
+        """Two searches on one grid, of different kernels at different IIs,
+        share the grid's tile orders: every order a level gets equals a
+        fresh sort, each key is sorted once, and the second search reads
+        orders that the first sorted."""
+        levels = []  # (placed DFG neighbors' tiles, tile order) per live level past the root
+        sorts = []  # the key of each sort
+        real_frame, real_order = _Attempt._frame, _Attempt._tile_order
+
+        def frame(self, idx, occ):
+            fr = real_frame(self, idx, occ)
+            if fr is not None and idx:
+                levels.append((tuple(self.tile_of[m] for m in self.kt.near[idx]), fr[0]))
+            return fr
+
+        def tile_order(self, near):
+            sorts.append(near)
+            return real_order(self, near)
+
+        monkeypatch.setattr(_Attempt, "_frame", frame)
+        monkeypatch.setattr(_Attempt, "_tile_order", tile_order)
+        f = fabric(rows=3, cols=3)
+        tiles = [(r, c) for r in range(3) for c in range(3)]
+        ft = _FabricTables(f)
+        asked_by = []  # the keys each search's levels asked for
+        for k, ii in ((apply_sw_params(load_kernel("hpc_mix"), 2, 1), 6), (load_kernel("ml_mix"), 3)):
+            levels.clear()
+            a = _Attempt(_KernelTables(k), ft, ii, 2000)
+            assert a.run() is not None and a.orders is ft.orders
+            for near, order in levels:
+                assert order == sorted(range(9), key=lambda t: (sum(oracle_hops(f, tiles[t], tiles[n]) for n in near), t))
+            asked_by.append({near for near, _ in levels})
+        assert len(sorts) == len(set(sorts)) == len(ft.orders)
+        assert set(ft.orders) == asked_by[0] | asked_by[1]
+        assert asked_by[1] - asked_by[0] and asked_by[1] & asked_by[0]  # new keys, and keys the first sorted
+
+    def test_memo_bound_holds_with_orders(self, monkeypatch, tmp_path):
+        """Runs of the loop_bound benchmark's kernels under a bound that
+        makes the memo drop grids: after every get it holds at most its
+        bound in hop-table and order cells, and its counts are those of
+        the grids it keeps; dropping grids, and their orders with them,
+        changes no history."""
+        from cgraforge.orchestrate import RunConfig, run
+
+        def histories(name):
+            return [
+                run(RunConfig(kernel=k, iterations=12, seed=3), tmp_path / name / k).history_path.read_bytes()
+                for k in ("spmv", "relu", "fft", "hpc_mix")
+            ]
+
+        fresh_memos(monkeypatch)
+        want = histories("want")
+        fresh_memos(monkeypatch, fabric_cells=2_000)
+        memo = mapper._FABRIC_TABLES
+        real_get = memo.get
+        gets, dropped = [], []
+
+        def get(f):
+            kept = set(memo.entries)
+            ft = real_get(f)
+            gets.append(ft)
+            dropped.extend(kept - set(memo.entries))
+            assert memo.cells == sum(g.tiles**2 for g in memo.entries.values())
+            assert memo.order_cells == sum(g.tiles * len(g.orders) for g in memo.entries.values())
+            assert memo.cells + memo.order_cells <= memo.capacity
+            return ft
+
+        monkeypatch.setattr(memo, "get", get)
+        assert histories("bounded") == want
+        orders = sum(len(ft.orders) for ft in {id(ft): ft for ft in gets}.values())
+        assert len(gets) > 100 and len(dropped) > 10 and orders > 100, (len(gets), len(dropped), orders)
+
+    def test_a_search_after_its_grid_was_dropped_maps_as_before(self, monkeypatch):
+        """A grid's tables, orders and all, dropped from the memo when
+        another grid's orders are charged: a new search on it builds them
+        afresh and returns a result equal to the first one's."""
+        fresh_memos(monkeypatch, fabric_cells=160)
+        memo = mapper._FABRIC_TABLES
+        k = apply_sw_params(load_kernel("hpc_mix"), 2, 1)
+        budget = MapBudget(max_ii=10, placement_attempts=2000)
+        mesh, king = fabric(rows=3, cols=3), fabric(rows=2, cols=2, topology=Topology.KINGMESH)
+        first = map_kernel(k, mesh, budget)
+        ft = memo.entries[3, 3, Topology.MESH]
+        assert isinstance(map_kernel(k, king, budget), MappingResult)
+        # 81 + 16 hop cells and the 3x3 grid's 5 orders of 9 fit in 160;
+        # the 2x2 grid's 5 orders of 4, charged at the next get, do not
+        assert (memo.cells, memo.order_cells, len(memo.entries[2, 2, Topology.KINGMESH].orders)) == (97, 45, 5)
+        memo.get(fabric(rows=1, cols=1))
+        assert list(memo.entries) == [(2, 2, Topology.KINGMESH), (1, 1, Topology.MESH)]
+        mapper._SEARCHES.clear()
+        again = map_kernel(k, mesh, budget)
+        assert again == first and again is not first
+        assert memo.entries[3, 3, Topology.MESH] is not ft
+        assert memo.entries[3, 3, Topology.MESH].orders == ft.orders
 
     def test_fabric_memo_keeps_at_most_its_bound(self, monkeypatch):
         fresh_memos(monkeypatch)
@@ -1005,14 +1116,14 @@ class TestCheckMapping:
 
     def test_detects_broken_route(self):
         k, f, m = self.make()
-        routes = list(m.routes)
+        routes = list(route_paths(k, f, m))
         routes[0] = ((0, 0), (1, 1))  # not a mesh-adjacent step
         bad = dataclasses.replace(m, routes=tuple(routes))
         assert check_mapping(k, f, bad) != []
 
     def test_detects_route_endpoint_mismatch(self):
         k, f, m = self.make()
-        routes = list(m.routes)
+        routes = list(route_paths(k, f, m))
         src_tile = m.schedule[k.edges[0].src][0]
         wrong = (1, 0) if src_tile != (1, 0) else (0, 1)
         routes[0] = (wrong,) + routes[0][1:]

@@ -303,6 +303,33 @@ class TestHistory:
         assert json.loads(lines[0])["config"]["kernel"] == str(path)
         assert "gr\\u00f6\\u00dfe-\\u00b5 \\u6838.json" in lines[0]
 
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+    def test_crafted_records_are_encoded_as_json_dumps_encodes_them(self, tmp_path, monkeypatch, c_encoder):
+        """The prebuilt line encoder, and the pure-Python one it falls back
+        to without json's C accelerator, write each record exactly as
+        json.dumps(record, sort_keys=True) does."""
+        import json.encoder
+
+        if c_encoder:
+            assert json.encoder.c_make_encoder is not None
+        else:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        records = [
+            {"type": "note", "note": "größe µ 核   \U0001f600 \"quoted\" back\\slash", "z": 1, "a": 2},
+            {"type": "note", "note": "".join(map(chr, range(32))) + "\x7f"},
+            {"type": "floats", "values": [0.1 + 0.2, 1e-300, -0.0, 1e308, 0.0, -1.5, 2**70]},
+            {"type": "nested", "b": {"y": [1, [2, [3, {}]], []], "x": {"d": None, "c": True}}, "a": [False, None, {"k": "v"}]},
+        ]
+        history = History(tmp_path / HISTORY_FILE, seq=7)
+        with history:
+            history.append(records)
+        want = "".join(
+            json.dumps({"schema_version": SCHEMA_VERSION, "seq": seq, **r}, sort_keys=True) + "\n"
+            for seq, r in enumerate(records, start=8)
+        )
+        assert (tmp_path / HISTORY_FILE).read_text("ascii") == want
+        assert history.size == len(want) and history.sha.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
     def test_handle_is_closed_when_a_run_fails(self, tmp_path, monkeypatch):
         handles = []
 
