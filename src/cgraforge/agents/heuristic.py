@@ -24,6 +24,7 @@ from ..arch import (
     SwParams,
     Topology,
     design_key,
+    fabric_and_sw,
 )
 from ..costs import BIG, EvalReport, Objective, score_point
 from ..kernel import KernelSummary, TransformError
@@ -76,15 +77,25 @@ def _clamp_fields(
     b: DesignSpaceBounds, rows: int, cols: int, depth: int, mem: int, unroll: int, vect: int
 ) -> tuple[int, int, int, int, int, int]:
     """The proposal bounds' one clamp rule: (rows, cols, config_mem_depth,
-    data_mem_kb, unroll, vectorize) forced into their ranges."""
-    return (
-        _clampi(rows, *b.rows),
-        _clampi(cols, *b.cols),
-        _clampi(depth, *b.config_mem_depth),
-        max(0, mem),
-        _clampi(unroll, *b.unroll_factor),
-        _clampi(vect, *b.vectorize_factor),
-    )
+    data_mem_kb, unroll, vectorize) forced into their ranges. Each clamp is
+    _clampi's max(lo, min(hi, v)) written as two comparisons, so lo wins
+    when lo > hi, as there."""
+    lo, hi = b.rows
+    rows = hi if rows >= hi else rows
+    rows = rows if rows > lo else lo
+    lo, hi = b.cols
+    cols = hi if cols >= hi else cols
+    cols = cols if cols > lo else lo
+    lo, hi = b.config_mem_depth
+    depth = hi if depth >= hi else depth
+    depth = depth if depth > lo else lo
+    lo, hi = b.unroll_factor
+    unroll = hi if unroll >= hi else unroll
+    unroll = unroll if unroll > lo else lo
+    lo, hi = b.vectorize_factor
+    vect = hi if vect >= hi else vect
+    vect = vect if vect > lo else lo
+    return rows, cols, depth, mem if mem > 0 else 0, unroll, vect
 
 
 def clamp_design(d: DesignPoint, b: DesignSpaceBounds) -> DesignPoint:
@@ -176,22 +187,11 @@ def _mk_draft(
 ) -> DesignPoint:
     """A proposed draft, its scalar fields clamped by the rule clamp_design
     applies, before the design is built: equal to clamp_design of the
-    unclamped draft, built once."""
+    unclamped draft, built once, of the fabric and software parameters
+    that arch.fabric_and_sw shares between equal drafts."""
     rows, cols, depth, mem, unroll, vect = _clamp_fields(b, rows, cols, depth, mem, unroll, vect)
-    return DesignPoint(
-        fabric=FabricSpec(
-            rows=rows,
-            cols=cols,
-            fu_kinds=frozenset(kinds),
-            config_mem_depth=depth,
-            data_mem_kb=mem,
-            topology=topology,
-        ),
-        sw=SwParams(unroll_factor=unroll, vectorize_factor=vect),
-        id="draft",
-        provenance=Provenance.PROPOSED,
-        note=note,
-    )
+    fabric, sw = fabric_and_sw(rows, cols, kinds, depth, mem, topology, unroll, vect)
+    return DesignPoint(fabric=fabric, sw=sw, id="draft", provenance=Provenance.PROPOSED, note=note)
 
 
 def _padded_kinds(s: KernelSummary, data_mem_kb: int, rng: random.Random) -> frozenset[FuKind]:

@@ -36,8 +36,12 @@ ARCH_FILE_KEYS = (
 )
 
 
-class FuKind(Enum):
-    """Functional-unit kind. The set is closed; no user extension."""
+class FuKind(str, Enum):
+    """Functional-unit kind. The set is closed; no user extension.
+
+    FuKind, Topology and Provenance are str enums whose values are their
+    names, so a member hashes, compares, sorts and JSON-encodes as its
+    name string, through str's own C slots."""
 
     ADD = "ADD"
     SUB = "SUB"
@@ -57,7 +61,7 @@ class FuKind(Enum):
         return member(cls, token, ParseError, "FU kind")
 
 
-class Topology(Enum):
+class Topology(str, Enum):
     """Interconnect shape. MESH is 4-neighbor, KINGMESH adds diagonals,
     CROSSBAR is all-to-all."""
 
@@ -70,7 +74,7 @@ class Topology(Enum):
         return member(cls, token, ParseError, "topology")
 
 
-class Provenance(Enum):
+class Provenance(str, Enum):
     PROPOSED = "PROPOSED"
     REPAIRED = "REPAIRED"
 
@@ -251,7 +255,7 @@ def design_dict(d: DesignPoint) -> dict:
         "cols": f.cols,
         "config_mem_depth": f.config_mem_depth,
         "data_mem_kb": f.data_mem_kb,
-        "fu_kinds": sorted(k.name for k in f.fu_kinds),
+        "fu_kinds": list(_kind_names(f.fu_kinds)),
         "rows": f.rows,
         "topology": f.topology.name,
         "unroll_factor": sw.unroll_factor,
@@ -259,26 +263,39 @@ def design_dict(d: DesignPoint) -> dict:
     }
 
 
+@lru_cache(maxsize=256)
+def _kind_names(kinds: frozenset[FuKind]) -> tuple[str, ...]:
+    """The names of a kind set, sorted: computed once per set."""
+    return tuple(sorted(k.name for k in kinds))
+
+
+_FU_KIND_BY_NAME = dict(FuKind.__members__)
+
+
 def design_from_dict(
     fields: dict, design_id: str, provenance: Provenance = Provenance.PROPOSED, note: str = ""
 ) -> DesignPoint:
     """Rebuild a design from design_dict output (no checks: the dict is
     trusted, e.g. read back from a run's own history). The fabric and
-    software parameters come from a bounded memo on the field values."""
+    software parameters come from fabric_and_sw's memo."""
     f = fields
-    fabric, sw = _fabric_and_sw(
-        f["rows"], f["cols"], tuple(f["fu_kinds"]), f["config_mem_depth"], f["data_mem_kb"], f["topology"],
-        f["unroll_factor"], f["vectorize_factor"],
+    fabric, sw = fabric_and_sw(
+        f["rows"], f["cols"], frozenset(map(_FU_KIND_BY_NAME.__getitem__, f["fu_kinds"])), f["config_mem_depth"],
+        f["data_mem_kb"], Topology[f["topology"]], f["unroll_factor"], f["vectorize_factor"],
     )
     return DesignPoint(fabric=fabric, sw=sw, id=design_id, provenance=provenance, note=note)
 
 
 @lru_cache(maxsize=256, typed=True)  # typed: 2 and 2.0 give different JSON
-def _fabric_and_sw(rows, cols, fu_kinds, config_mem_depth, data_mem_kb, topology, unroll, vectorize):
-    # Both classes are frozen, so designs read back from equal fields can share them.
-    kinds = frozenset(FuKind[k] for k in fu_kinds)
-    fabric = FabricSpec(rows, cols, kinds, config_mem_depth, data_mem_kb, Topology[topology])
-    return fabric, SwParams(unroll_factor=unroll, vectorize_factor=vectorize)
+def fabric_and_sw(
+    rows: int, cols: int, fu_kinds: frozenset[FuKind], config_mem_depth: int, data_mem_kb: int,
+    topology: Topology, unroll: int, vectorize: int,
+) -> tuple[FabricSpec, SwParams]:
+    """The FabricSpec and SwParams of these field values, from a bounded
+    memo: both classes are frozen, so designs built from equal fields, the
+    proposer's drafts and the designs read back from a history, share
+    them. fu_kinds must hold FuKind members and topology be a Topology."""
+    return FabricSpec(rows, cols, fu_kinds, config_mem_depth, data_mem_kb, topology), SwParams(unroll, vectorize)
 
 
 def serialize_design(d: DesignPoint) -> str:

@@ -26,7 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -85,6 +85,14 @@ class CostCoeffs:
     lane_power_slope: float
     lane_area_slope: float
     activity_power_mw_per_op: float
+
+    @cached_property
+    def kind_sums(self) -> dict[frozenset[FuKind], tuple[float, float]]:
+        """Kind set -> (sum of fu_power_mw, sum of fu_area_kum2) over it, in
+        name order, filled by estimate_ppa. Its keys are subsets of the
+        closed FuKind set, so it holds at most 4 096 entries. Not a field,
+        so equality and repr ignore it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -151,9 +159,12 @@ def estimate_ppa(d: DesignPoint, m: MappingResult, c: CostCoeffs) -> tuple[float
     lane_p = 1.0 + c.lane_power_slope * (lanes - 1)
     lane_a = 1.0 + c.lane_area_slope * (lanes - 1)
     wiring = c.wiring_mult[f.topology]
-    kinds = sorted(f.fu_kinds, key=lambda k: k.name)
-    tile_power = c.tile_base_power_mw + sum(c.fu_power_mw[k] for k in kinds) * lane_p
-    tile_area = c.tile_base_area_kum2 + sum(c.fu_area_kum2[k] for k in kinds) * lane_a
+    sums = c.kind_sums.get(f.fu_kinds)
+    if sums is None:
+        kinds = sorted(f.fu_kinds, key=lambda k: k.name)
+        sums = c.kind_sums[f.fu_kinds] = (sum(c.fu_power_mw[k] for k in kinds), sum(c.fu_area_kum2[k] for k in kinds))
+    tile_power = c.tile_base_power_mw + sums[0] * lane_p
+    tile_area = c.tile_base_area_kum2 + sums[1] * lane_a
     area = wiring * (
         f.tiles * tile_area
         + f.config_mem_depth * c.ctx_area_kum2 * f.tiles

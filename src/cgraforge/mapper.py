@@ -297,6 +297,7 @@ class _KernelTables:
         self.max_census = max(self.census.values(), default=0)
         self.order = _schedule_order(k)
         pos = {nid: i for i, nid in enumerate(self.order)}
+        self.by_id = tuple(sorted(pos.items()))  # (node id, number), in id order
         lat = {n.id: n.latency for n in k.nodes}
         self.lat = tuple(lat[nid] for nid in self.order)
         self.max_lat = max(self.lat, default=0)
@@ -875,11 +876,18 @@ def _search(kt: _KernelTables, f: FabricSpec, budget: MapBudget) -> MappingResul
 def _build_result(kt: _KernelTables, ii: int, placement: dict[int, tuple[Tile, int]], q: list[int]) -> MappingResult:
     """The mapping of a placement by node id, as _Attempt.run returns it,
     with q, its longest-path values by schedule position: each start is the
-    residue plus II times the node's value. Its routes are left to
-    route_paths."""
-    starts = {nid: placement[nid][1] + ii * qv for nid, qv in zip(kt.order, q)}
-    schedule = {nid: (placement[nid][0], starts[nid]) for nid in sorted(starts)}
-    schedule_len = max(starts[nid] + lat for nid, lat in zip(kt.order, kt.lat))
+    residue plus II times the node's value. Built in one pass in node id
+    order; every start and latency is >= 0, so the longest end starts at
+    0. Its routes are left to route_paths."""
+    lat = kt.lat
+    schedule = {}
+    schedule_len = 0
+    for nid, i in kt.by_id:
+        tile, residue = placement[nid]
+        start = residue + ii * q[i]
+        schedule[nid] = (tile, start)
+        if start + lat[i] > schedule_len:
+            schedule_len = start + lat[i]
     return MappingResult(ii=ii, schedule=schedule, schedule_len=schedule_len)
 
 

@@ -253,12 +253,16 @@ class History:
 
     def append(self, records: list[dict]) -> None:
         """Write records as one block, each on its own line with the
-        schema version and the next sequence number."""
+        schema version and the next sequence number, which are set on the
+        record itself: records are fresh dicts, each appended once, and the
+        caller's copy then equals the line read back."""
         encode = self._encode
         lines = []
         for record in records:
             self.seq += 1
-            lines += encode({"schema_version": SCHEMA_VERSION, "seq": self.seq, **record}), "\n"
+            record["schema_version"] = SCHEMA_VERSION
+            record["seq"] = self.seq
+            lines += encode(record), "\n"
         block = "".join(lines).encode()
         self._fh.write(block)
         self._fh.flush()

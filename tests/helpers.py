@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import OrderedDict
@@ -13,6 +14,8 @@ from cgraforge.kernel import DfgEdge, DfgNode, KernelGraph, validate_graph
 from cgraforge.mapper import MapBudget, MapError, MappingResult, check_mapping, map_kernel
 
 ALL_KINDS = frozenset(FuKind)
+#: Every subset of the closed FU-kind set, 4 096 of them.
+KIND_SUBSETS = [frozenset(c) for r in range(len(FuKind) + 1) for c in itertools.combinations(FuKind, r)]
 FULL_FABRIC = FabricSpec(
     rows=4, cols=4, topology=Topology.MESH, fu_kinds=ALL_KINDS, config_mem_depth=32, data_mem_kb=32
 )

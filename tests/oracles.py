@@ -368,6 +368,55 @@ def windows_by_dict_floyd_warshall(kt, ii: int) -> tuple:
     return tuple(tuple(fanout.get(u, ())) for u in range(len(kt.order)))
 
 
+def build_result_by_two_dicts(kt, ii: int, placement: dict, q: list[int]):
+    """mapper._build_result as it used to build a mapping: a dict of starts
+    by node id in schedule order, then the schedule in sorted id order from
+    it, and schedule_len from max over the schedule order."""
+    from cgraforge.mapper import MappingResult
+
+    starts = {nid: placement[nid][1] + ii * qv for nid, qv in zip(kt.order, q)}
+    schedule = {nid: (placement[nid][0], starts[nid]) for nid in sorted(starts)}
+    schedule_len = max(starts[nid] + lat for nid, lat in zip(kt.order, kt.lat))
+    return MappingResult(ii=ii, schedule=schedule, schedule_len=schedule_len)
+
+
+# ---------------------------------------------------------------------------
+# Per-design formulas that are now memoized
+# ---------------------------------------------------------------------------
+
+
+def kind_names_by_sorting(kinds) -> list[str]:
+    """design_dict's fu_kinds as it used to be computed on every call."""
+    return sorted(k.name for k in kinds)
+
+
+def estimate_ppa_by_sorting(d, m, c) -> tuple[float, float]:
+    """costs.estimate_ppa as it used to be written: the kinds sorted by
+    name and their coefficients summed on every call."""
+    nodes_scheduled, ii = len(m.schedule), m.ii
+    f = d.fabric
+    lanes = d.sw.vectorize_factor
+    lane_p = 1.0 + c.lane_power_slope * (lanes - 1)
+    lane_a = 1.0 + c.lane_area_slope * (lanes - 1)
+    wiring = c.wiring_mult[f.topology]
+    kinds = sorted(f.fu_kinds, key=lambda k: k.name)
+    tile_power = c.tile_base_power_mw + sum(c.fu_power_mw[k] for k in kinds) * lane_p
+    tile_area = c.tile_base_area_kum2 + sum(c.fu_area_kum2[k] for k in kinds) * lane_a
+    area = wiring * (
+        f.tiles * tile_area
+        + f.config_mem_depth * c.ctx_area_kum2 * f.tiles
+        + f.data_mem_kb * c.data_mem_area_kum2_per_kb
+    )
+    power = wiring * (f.tiles * tile_power + f.config_mem_depth * c.ctx_power_mw * f.tiles)
+    power += c.activity_power_mw_per_op * (nodes_scheduled / ii) * lane_p
+    return power, area
+
+
+def clamp_by_min_max(v: int, lo: int, hi: int) -> int:
+    """The proposal bounds' clamp rule as it used to be written."""
+    return max(lo, min(hi, v))
+
+
 # ---------------------------------------------------------------------------
 # Iteration-space dependence pairs
 # ---------------------------------------------------------------------------

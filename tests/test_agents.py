@@ -36,6 +36,8 @@ from cgraforge.arch import (
     StructuralViolation,
     SwParams,
     Topology,
+    design_dict,
+    design_from_dict,
     design_key,
     serialize_design,
     validate_design,
@@ -45,6 +47,7 @@ from cgraforge.kernel import TransformError, load_kernel, summarize
 from cgraforge.mapper import MapError, MappedDesign
 
 from helpers import ALL_KINDS, chain_kernel, make_design, map_checked
+from oracles import clamp_by_min_max
 
 OBJ = Objective(mode=ObjectiveMode.MIN_POWER, min_speedup=1.5)
 HEUR = heuristic.HeuristicAgent(OBJ, seed=11)
@@ -131,6 +134,51 @@ class TestClampDesign:
             note="n",
         )
         assert heuristic._mk_draft(bounds, "n", **fields) == heuristic.clamp_design(raw, bounds)
+
+    #: The ranged fields, in _clamp_fields' argument order; data_mem_kb,
+    #: the fourth argument, is only kept >= 0.
+    RANGED = ("rows", "cols", "config_mem_depth", "unroll_factor", "vectorize_factor")
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            DesignSpaceBounds(),
+            DesignSpaceBounds(
+                rows=(5, 2), cols=(9, 1), config_mem_depth=(8, 4), unroll_factor=(3, 1), vectorize_factor=(4, 2)
+            ),
+        ],
+        ids=["default", "lo_above_hi"],
+    )
+    def test_clamp_fields_equal_max_of_min(self, bounds):
+        """Each field clamps as max(lo, min(hi, v)) for every v from lo - 3
+        to hi + 3, the others held outside their ranges, including where
+        lo > hi (lo wins)."""
+        ranges = [getattr(bounds, name) for name in self.RANGED]
+        outside = [hi + 1 for _, hi in ranges]
+        for pos, (lo, hi) in enumerate(ranges):
+            for v in range(min(lo, hi) - 3, max(lo, hi) + 4):
+                vals = outside[:pos] + [v] + outside[pos + 1:]
+                args = vals[:3] + [-1] + vals[3:]
+                want = [clamp_by_min_max(x, *r) for x, r in zip(vals, ranges)]
+                assert heuristic._clamp_fields(bounds, *args) == (*want[:3], 0, *want[3:]), (pos, v)
+        for mem in range(-3, 40):
+            assert heuristic._clamp_fields(bounds, *outside[:3], mem, *outside[3:])[3] == max(0, mem)
+
+    def test_equal_drafts_share_fabric_and_sw(self):
+        """Drafts with equal fields after clamping share one FabricSpec and
+        one SwParams, and so does the design read back from their logged
+        fields: one memo serves both."""
+        b = DesignSpaceBounds()
+        fields = dict(rows=3, cols=4, topology=Topology.CROSSBAR, depth=12, mem=8, unroll=2, vect=1)
+        kinds = [FuKind.STORE, FuKind.ADD, FuKind.LOAD, FuKind.MUL]
+        a = heuristic._mk_draft(b, "a", kinds=frozenset(kinds), **fields)
+        same = heuristic._mk_draft(b, "s", kinds=frozenset(reversed(kinds)), **fields)
+        assert same.fabric is a.fabric and same.sw is a.sw and (a.note, same.note) == ("a", "s")
+        deep = heuristic._mk_draft(b, "d", kinds=frozenset(kinds), **{**fields, "depth": 99})
+        deeper = heuristic._mk_draft(b, "d", kinds=frozenset(kinds), **{**fields, "depth": 40})
+        assert deep.fabric is deeper.fabric and deep.fabric.config_mem_depth == 32
+        back = design_from_dict(design_dict(a), "i001c00")
+        assert back.fabric is a.fabric and back.sw is a.sw
 
 
 class TestPropose:

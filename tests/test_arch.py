@@ -14,14 +14,17 @@ from cgraforge.arch import (
     Provenance,
     SwParams,
     Topology,
+    design_dict,
     design_fingerprint,
+    design_from_dict,
     design_key,
     neighbors,
     parse_design,
     serialize_design,
     validate_design,
 )
-from helpers import make_design, random_design_payload
+from helpers import KIND_SUBSETS, make_design, random_design_payload
+from oracles import kind_names_by_sorting
 
 
 def codes(violations):
@@ -240,3 +243,47 @@ class TestSerializeDesign:
                 assert (design_key(a) == design_key(b)) == (serialize_design(a) == serialize_design(b)), (a, b)
                 same += a is not b and design_key(a) == design_key(b)
         assert same > 0
+
+
+class TestEnumIdentity:
+    """FuKind, Topology and Provenance are str enums whose values are their
+    names. Declared API: a member hashes as its name, equals it and
+    JSON-encodes as it; str, repr and format are those of a plain Enum."""
+
+    @pytest.mark.parametrize("member", [*FuKind, *Topology, *Provenance], ids=str)
+    def test_member_hashes_compares_and_encodes_as_its_name(self, member):
+        assert hash(member) == hash(member.name)
+        assert member == member.name
+        assert json.dumps(member) == json.dumps(member.name)
+        cls = type(member).__name__
+        assert (str(member), format(member), repr(member)) == (
+            f"{cls}.{member.name}",
+            f"{cls}.{member.name}",
+            f"<{cls}.{member.name}: '{member.name}'>",
+        )
+
+
+class TestKindSetMemos:
+    def test_design_dict_names_equal_a_fresh_sort(self):
+        """For every kind set, design_dict's fu_kinds equals the sort it
+        used to do on each call, on a memo miss and on a hit, and each call
+        returns a list of its own."""
+        assert len(KIND_SUBSETS) == 4096
+        for kinds in KIND_SUBSETS:
+            d = make_design(fu_kinds=kinds)
+            want = kind_names_by_sorting(kinds)
+            first, second = design_dict(d)["fu_kinds"], design_dict(d)["fu_kinds"]
+            assert first == second == want
+            assert type(first) is list and first is not second
+            first.append("SPILL")
+            assert design_dict(d)["fu_kinds"] == want
+
+    def test_designs_read_back_share_fabric_and_sw(self):
+        """design_from_dict builds the parts of equal field values once;
+        the kinds and topology it keeps are members, not names."""
+        d = make_design(rows=3, cols=5, topology=Topology.KINGMESH, fu_kinds=frozenset({FuKind.ADD, FuKind.PHI}))
+        a = design_from_dict(design_dict(d), "a")
+        b = design_from_dict(json.loads(json.dumps(design_dict(d))), "b", Provenance.REPAIRED, "n")
+        assert a.fabric is b.fabric and a.sw is b.sw
+        assert (a.fabric, a.sw) == (d.fabric, d.sw)
+        assert all(type(k) is FuKind for k in a.fabric.fu_kinds) and type(a.fabric.topology) is Topology

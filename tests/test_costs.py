@@ -19,8 +19,9 @@ from cgraforge.costs import (
     tool_select,
 )
 from cgraforge.arch import FuKind, Topology
-from cgraforge.mapper import MappedDesign, speedup
-from helpers import FULL_FABRIC, chain_kernel, make_design, map_checked, random_design
+from cgraforge.mapper import MappedDesign, MappingResult, speedup
+from helpers import FULL_FABRIC, KIND_SUBSETS, chain_kernel, make_design, map_checked, random_design
+from oracles import estimate_ppa_by_sorting
 
 COEFFS = load_cost_coeffs()
 MIN_POWER = Objective(mode=ObjectiveMode.MIN_POWER, min_speedup=1.5)
@@ -169,6 +170,30 @@ class TestEstimatePpa:
             d = make_design(topology=topo)
             powers.append(estimate_ppa(d, md.mapping, COEFFS)[0])
         assert powers[0] < powers[1] < powers[2]
+
+    def test_equals_a_fresh_sum_to_the_bit_for_every_kind_set(self, tmp_path):
+        """With the per-kind-set sums kept on the coefficients, every kind
+        set still gets the bits that sorting and summing on each call gave,
+        on a miss and on a hit, under the packaged coefficients and under a
+        file whose random coefficients make the summing order show."""
+        rng = random.Random(5)
+        doc = coeff_payload()
+        for table in ("fu_power_mw", "fu_area_kum2"):
+            doc[table] = {k.name: rng.uniform(0.001, 3.0) for k in FuKind}
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(doc))
+        custom = load_cost_coeffs(path)
+        m = MappingResult(ii=3, schedule={0: ((0, 0), 0), 1: ((0, 1), 2)}, schedule_len=4)
+        assert len(KIND_SUBSETS) == 4096
+        for c in (COEFFS, custom):
+            for i, kinds in enumerate(KIND_SUBSETS):
+                d = make_design(
+                    rows=1 + i % 4, topology=tuple(Topology)[i % 3], fu_kinds=kinds, vectorize_factor=1 + i % 4
+                )
+                want = tuple(map(float.hex, estimate_ppa_by_sorting(d, m, c)))
+                for _ in range(2):
+                    assert tuple(map(float.hex, estimate_ppa(d, m, c))) == want, sorted(kinds)
+        assert len(custom.kind_sums) == 4096
 
 
 class TestScorePoint:

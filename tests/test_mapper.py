@@ -21,6 +21,7 @@ from cgraforge.mapper import (
     MappingResult,
     _Attempt,
     _BudgetExhausted,
+    _build_result,
     _FabricTables,
     _hop_rows,
     _KernelTables,
@@ -35,6 +36,7 @@ from cgraforge.mapper import (
 from helpers import ALL_KINDS, FULL_FABRIC, accumulator_kernel, chain_kernel, fresh_memos, map_checked, random_dfg
 from oracles import (
     bfs_routes,
+    build_result_by_two_dicts,
     brute_force_min_ii,
     oracle_hops,
     rec_mii_by_enumeration,
@@ -396,6 +398,27 @@ def reference_cases():
         for topo in Topology:
             for ii in (2, 3):
                 yield k, fabric(topology=topo), ii, 100
+
+
+class TestBuildResult:
+    def test_equals_the_two_dict_construction(self):
+        """_build_result's one pass in node-id order builds the mapping, key
+        order included, that the old starts dict and schedule dict built,
+        for every SEARCH_GOLDEN placement and every reference-case one."""
+        cases = list(reference_cases())
+        for name, u, v, rows, cols, topo, ii, attempts, *_ in SEARCH_GOLDEN:
+            k = LOCAL_KERNELS[name]() if name in LOCAL_KERNELS else apply_sw_params(load_kernel(name), u, v)
+            cases.append((k, fabric(rows=rows, cols=cols, topology=Topology[topo]), ii, attempts))
+        placed = 0
+        for k, f, ii, attempts in cases:
+            a, placement = attempt(k, f, ii, attempts)
+            if placement is None:
+                continue
+            got = _build_result(a.kt, ii, placement, a.q)
+            want = build_result_by_two_dicts(a.kt, ii, placement, a.q)
+            assert got == want and list(got.schedule.items()) == list(want.schedule.items()), (k.name, f, ii)
+            placed += 1
+        assert placed > 700
 
 
 class TestReferenceSearch:
@@ -1052,7 +1075,7 @@ class TestMapKernelErrors:
         assert m.ii == 3
 
     @pytest.mark.parametrize("fed", [False, True])
-    @pytest.mark.parametrize("topo", list(Topology))
+    @pytest.mark.parametrize("topo", list(Topology), ids=str)  # pytest would name a str enum member by its value
     def test_routing_failure_when_only_dead_frames_reject(self, topo, fed):
         # the pair's window puts the MUL on the PHI's slot at II 2, so each
         # frame for it is dead, or the fed pair's ADD frame is doomed; an II

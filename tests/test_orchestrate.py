@@ -1,6 +1,8 @@
 """Closed-loop runner: config loading, event log, resume, metrics."""
 
+import copy
 import dataclasses
+import enum
 import gc
 import hashlib
 import json
@@ -347,6 +349,44 @@ class TestHistory:
             run(quick_cfg(), tmp_path / "out")
         assert len(handles) == 1 and handles[0].closed
         assert [e["type"] for e in read_history(tmp_path / "out" / HISTORY_FILE)] == ["run_header"]
+
+    def test_folded_events_equal_the_logged_lines(self, tmp_path, monkeypatch):
+        """append sets schema_version and seq on the records themselves, so
+        the events each live iteration folds equal read_history's parse of
+        that iteration's lines, key for key."""
+        folded = []
+        real_fold = _Runner._fold
+
+        def fold(self, it, events, logged):
+            folded.append((it, copy.deepcopy(events)))
+            return real_fold(self, it, events, logged)
+
+        monkeypatch.setattr(_Runner, "_fold", fold)
+        result = run(RunConfig(kernel="fft", iterations=6, seed=2), tmp_path / "out")
+        logged = read_history(result.history_path)[1:]
+        assert [it for it, _ in folded] == list(range(1, 7))
+        assert [ev for _, events in folded for ev in events] == logged
+        assert all(ev["iteration"] == it for it, events in folded for ev in events)
+        assert [ev["seq"] for _, events in folded for ev in events] == list(range(2, len(logged) + 2))
+
+
+class TestEnumHashing:
+    def test_the_loop_makes_no_python_level_enum_hash(self, tmp_path, monkeypatch):
+        """FuKind, Topology and Provenance hash through str's C slot: short
+        runs of spmv and hpc_mix, in a fresh process's memos, never call
+        enum.Enum.__hash__."""
+        fresh_memos(monkeypatch)
+        calls = []
+        real_hash = enum.Enum.__hash__
+
+        def counting_hash(self):
+            calls.append(type(self).__name__)
+            return real_hash(self)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+        for kernel in ("spmv", "hpc_mix"):
+            run(RunConfig(kernel=kernel, iterations=10, seed=1), tmp_path / kernel)
+        assert calls == []
 
 
 class TestRun:
