@@ -45,6 +45,7 @@ from ..arch import (
     Topology,
 )
 from ..costs import EvalReport, Objective
+from ..decode import InputError
 from ..kernel import KernelSummary, TransformError
 from ..mapper import MapError, MappedDesign
 
@@ -67,7 +68,10 @@ class AgentBackend:
 
     LLM connection settings fall back to the MALTA_LLM_URL / MALTA_LLM_MODEL
     environment variables; the bearer token is read from MALTA_LLM_TOKEN and
-    never appears in config files.
+    never appears in config files. timeout_s must be > 0, and temperature
+    and max_retries >= 0. Anything else is bad input (InputError, code
+    BAD_VALUE): no call could reach the model with it, and the run would
+    fall back to the heuristic agent in silence.
     """
 
     kind: BackendKind = BackendKind.HEURISTIC
@@ -76,6 +80,14 @@ class AgentBackend:
     temperature: float = 0.2
     timeout_s: float = 30.0
     max_retries: int = 2
+
+    def __post_init__(self):
+        if not self.timeout_s > 0:
+            raise InputError("BAD_VALUE", f"backend.timeout_s={self.timeout_s} must be > 0")
+        for name in ("temperature", "max_retries"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InputError("BAD_VALUE", f"backend.{name}={value} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from ..arch import (
+    COLS_MAX,
+    COLS_MIN,
+    ROWS_MAX,
+    ROWS_MIN,
+    UNROLL_MAX,
+    UNROLL_MIN,
+    VECTORIZE_MAX,
+    VECTORIZE_MIN,
     DesignPoint,
     FabricSpec,
     FuKind,
@@ -308,12 +316,12 @@ def _mutate(anchor: DesignPoint, fieldname: str, req: ProposalRequest, rng: rand
         mem = max(floor, _step_ladder(mem, _MEM_STEPS, rng))
     elif fieldname == "fu_kinds":
         required, _ = _kinds_of(tuple(s.op_census), mem > 0)
-        removable = sorted(k.name for k in kinds - required)
-        addable = sorted(k.name for k in _FU_KINDS if k not in kinds)
+        removable = sorted(kinds - required)  # str enums: sorted by name
+        addable = sorted(k for k in _FU_KINDS if k not in kinds)
         if removable and (not addable or rng.random() < 0.5):
-            kinds = kinds - {FuKind[rng.choice(removable)]}
+            kinds = kinds - {rng.choice(removable)}
         elif addable:
-            kinds = kinds | {FuKind[rng.choice(addable)]}
+            kinds = kinds | {rng.choice(addable)}
     elif fieldname == "unroll_factor":
         unroll = _adjacent(unroll, _legal_unrolls(s, b), rng)
         vects = _legal_vectorizes(s, unroll, b)
@@ -383,11 +391,11 @@ def _grow_smaller_dim(f: FabricSpec, required_tiles: int | None = None) -> Fabri
     rows, cols = f.rows, f.cols
     target = required_tiles if required_tiles is not None else rows * cols + 1
     while rows * cols < target:
-        if rows <= cols and rows < 16:
+        if rows <= cols and rows < ROWS_MAX:
             rows += 1
-        elif cols < 16:
+        elif cols < COLS_MAX:
             cols += 1
-        elif rows < 16:
+        elif rows < ROWS_MAX:
             rows += 1
         else:
             break
@@ -407,9 +415,9 @@ def _repair_structural(d: DesignPoint, violations: list[StructuralViolation]) ->
     for v in violations:
         codes.append(v.code)
         if v.code == "ROWS_RANGE":
-            f = dataclasses.replace(f, rows=_clampi(f.rows, 1, 16))
+            f = dataclasses.replace(f, rows=_clampi(f.rows, ROWS_MIN, ROWS_MAX))
         elif v.code == "COLS_RANGE":
-            f = dataclasses.replace(f, cols=_clampi(f.cols, 1, 16))
+            f = dataclasses.replace(f, cols=_clampi(f.cols, COLS_MIN, COLS_MAX))
         elif v.code == "FU_KINDS_EMPTY":
             f = dataclasses.replace(f, fu_kinds=frozenset({FuKind.ADD}))
         elif v.code == "CONFIG_MEM_RANGE":
@@ -419,9 +427,9 @@ def _repair_structural(d: DesignPoint, violations: list[StructuralViolation]) ->
         elif v.code == "MISSING_LOADSTORE":
             f = dataclasses.replace(f, fu_kinds=f.fu_kinds | {FuKind.LOAD, FuKind.STORE})
         elif v.code == "UNROLL_RANGE":
-            sw = dataclasses.replace(sw, unroll_factor=_clampi(sw.unroll_factor, 1, 8))
+            sw = dataclasses.replace(sw, unroll_factor=_clampi(sw.unroll_factor, UNROLL_MIN, UNROLL_MAX))
         elif v.code == "VECTORIZE_RANGE":
-            sw = dataclasses.replace(sw, vectorize_factor=_clampi(sw.vectorize_factor, 1, 4))
+            sw = dataclasses.replace(sw, vectorize_factor=_clampi(sw.vectorize_factor, VECTORIZE_MIN, VECTORIZE_MAX))
     return dataclasses.replace(d, fabric=f, sw=sw), codes
 
 

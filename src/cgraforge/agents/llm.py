@@ -34,6 +34,7 @@ from ..arch import (
     design_key,
 )
 from ..costs import Objective
+from ..decode import json_form
 from ..mapper import MappedDesign
 from . import AgentBackend, FixableError, ProposalRequest, error_payload, proxy_score
 from .heuristic import HeuristicAgent, clamp_design
@@ -105,7 +106,7 @@ class LlmClient:
             headers["Authorization"] = f"Bearer {token}"
         poster = self.post or _requests_post
         last: Exception | None = None
-        for _ in range(max(1, self.backend.max_retries + 1)):
+        for _ in range(self.backend.max_retries + 1):
             try:
                 body = poster(url, payload, headers, self.backend.timeout_s)
                 return body["choices"][0]["message"]["content"]
@@ -122,10 +123,6 @@ def _template(template_name: str) -> string.Template:
 
 def _render(template_name: str, **subs: str) -> str:
     return _template(template_name).substitute(**subs)
-
-
-def _objective_dict(obj: Objective) -> dict:
-    return {"mode": obj.mode.name, "min_speedup": obj.min_speedup}
 
 
 def _candidate_dict(c: MappedDesign) -> dict:
@@ -187,20 +184,10 @@ class LlmAgent(HeuristicAgent):
             prompt = _render(
                 "proposer.txt",
                 kernel=json.dumps(dataclasses.asdict(req.kernel), indent=2, sort_keys=True),
-                objective=json.dumps(_objective_dict(req.objective), indent=2),
+                objective=json.dumps(json_form(req.objective), indent=2),
                 bounds=json.dumps(dataclasses.asdict(req.bounds), indent=2),
                 history=json.dumps(
-                    [
-                        {
-                            "iteration": o.iteration,
-                            "design": design_dict(o.design),
-                            "score": o.score,
-                            "feasible": o.feasible,
-                            "error_code": o.error_code,
-                        }
-                        for o in req.history_window
-                    ],
-                    indent=2,
+                    [{**vars(o), "design": design_dict(o.design)} for o in req.history_window], indent=2
                 ),
                 count=str(req.count),
             )
@@ -253,7 +240,7 @@ class LlmAgent(HeuristicAgent):
         try:
             prompt = _render(
                 "coarse_judge.txt",
-                objective=json.dumps(_objective_dict(self.objective), indent=2),
+                objective=json.dumps(json_form(self.objective), indent=2),
                 candidates=json.dumps([_candidate_dict(c) for c in cands], indent=2),
             )
             data = extract_json(self.client.chat(prompt))
@@ -277,7 +264,7 @@ class LlmAgent(HeuristicAgent):
         try:
             prompt = _render(
                 "fine_judge.txt",
-                objective=json.dumps(_objective_dict(self.objective), indent=2),
+                objective=json.dumps(json_form(self.objective), indent=2),
                 candidates=json.dumps([_candidate_dict(c) for c in cands], indent=2),
                 lessons=json.dumps(
                     [

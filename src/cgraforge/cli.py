@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev_p = sub.add_parser("evaluate", help="map a design and report speedup, power, area, and score")
     ev_p.add_argument("design", help="architecture JSON file")
     ev_p.add_argument("--kernel", required=True)
-    ev_p.add_argument("--objective", default="MIN_POWER")
-    ev_p.add_argument("--min-speedup", type=float, default=1.5)
+    ev_p.add_argument("--objective", default=RunConfig.objective.mode.name)
+    ev_p.add_argument("--min-speedup", type=float, default=RunConfig.objective.min_speedup)
     ev_p.add_argument("--coeffs", help="cost coefficients JSON (default: packaged)")
     ev_p.add_argument("--json", action="store_true")
 
@@ -229,18 +229,8 @@ def _cmd_evaluate(args) -> int:
         coeffs = load_cost_coeffs(args.coeffs)
     _, cand = _mapped(args, MapBudget())
     report = tool_evaluate([cand], obj, coeffs)[0]
-    doc = {
-        "design_id": report.design_id,
-        "ii": cand.mapping.ii,
-        "speedup": report.speedup,
-        "power_mw": report.power_mw,
-        "area_kum2": report.area_kum2,
-        "power_efficiency": report.power_efficiency,
-        "score": report.score,
-        "feasible": report.feasible,
-    }
     if args.json:
-        _print_json(doc)
+        _print_json({**vars(report), "ii": cand.mapping.ii})
     else:
         print(
             f"{report.design_id}: ii={cand.mapping.ii} speedup={report.speedup:.3f} power={report.power_mw:.4f}mW "

@@ -22,7 +22,6 @@ min_speedup) score BIG + shortfall so any feasible design beats them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .arch import DesignPoint, FuKind, Topology
-from .decode import Fields, InputError, loads, member, read_text
+from .decode import Fields, InputError, field_names, loads, member, read_text
 from .mapper import MappedDesign, MappingResult
 
 #: Penalty floor for infeasible designs; any feasible score is far below it.
@@ -124,7 +123,7 @@ COST_TEXTS_KEPT = 4
 
 @lru_cache(maxsize=COST_TEXTS_KEPT)  # a text that fails to parse raises and is not kept
 def _parsed_coeffs(text: str) -> CostCoeffs:
-    f = Fields(loads(text, CostConfigError), CostConfigError, [x.name for x in dataclasses.fields(CostCoeffs)])
+    f = Fields(loads(text, CostConfigError), CostConfigError, field_names(CostCoeffs))
 
     def table(key: str, cls: type[Enum], positive: bool) -> Mapping:
         t = f.object(key, cls.__members__)

@@ -1,5 +1,6 @@
 """One strict reader for every JSON input: run configs, selection scripts,
-cost coefficients, architecture files and kernel files.
+cost coefficients, architecture files and kernel files; and the JSON form
+of a config record.
 
 `Fields` wraps one JSON object. It rejects a non-object and any key outside
 the allowed set up front; each typed read then rejects a missing required
@@ -9,15 +10,24 @@ error class, a subclass of InputError, with a machine-readable code:
 BAD_TYPE, BAD_VALUE, UNKNOWN_FIELD, MISSING_FIELD or UNKNOWN_ENUM, and
 SYNTAX or UNREADABLE for text that is not JSON or a file that cannot be
 read. InputError is what the CLI maps to exit 2.
+
+A config record is a dataclass whose fields say how each is read:
+read_dataclass reads one from a JSON object by its fields' names,
+annotations and defaults, and json_form writes one back, so a record's
+keys and defaults are declared once, on the dataclass.
 """
 
 from __future__ import annotations
 
+import builtins
+import dataclasses
 import json
 import math
 import reprlib
+import sys
 from contextlib import contextmanager
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, TypeVar
 
@@ -167,3 +177,70 @@ class Fields:
         """A list of objects with the same allowed keys."""
         name = self._name(key)
         return [Fields(v, self.error, allowed, f"{name}[{i}]") for i, v in enumerate(self.array(key))]
+
+
+def field_names(cls) -> list[str]:
+    """The field names of the dataclass `cls`: the keys its JSON object
+    may hold."""
+    return [x.name for x in dataclasses.fields(cls)]
+
+
+@lru_cache(maxsize=None)  # one per config record class
+def _field_plan(cls) -> tuple[tuple[str, object, object], ...]:
+    """(name, declared default or REQUIRED, reader) of each field of the
+    dataclass `cls`. A config record's module postpones its annotations
+    (PEP 563), so each is the text of a name, or of names joined by " | ",
+    and each name is looked up in the record's module or the builtins:
+    typing.get_type_hints would compile every annotation, at about ten
+    times the cost of a whole config read, in every process that reads one."""
+    scope = vars(sys.modules[cls.__module__])
+    plan = []
+    for x in dataclasses.fields(cls):
+        types = tuple(scope[n] if n in scope else getattr(builtins, n) for n in x.type.split(" | ") if n != "None")
+        default = REQUIRED if x.default is dataclasses.MISSING else x.default
+        plan.append((x.name, default, _reader(types[0] if len(types) == 1 else types)))
+    return tuple(plan)
+
+
+def _reader(t):
+    """How a field annotated `t`, with None left out of a union, is read:
+    a function of the Fields, the key and the default."""
+    if dataclasses.is_dataclass(t):
+        return lambda f, key, default: read_dataclass(
+            t, f.data.get(key, {}), f.error, f._name(key), None if default is REQUIRED else default
+        )
+    if isinstance(t, type) and issubclass(t, Enum):
+        return lambda f, key, default: f.enum(key, t, default)
+    if t is float:
+        return _read_float
+    return {int: Fields.integer, str: Fields.string, (int, float): Fields.number}[t]
+
+
+def _read_float(f: Fields, key: str, default) -> float | None:
+    number = f.number(key, default)
+    return number if number is None else float(number)
+
+
+def read_dataclass(cls, data: object, error: type[InputError], where: str = "", base=None):
+    """An instance of the dataclass `cls` from a JSON object, strict about
+    unknown keys. Each field is read by its annotation: `int` and `str` as
+    Fields reads them, `float` as a float, `int | float` as the number JSON
+    typed, an enum by member name, and a dataclass from its own nested
+    object. An absent field takes its value in `base`, an instance of
+    `cls`, or else its declared default; None in a union only lets an
+    explicit null through."""
+    f = Fields(data, error, field_names(cls), where)
+    values = {}
+    for name, default, read in _field_plan(cls):
+        values[name] = read(f, name, default if base is None else getattr(base, name))
+    return cls(**values)
+
+
+def json_form(record) -> dict:
+    """The JSON form of a config record: dataclasses.asdict, with each enum
+    member as its name. read_dataclass reads it back."""
+    return dataclasses.asdict(record, dict_factory=_named_enums)
+
+
+def _named_enums(items: list[tuple[str, object]]) -> dict:
+    return {k: v.name if isinstance(v, Enum) else v for k, v in items}

@@ -206,27 +206,30 @@ def _assert_zero_distance_acyclic(k: KernelGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_factor(k: KernelGraph, transform: str, factor: int) -> None:
+    """Raise NON_DIVISIBLE_FACTOR unless `factor` is at least 1 and divides
+    k's trip count; `transform` is "unroll" or "vectorize"."""
+    if factor < 1:
+        problem = "must be >= 1"
+    elif k.trip_count % factor != 0:
+        problem = f"does not divide trip_count {k.trip_count}"
+    else:
+        return
+    raise TransformError(
+        "NON_DIVISIBLE_FACTOR",
+        f"{transform} factor {factor} {problem}",
+        factor_field=f"{transform}_factor",
+        factor=factor,
+        trip_count=k.trip_count,
+    )
+
+
 def unroll(k: KernelGraph, factor: int) -> KernelGraph:
     """Replicate the loop body `factor` times; see module docstring for the
     exact edge rewrite. unroll(k, 1) is the identity."""
-    if factor < 1:
-        raise TransformError(
-            "NON_DIVISIBLE_FACTOR",
-            f"unroll factor {factor} must be >= 1",
-            factor_field="unroll_factor",
-            factor=factor,
-            trip_count=k.trip_count,
-        )
+    _check_factor(k, "unroll", factor)
     if factor == 1:
         return k
-    if k.trip_count % factor != 0:
-        raise TransformError(
-            "NON_DIVISIBLE_FACTOR",
-            f"unroll factor {factor} does not divide trip_count {k.trip_count}",
-            factor_field="unroll_factor",
-            factor=factor,
-            trip_count=k.trip_count,
-        )
     nodes = tuple(
         DfgNode(id=n.id * factor + c, kind=n.kind, latency=n.latency, lane_width=n.lane_width)
         for n in k.nodes
@@ -254,24 +257,9 @@ def vectorize(k: KernelGraph, factor: int) -> KernelGraph:
 
     Illegal when any carried distance is not a positive multiple of the
     factor (the dependence would cross lanes)."""
-    if factor < 1:
-        raise TransformError(
-            "NON_DIVISIBLE_FACTOR",
-            f"vectorize factor {factor} must be >= 1",
-            factor_field="vectorize_factor",
-            factor=factor,
-            trip_count=k.trip_count,
-        )
+    _check_factor(k, "vectorize", factor)
     if factor == 1:
         return k
-    if k.trip_count % factor != 0:
-        raise TransformError(
-            "NON_DIVISIBLE_FACTOR",
-            f"vectorize factor {factor} does not divide trip_count {k.trip_count}",
-            factor_field="vectorize_factor",
-            factor=factor,
-            trip_count=k.trip_count,
-        )
     for e in k.edges:
         if e.distance > 0 and (e.distance < factor or e.distance % factor != 0):
             raise TransformError(

@@ -39,7 +39,6 @@ from pathlib import Path
 
 from .agents import (
     AgentBackend,
-    BackendKind,
     DesignOutcome,
     DesignSpaceBounds,
     FixFailure,
@@ -74,7 +73,7 @@ from .costs import (
     tool_evaluate,
     tool_select,
 )
-from .decode import Fields, InputError, about
+from .decode import InputError, about, json_form, read_dataclass
 from .kernel import KernelGraph, TransformError, apply_sw_params, load_kernel, summarize
 from .mapper import MapBudget, MapError, MappedDesign, map_kernel
 from .mapper import speedup as compute_speedup
@@ -106,7 +105,7 @@ class RunConfig:
     """Everything a run needs; JSON-loadable, strict about unknown keys."""
 
     kernel: str
-    objective: Objective = Objective(ObjectiveMode.MIN_POWER, 1.5)
+    objective: Objective = Objective(ObjectiveMode.MIN_POWER)
     iterations: int = 10
     proposals_per_iteration: int = 8
     top_k: int = 3
@@ -134,72 +133,20 @@ class RunConfig:
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
-        f = Fields(data, RunConfigError, [x.name for x in dataclasses.fields(RunConfig)])
-        obj = f.object("objective", ("mode", "min_speedup"), {})
-        backend = f.object("backend", ("kind", "base_url", "model", "temperature", "timeout_s", "max_retries"), {})
-        budget = f.object("budget", ("max_ii", "placement_attempts"), {})
+        """The config a JSON object holds: every key, and every default of
+        an absent one, is the dataclasses' own (decode.read_dataclass)."""
         try:
-            selection = SelectionConfig.from_dict(data.get("selection", {}))
+            return read_dataclass(RunConfig, data, RunConfigError)
         except SelectionConfigError as e:
             raise RunConfigError(str(e), e.code) from None
-        seed = f.integer("seed", 0)
-        return RunConfig(
-            kernel=f.string("kernel"),
-            objective=Objective(
-                mode=obj.enum("mode", ObjectiveMode, ObjectiveMode.MIN_POWER),
-                min_speedup=float(obj.number("min_speedup", 1.5)),
-            ),
-            iterations=f.integer("iterations", 10),
-            proposals_per_iteration=f.integer("proposals_per_iteration", 8),
-            top_k=f.integer("top_k", 3),
-            seed=seed,
-            backend=AgentBackend(
-                kind=backend.enum("kind", BackendKind, BackendKind.HEURISTIC),
-                base_url=backend.string("base_url", None),
-                model=backend.string("model", None),
-                temperature=float(backend.number("temperature", 0.2)),
-                timeout_s=float(backend.number("timeout_s", 30.0)),
-                max_retries=backend.integer("max_retries", 2),
-            ),
-            selection=selection,
-            budget=MapBudget(
-                max_ii=budget.integer("max_ii", 32),
-                placement_attempts=budget.integer("placement_attempts", RUN_PLACEMENT_ATTEMPTS),
-            ),
-            max_fix_rounds=f.integer("max_fix_rounds", 4),
-            history_window=f.integer("history_window", 24),
-            cost_coeffs=f.string("cost_coeffs", None),
-        )
 
     def to_header_dict(self) -> dict:
-        """Config as recorded in the run header. Excludes the iteration
-        target on purpose: extending a run is not a config change."""
-        return {
-            "kernel": self.kernel,
-            "objective": {"mode": self.objective.mode.name, "min_speedup": self.objective.min_speedup},
-            "proposals_per_iteration": self.proposals_per_iteration,
-            "top_k": self.top_k,
-            "seed": self.seed,
-            "backend": {
-                "kind": self.backend.kind.name,
-                "base_url": self.backend.base_url,
-                "model": self.backend.model,
-                "temperature": self.backend.temperature,
-                "timeout_s": self.backend.timeout_s,
-                "max_retries": self.backend.max_retries,
-            },
-            "selection": {
-                "conf_threshold": self.selection.conf_threshold,
-                "validation_interval": self.selection.validation_interval,
-                "alpha": self.selection.alpha,
-                "sigma": self.selection.sigma,
-                "initial_confidence": self.selection.initial_confidence,
-            },
-            "budget": {"max_ii": self.budget.max_ii, "placement_attempts": self.budget.placement_attempts},
-            "max_fix_rounds": self.max_fix_rounds,
-            "history_window": self.history_window,
-            "cost_coeffs": self.cost_coeffs,
-        }
+        """Config as recorded in the run header: the config's JSON form
+        without the iteration target, on purpose: extending a run is not a
+        config change."""
+        header = json_form(self)
+        del header["iterations"]
+        return header
 
 
 #: The settings of every history line: those of json.dumps(...,
@@ -341,49 +288,26 @@ def _failure_event(it: int, design_id: str, err: FixableError) -> dict:
     }
 
 
+# Eval reports and lessons are written every iteration, so their dicts copy
+# the fields with vars(), not dataclasses.asdict, which deep-copies at many
+# times the cost. A tuple is written as a list, as JSON reads it back.
+
+
 def _report_dict(r: EvalReport) -> dict:
-    return {
-        "speedup": r.speedup,
-        "power_mw": r.power_mw,
-        "area_kum2": r.area_kum2,
-        "power_efficiency": r.power_efficiency,
-        "score": r.score,
-        "feasible": r.feasible,
-    }
+    """An eval event's report: the EvalReport's fields but its id."""
+    return {k: v for k, v in vars(r).items() if k != "design_id"}
 
 
 def _lesson_dict(lesson: Lesson) -> dict:
     return {
-        "tool_choice": lesson.tool_choice,
-        "judge_choice": lesson.judge_choice,
-        "agreed": lesson.agreed,
-        "candidates": [
-            {
-                "design_id": lc.design_id,
-                "base_score": lc.base_score,
-                "features": list(lc.features),
-                "tool_score": lc.tool_score,
-            }
-            for lc in lesson.candidates
-        ],
+        **vars(lesson),
+        "candidates": [{**vars(lc), "features": list(lc.features)} for lc in lesson.candidates],
     }
 
 
 def _lesson_from_dict(data: dict) -> Lesson:
-    return Lesson(
-        candidates=tuple(
-            LessonCandidate(
-                design_id=lc["design_id"],
-                base_score=lc["base_score"],
-                features=tuple(lc["features"]),
-                tool_score=lc["tool_score"],
-            )
-            for lc in data["candidates"]
-        ),
-        tool_choice=data["tool_choice"],
-        judge_choice=data["judge_choice"],
-        agreed=data["agreed"],
-    )
+    candidates = tuple(LessonCandidate(**{**lc, "features": tuple(lc["features"])}) for lc in data["candidates"])
+    return Lesson(**{**data, "candidates": candidates})
 
 
 def _payload_code(payload: dict) -> str:
@@ -564,36 +488,31 @@ class _Runner:
 
     def _select(self, it: int, mapped: list[MappedDesign]) -> list[dict]:
         """Screen the mapped candidates to the top-K and let the controller
-        pick one; returns the selection_step event and the eval events."""
+        pick one; returns the selection_step event and the eval events. A
+        TOOL round's reports are its evals and teach the judge a lesson; an
+        LLM round evaluates its pick alone."""
         cfg = self.cfg
         top = coarse_judge(mapped, cfg.top_k, self.agent)
-        captured: dict = {}
-
-        def judge_select() -> tuple[str, float]:
-            return llm_select(top, self.agent)
 
         def tool_round() -> ToolRound:
             reports = tuple(tool_evaluate(top, cfg.objective, self.coeffs))
-            choice, score = tool_select(reports)
-            captured["reports"] = reports
-            return ToolRound(reports=reports, choice=choice, score=score)
+            return ToolRound(reports, *tool_select(reports))
 
-        def judge_update(round_: ToolRound, judge_choice: str) -> Lesson:
-            return llm_update(self.agent, top, round_.reports, round_.choice, judge_choice)
-
-        _, rec, lesson = select_step(self.sel_state, cfg.selection, judge_select, tool_round, judge_update)
+        _, rec, round_ = select_step(self.sel_state, cfg.selection, lambda: llm_select(top, self.agent), tool_round)
+        if round_ is None:
+            chosen = next(m for m in top if m.design.id == rec.final_choice)
+            reports = tool_evaluate([chosen], cfg.objective, self.coeffs)
+            lesson = None
+        else:
+            reports = round_.reports
+            lesson = _lesson_dict(llm_update(self.agent, top, reports, round_.choice, rec.judge_choice))
         step = {
             "type": "selection_step",
             "iteration": it,
             "candidates": [m.design.id for m in top],
             "trace": rec.to_dict(),
-            "lesson": None if lesson is None else _lesson_dict(lesson),
+            "lesson": lesson,
         }
-        if rec.mode == "TOOL":
-            reports = captured["reports"]
-        else:
-            chosen = next(m for m in top if m.design.id == rec.final_choice)
-            reports = tool_evaluate([chosen], cfg.objective, self.coeffs)
         return [step] + [
             {"type": "eval", "iteration": it, "design_id": r.design_id, "report": _report_dict(r)} for r in reports
         ]
@@ -807,7 +726,7 @@ class _Runner:
         return {
             "schema_version": SCHEMA_VERSION,
             "kernel": cfg.kernel,
-            "objective": {"mode": cfg.objective.mode.name, "min_speedup": cfg.objective.min_speedup},
+            "objective": json_form(cfg.objective),
             "seed": cfg.seed,
             "backend": cfg.backend.kind.name,
             "iterations_run": len(self.iter_entries),

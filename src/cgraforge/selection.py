@@ -12,14 +12,13 @@ validation_interval-th iteration so a drifting judge is always caught.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .costs import EvalReport
-from .decode import Fields, InputError
+from .decode import Fields, InputError, read_dataclass
 
 #: Relative similarity scale used when sigma is not pinned in config: the
 #: score gap is measured against 20% of the tool score's magnitude.
@@ -36,11 +35,14 @@ class SelectionConfigError(InputError, ValueError):
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    conf_threshold: float = 0.7
+    """The controller's settings. Read from JSON (from_dict), numbers keep
+    their JSON type: an int alpha stays an int."""
+
+    conf_threshold: int | float = 0.7
     validation_interval: int = 5
-    alpha: float = 0.3
-    sigma: float | None = None
-    initial_confidence: float = 0.0
+    alpha: int | float = 0.3
+    sigma: int | float | None = None
+    initial_confidence: int | float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.conf_threshold <= 1.0):
@@ -56,15 +58,7 @@ class SelectionConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SelectionConfig":
-        """Numbers keep their JSON type: an int alpha stays an int."""
-        f = Fields(data, SelectionConfigError, [x.name for x in dataclasses.fields(SelectionConfig)], "selection")
-        return SelectionConfig(
-            conf_threshold=f.number("conf_threshold", SelectionConfig.conf_threshold),
-            validation_interval=f.integer("validation_interval", SelectionConfig.validation_interval),
-            alpha=f.number("alpha", SelectionConfig.alpha),
-            sigma=f.number("sigma", None),
-            initial_confidence=f.number("initial_confidence", SelectionConfig.initial_confidence),
-        )
+        return read_dataclass(SelectionConfig, data, SelectionConfigError, "selection")
 
 
 @dataclass(frozen=True)
@@ -89,22 +83,10 @@ class TraceRecord:
     final_choice: str
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mode": self.mode,
-            "judge_choice": self.judge_choice,
-            "judge_score": self.judge_score,
-            "tool_choice": self.tool_choice,
-            "tool_score": self.tool_score,
-            "similarity": self.similarity,
-            "confidence_before": self.confidence_before,
-            "confidence_after": self.confidence_after,
-            "final_choice": self.final_choice,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "TraceRecord":
-        return TraceRecord(**data)
+        """The record's fields as a fresh dict; TraceRecord(**d) reads one
+        back. Not dataclasses.asdict, which deep-copies at several times
+        the cost, once per iteration."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -128,54 +110,39 @@ def select_step(
     cfg: SelectionConfig,
     judge_select: Callable[[], tuple[str, float]],
     tool_round: Callable[[], ToolRound],
-    judge_update: Callable[[ToolRound, str], object] | None = None,
-) -> tuple[SelectionState, TraceRecord, object | None]:
+) -> tuple[SelectionState, TraceRecord, ToolRound | None]:
     """Run one controller iteration.
 
     judge_select is always consulted; tool_round only in TOOL mode.
-    judge_update, when given, is called after a TOOL round with the round
-    and the judge's choice, and whatever it returns (a lesson) is passed
-    through to the caller for logging. Returns (new state, trace record,
-    lesson or None).
+    Returns (new state, trace record, the tool round, or None in LLM
+    mode): the caller reads the round's reports and the judge learns from
+    them.
     """
     it = state.iteration + 1
     use_tool = state.confidence < cfg.conf_threshold or it % cfg.validation_interval == 0
     judge_choice, judge_score = judge_select()
 
-    if use_tool:
-        round_ = tool_round()
+    round_ = tool_round() if use_tool else None
+    if round_ is None:
+        similarity = None
+        confidence = state.confidence
+    else:
         sigma = effective_sigma(cfg, round_.score)
         similarity = math.exp(-abs(judge_score - round_.score) / sigma)
         confidence = cfg.alpha * similarity + (1.0 - cfg.alpha) * state.confidence
-        lesson = judge_update(round_, judge_choice) if judge_update is not None else None
-        record = TraceRecord(
-            iteration=it,
-            mode="TOOL",
-            judge_choice=judge_choice,
-            judge_score=judge_score,
-            tool_choice=round_.choice,
-            tool_score=round_.score,
-            similarity=similarity,
-            confidence_before=state.confidence,
-            confidence_after=confidence,
-            final_choice=round_.choice,
-        )
-    else:
-        confidence = state.confidence
-        lesson = None
-        record = TraceRecord(
-            iteration=it,
-            mode="LLM",
-            judge_choice=judge_choice,
-            judge_score=judge_score,
-            tool_choice=None,
-            tool_score=None,
-            similarity=None,
-            confidence_before=state.confidence,
-            confidence_after=confidence,
-            final_choice=judge_choice,
-        )
-    return SelectionState(iteration=it, confidence=confidence), record, lesson
+    record = TraceRecord(
+        iteration=it,
+        mode="LLM" if round_ is None else "TOOL",
+        judge_choice=judge_choice,
+        judge_score=judge_score,
+        tool_choice=None if round_ is None else round_.choice,
+        tool_score=None if round_ is None else round_.score,
+        similarity=similarity,
+        confidence_before=state.confidence,
+        confidence_after=confidence,
+        final_choice=judge_choice if round_ is None else round_.choice,
+    )
+    return SelectionState(iteration=it, confidence=confidence), record, round_
 
 
 @dataclass(frozen=True)
@@ -189,10 +156,7 @@ def load_sim_script(data: dict) -> tuple[SelectionConfig, list[SimStep]]:
     [{"t_score": x, "l_score": y}, ...]}."""
     f = Fields(data, SelectionConfigError, ("selection", "steps"))
     cfg = SelectionConfig.from_dict(data.get("selection", {}))
-    steps = [
-        SimStep(t_score=float(s.number("t_score")), l_score=float(s.number("l_score")))
-        for s in f.objects("steps", ("t_score", "l_score"))
-    ]
+    steps = [read_dataclass(SimStep, s, SelectionConfigError, f"steps[{i}]") for i, s in enumerate(f.array("steps"))]
     if not steps:
         raise SelectionConfigError("script needs a non-empty steps list")
     return cfg, steps

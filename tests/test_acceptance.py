@@ -118,7 +118,6 @@ def test_criterion_02_confidence_update():
             cfg,
             judge_select=lambda: ("judge", 4.0),
             tool_round=lambda: ToolRound(reports=(), choice="tool", score=2.0),
-            judge_update=None,
         )
         assert rec.mode == "TOOL"
         assert abs(state.confidence - 0.49560) <= 1e-5

@@ -12,8 +12,11 @@ import random
 import weakref
 from collections import OrderedDict
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgraforge import mapper, orchestrate
 from cgraforge.agents import AgentBackend, BackendKind, error_payload, llm
@@ -76,6 +79,38 @@ def run_bytes(result) -> tuple[bytes, str, bytes]:
     metrics.pop("meta")
     best = result.best_design_path.read_bytes() if result.best_design_path else b""
     return result.history_path.read_bytes(), json.dumps(metrics, sort_keys=True), best
+
+
+_run_configs = st.builds(
+    RunConfig,
+    kernel=st.text(min_size=1),
+    objective=st.builds(Objective, st.sampled_from(ObjectiveMode), st.floats(1e-6, 1e6) | st.integers(1, 10)),
+    iterations=st.integers(1, 10**6),
+    proposals_per_iteration=st.integers(1, 64),
+    top_k=st.integers(1, 64),
+    seed=st.integers(-(2**63), 2**63),
+    backend=st.builds(
+        AgentBackend,
+        kind=st.sampled_from(BackendKind),
+        base_url=st.none() | st.text(),
+        model=st.none() | st.text(),
+        temperature=st.floats(0.0, 2.0) | st.integers(0, 2),
+        timeout_s=st.floats(1e-3, 1e3),
+        max_retries=st.integers(0, 10),
+    ),
+    selection=st.builds(
+        SelectionConfig,
+        conf_threshold=st.floats(0.0, 1.0) | st.integers(0, 1),
+        validation_interval=st.integers(1, 100),
+        alpha=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+        sigma=st.none() | st.floats(1e-6, 1e6) | st.integers(1, 100),
+        initial_confidence=st.floats(0.0, 1.0) | st.integers(0, 1),
+    ),
+    budget=st.builds(MapBudget, max_ii=st.integers(1, 64), placement_attempts=st.integers(1, 10**6)),
+    max_fix_rounds=st.integers(0, 10),
+    history_window=st.integers(1, 100),
+    cost_coeffs=st.none() | st.text(),
+)
 
 
 class TestRunConfig:
@@ -160,14 +195,36 @@ class TestRunConfig:
             {"max_fix_rounds": -1},
             {"history_window": 0},
             {"budget": {"max_ii": 0}},
+            {"backend": {"timeout_s": -1}},
+            {"backend": {"timeout_s": 0}},
+            {"backend": {"max_retries": -3}},
+            {"backend": {"temperature": -2.0}},
         ],
     )
     def test_field_bounds(self, kwargs):
         """A config read from JSON is held to every bound; the budget's are
-        MapBudget's own, so a config file and map's flags share them."""
+        MapBudget's own, so a config file and map's flags share them, and
+        the backend's are AgentBackend's."""
         with pytest.raises(InputError) as raised:
             RunConfig.from_json({"kernel": "spmv", **kwargs})
-        assert raised.value.code == ("BAD_VALUE" if "budget" in kwargs else "BAD_CONFIG")
+        assert raised.value.code == ("BAD_VALUE" if "budget" in kwargs or "backend" in kwargs else "BAD_CONFIG")
+
+    def test_readme_example_is_the_defaults(self):
+        """README's run-config example spells out every default but the
+        iteration count."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Run config"):]
+        start = section.index("```json") + len("```json")
+        example = section[start:section.index("```", start)]
+        assert RunConfig.from_json(json.loads(example)) == RunConfig(kernel="spmv", iterations=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_run_configs)
+    def test_header_reads_back_as_the_config(self, cfg):
+        """The run header, with the iteration target put back, reads back
+        through JSON text as the config it was written from."""
+        header = json.loads(json.dumps(cfg.to_header_dict()))
+        assert RunConfig.from_json({**header, "iterations": cfg.iterations}) == cfg
 
     def test_header_excludes_iteration_target(self):
         header = quick_cfg().to_header_dict()

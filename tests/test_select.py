@@ -23,13 +23,12 @@ from cgraforge.selection import (
 )
 
 
-def step(state, cfg, judge=("j", 1.0), tool=("t", 1.0), judge_update=None):
+def step(state, cfg, judge=("j", 1.0), tool=("t", 1.0)):
     return select_step(
         state,
         cfg,
         judge_select=lambda: judge,
         tool_round=lambda: ToolRound(reports=(), choice=tool[0], score=tool[1]),
-        judge_update=judge_update,
     )
 
 
@@ -113,23 +112,24 @@ class TestSelectStep:
         assert state.confidence == pytest.approx(want, abs=1e-12)
         assert state.confidence == pytest.approx(0.49560, abs=1e-5)
 
-    def test_judge_update_called_only_in_tool_mode(self):
-        calls = []
+    def test_the_round_is_returned_only_in_tool_mode(self):
+        """A TOOL step returns the round tool_round built, the very object;
+        an LLM step never calls tool_round and returns None."""
+        rounds = []
 
-        def ju(round_, judge_choice):
-            calls.append((round_.choice, judge_choice))
-            return "lesson-token"
+        def tool_round():
+            rounds.append(ToolRound(reports=(), choice="t", score=1.0))
+            return rounds[-1]
 
         cfg = SelectionConfig(conf_threshold=0.7)
-        _, rec, lesson = step(SelectionState(confidence=0.0), cfg, judge_update=ju)
+        _, rec, round_ = select_step(SelectionState(confidence=0.0), cfg, lambda: ("j", 1.0), tool_round)
         assert rec.mode == "TOOL"
-        assert lesson == "lesson-token"
-        assert calls == [("t", "j")]
+        assert len(rounds) == 1 and round_ is rounds[0]
 
-        _, rec2, lesson2 = step(SelectionState(iteration=1, confidence=0.95), cfg, judge_update=ju)
+        _, rec2, round2 = select_step(SelectionState(iteration=1, confidence=0.95), cfg, lambda: ("j", 1.0), tool_round)
         assert rec2.mode == "LLM"
-        assert lesson2 is None
-        assert calls == [("t", "j")]  # unchanged
+        assert round2 is None
+        assert len(rounds) == 1  # unchanged
 
     def test_state_iteration_advances(self):
         cfg = SelectionConfig()
@@ -179,7 +179,7 @@ class TestRunSelection:
         trace = run_selection(cfg, [SimStep(t_score=2.0, l_score=3.0)] * 4)
         lines = trace_to_jsonl(trace).splitlines()
         assert len(lines) == 4
-        back = [TraceRecord.from_dict(json.loads(line)) for line in lines]
+        back = [TraceRecord(**json.loads(line)) for line in lines]
         assert back == trace
 
 
