@@ -245,7 +245,7 @@ def fix_design(
     err: FixableError,
     agent: Agent,
     check: Callable[[DesignPoint], FixableError | None],
-    max_rounds: int = 4,
+    max_rounds: int,
 ) -> DesignPoint | FixFailure:
     """Repair loop: apply one repair per round, re-check, stop on success.
 

@@ -257,7 +257,7 @@ def design_dict(d: DesignPoint) -> dict:
         "data_mem_kb": f.data_mem_kb,
         "fu_kinds": list(_kind_names(f.fu_kinds)),
         "rows": f.rows,
-        "topology": f.topology.name,
+        "topology": TOPOLOGY_NAMES[f.topology],
         "unroll_factor": sw.unroll_factor,
         "vectorize_factor": sw.vectorize_factor,
     }
@@ -270,6 +270,9 @@ def _kind_names(kinds: frozenset[FuKind]) -> tuple[str, ...]:
 
 
 _FU_KIND_BY_NAME = dict(FuKind.__members__)
+#: The name of each Topology and Provenance member, read from a table, not
+#: through the enum descriptor that .name calls.
+TOPOLOGY_NAMES, PROVENANCE_NAMES = ({m: m.name for m in e} for e in (Topology, Provenance))
 
 
 def design_from_dict(

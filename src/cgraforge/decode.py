@@ -186,19 +186,23 @@ def field_names(cls) -> list[str]:
 
 
 @lru_cache(maxsize=None)  # one per config record class
-def _field_plan(cls) -> tuple[tuple[str, object, object], ...]:
-    """(name, declared default or REQUIRED, reader) of each field of the
-    dataclass `cls`. A config record's module postpones its annotations
-    (PEP 563), so each is the text of a name, or of names joined by " | ",
-    and each name is looked up in the record's module or the builtins:
-    typing.get_type_hints would compile every annotation, at about ten
-    times the cost of a whole config read, in every process that reads one."""
+def _field_plan(cls) -> tuple[tuple[str, object, object, object], ...]:
+    """(name, declared default or REQUIRED, reader, writer) of each field of
+    the dataclass `cls`, json_form writing a value but None through the
+    writer if there is one. A config record's module postpones its
+    annotations (PEP 563), so each is the text of a name, or of names joined
+    by " | ", and each name is looked up in the record's module or the
+    builtins: typing.get_type_hints would compile every annotation, at about
+    ten times the cost of a whole config read, in every process that reads one."""
     scope = vars(sys.modules[cls.__module__])
     plan = []
     for x in dataclasses.fields(cls):
         types = tuple(scope[n] if n in scope else getattr(builtins, n) for n in x.type.split(" | ") if n != "None")
         default = REQUIRED if x.default is dataclasses.MISSING else x.default
-        plan.append((x.name, default, _reader(types[0] if len(types) == 1 else types)))
+        t = types[0] if len(types) == 1 else types
+        enum = isinstance(t, type) and issubclass(t, Enum)
+        write = json_form if dataclasses.is_dataclass(t) else (lambda member: member.name) if enum else None
+        plan.append((x.name, default, _reader(t), write))
     return tuple(plan)
 
 
@@ -231,16 +235,16 @@ def read_dataclass(cls, data: object, error: type[InputError], where: str = "", 
     explicit null through."""
     f = Fields(data, error, field_names(cls), where)
     values = {}
-    for name, default, read in _field_plan(cls):
+    for name, default, read, _ in _field_plan(cls):
         values[name] = read(f, name, default if base is None else getattr(base, name))
     return cls(**values)
 
 
 def json_form(record) -> dict:
-    """The JSON form of a config record: dataclasses.asdict, with each enum
-    member as its name. read_dataclass reads it back."""
-    return dataclasses.asdict(record, dict_factory=_named_enums)
-
-
-def _named_enums(items: list[tuple[str, object]]) -> dict:
-    return {k: v.name if isinstance(v, Enum) else v for k, v in items}
+    """The JSON form of a config record, which read_dataclass reads back:
+    asdict's, with each enum member as its name, but without its deep copy."""
+    form = {}
+    for name, _, _, write in _field_plan(type(record)):
+        value = getattr(record, name)
+        form[name] = value if write is None or value is None else write(value)
+    return form

@@ -22,12 +22,12 @@ metrics file's meta block, so logs from identical runs are identical files.
 The log is written one complete iteration at a time. Metrics, the best
 design and the checkpoint are written through a temp file and renamed into
 place, so a kill never leaves any of them torn; the best design is
-rewritten only when its bytes change.
+rewritten only when its bytes change. A resume carries the metrics'
+iteration entries over as text, so it encodes only the entries it adds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -55,6 +55,7 @@ from .agents import (
     propose,
 )
 from .arch import (
+    PROVENANCE_NAMES,
     DesignPoint,
     Provenance,
     SwParams,
@@ -252,7 +253,7 @@ def _design_event(kind: str, it: int, d: DesignPoint) -> dict:
         "iteration": it,
         "design_id": d.id,
         "design": design_dict(d),
-        "provenance": d.provenance.name,
+        "provenance": PROVENANCE_NAMES[d.provenance],
         "note": d.note,
     }
 
@@ -404,6 +405,8 @@ class _Runner:
         self.outcomes: list[DesignOutcome] = []
         self.best: BestRecord | None = None
         self.iter_entries: list[dict] = []
+        # The text of the first n entries as metrics.json holds them, and n.
+        self.iter_text: tuple[str, int] = ("", 0)
         self.tool_rounds = 0
         self.llm_rounds = 0
         self.drafts_total = 0
@@ -626,7 +629,7 @@ class _Runner:
             size, seq = state["bytes"], state["seq"]
             ints = all(type(state[k]) is int for k in ("bytes", "seq", "iterations"))
             if ints and state["schema_version"] == SCHEMA_VERSION and 0 < size <= len(data):
-                sha = hashlib.sha256(data[:size])
+                sha = hashlib.sha256(memoryview(data)[:size])
                 if sha.hexdigest() == state["sha256"]:
                     return self.restore(state), seq, size, sha
         except (OSError, ValueError, LookupError, TypeError):
@@ -681,31 +684,37 @@ class _Runner:
 
     def checkpoint(self) -> dict:
         """The run state, tied to the history bytes folded into it by their
-        length and sha256. Floats round-trip exactly through JSON repr."""
+        length and sha256, and to the last metrics_text's entries by theirs.
+        Floats round-trip exactly through JSON repr."""
         h, best = self.history, self.best
         return {
             "schema_version": SCHEMA_VERSION, "bytes": h.size, "sha256": h.sha.hexdigest(), "seq": h.seq,
-            "iterations": len(self.iter_entries), "sel_state": dataclasses.asdict(self.sel_state),
+            "iterations": len(self.iter_entries), "sel_state": json_form(self.sel_state),
+            "iterations_sha256": hashlib.sha256(self.iter_text[0].encode()).hexdigest(),
             "theta": self.agent.theta,
             "lessons": [_lesson_dict(lesson) for lesson in self.agent.lessons],
             "outcomes": [{**_design_event("outcome", o.iteration, o.design), "score": o.score,
                           "feasible": o.feasible, "error_code": o.error_code} for o in self.outcomes],
             "best": best and {**_design_event("best", best.iteration, best.design), "report": best.report},
-            "iter_entries": self.iter_entries,
             **{name: getattr(self, name) for name in _COUNTERS},
         }
 
     def restore(self, state: dict) -> int:
-        """Take the run state from a checkpoint and return its iterations.
-        All of it is decoded before any is set, so one that fails to decode
-        leaves the state as it was."""
+        """Take the run state from a checkpoint, and its iteration entries
+        from the metrics.json beside it; return its iterations. All of it is
+        decoded and checked before any is set, so a failed restore sets none."""
+        text = _iterations_text(self.history.path.with_name(METRICS_FILE).read_text(encoding="utf-8"))
+        entries = json.loads(f"[{text}]")
+        if len(entries) != state["iterations"] or hashlib.sha256(text.encode()).hexdigest() != state["iterations_sha256"]:
+            raise ValueError("metrics.json does not hold the checkpoint's iterations")
         best = state["best"]
         fields = {
             "sel_state": SelectionState(**state["sel_state"]),
             "outcomes": [DesignOutcome(o["iteration"], _event_design(o), o["score"], o["feasible"], o["error_code"])
                          for o in state["outcomes"]],
             "best": best and BestRecord(best["design_id"], best["iteration"], _event_design(best), best["report"]),
-            "iter_entries": state["iter_entries"],
+            "iter_entries": entries,
+            "iter_text": (text, len(entries)),
             **{name: state[name] for name in _COUNTERS},
         }
         self.agent.restore(list(state["theta"]), [_lesson_from_dict(lesson) for lesson in state["lessons"]])
@@ -743,6 +752,30 @@ class _Runner:
                 "duration_s": duration_s,
             },
         }
+
+    def metrics_text(self, metrics: dict) -> str:
+        """json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding only
+        the iteration entries added since the restore, after the restored
+        ones' text; keeps the text of all of them, for the checkpoint."""
+        carried, n = self.iter_text
+        text = json.dumps({**metrics, "iterations": metrics["iterations"][n:]}, indent=2, sort_keys=True) + "\n"
+        if n:
+            at = text.index(_ITERATIONS) + len(_ITERATIONS)
+            text = text[:at] + carried + ("\n  " if text[at] == "]" else ",") + text[at:]
+        self.iter_text = (_iterations_text(text), len(metrics["iterations"]))
+        return text
+
+
+#: Where metrics.json's "iterations" array opens: json.dumps(indent=2) puts
+#: each top-level key, and the close of the one top-level list, on a line
+#: of its own two spaces in, and no string holds a raw newline.
+_ITERATIONS = '\n  "iterations": ['
+
+
+def _iterations_text(text: str) -> str:
+    """The text between the brackets of a metrics text's "iterations"."""
+    at = text.index(_ITERATIONS) + len(_ITERATIONS)
+    return "" if text[at] == "]" else text[at:text.index("\n  ]", at)]
 
 
 def iteration_line(entry: dict) -> str:
@@ -817,7 +850,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
 
     metrics = runner.build_metrics(started_at, time.monotonic() - t0)
     metrics_path = out / METRICS_FILE
-    _write_atomic(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    _write_atomic(metrics_path, runner.metrics_text(metrics))
 
     best_path = None
     if runner.best is not None:

@@ -378,7 +378,7 @@ class TestFixDesign:
     def test_converges_after_one_round(self):
         d = make_design(fu_kinds=frozenset({FuKind.ADD}), data_mem_kb=0, design_id="one")
         err = MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]})
-        out = fix_design(d, err, HEUR, check=lambda nd: None)
+        out = fix_design(d, err, HEUR, check=lambda nd: None, max_rounds=4)
         assert isinstance(out, DesignPoint)
         assert out.provenance is Provenance.REPAIRED
         assert FuKind.PHI in out.fabric.fu_kinds
@@ -392,7 +392,7 @@ class TestFixDesign:
         )
         d = make_design(rows=2, cols=2, fu_kinds=frozenset({FuKind.ADD}), data_mem_kb=0, design_id="two")
         first = MapError("MISSING_FU_KIND", "no PHI", hint={"missing_kinds": ["PHI"]})
-        out = fix_design(d, first, HEUR, check=lambda nd: next(errors))
+        out = fix_design(d, first, HEUR, check=lambda nd: next(errors), max_rounds=4)
         assert isinstance(out, DesignPoint)
         assert out.fabric.tiles >= 6
         assert out.note == "repair:MISSING_FU_KIND;repair:INSUFFICIENT_TILES"

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import random
+import sys
 import weakref
 from collections import OrderedDict
 from importlib import resources
@@ -31,7 +32,7 @@ from cgraforge.arch import (
     validate_design,
 )
 from cgraforge.costs import Objective, ObjectiveMode
-from cgraforge.decode import InputError, read_text
+from cgraforge.decode import InputError, json_form, read_text
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, parse_kernel
 from cgraforge.mapper import MapBudget, MappedDesign, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
@@ -51,7 +52,7 @@ from cgraforge.orchestrate import (
     read_history,
     run,
 )
-from cgraforge.selection import SelectionConfig
+from cgraforge.selection import SelectionConfig, SelectionState, SimStep
 
 from helpers import fresh_memos, make_design, map_checked
 
@@ -225,6 +226,23 @@ class TestRunConfig:
         through JSON text as the config it was written from."""
         header = json.loads(json.dumps(cfg.to_header_dict()))
         assert RunConfig.from_json({**header, "iterations": cfg.iterations}) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        record=_run_configs
+        | st.builds(SelectionState, st.integers(), st.floats(allow_nan=False))
+        | st.builds(SimStep, st.floats(allow_nan=False), st.floats(allow_nan=False))
+    )
+    def test_json_form_is_asdict_with_member_names(self, record):
+        """json_form, which copies each field by its record's plan, writes
+        what dataclasses.asdict writes with each enum member as its name:
+        the same keys in the same order, nested records included, and the
+        same values of the same types."""
+
+        def named(items):
+            return {k: v.name if isinstance(v, enum.Enum) else v for k, v in items}
+
+        assert json.dumps(json_form(record)) == json.dumps(dataclasses.asdict(record, dict_factory=named))
 
     def test_header_excludes_iteration_target(self):
         header = quick_cfg().to_header_dict()
@@ -445,6 +463,28 @@ class TestEnumHashing:
             run(RunConfig(kernel=kernel, iterations=10, seed=1), tmp_path / kernel)
         assert calls == []
 
+    def test_design_events_read_member_names_from_tables(self, tmp_path):
+        """design_dict and _design_event call nothing in enum.py, such as
+        the descriptor behind a member's .name, in a short run."""
+        callers = ("design_dict", "_design_event")
+        seen, calls = [], []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code.co_name in callers:
+                seen.append(frame.f_code.co_name)
+            elif frame.f_code.co_filename == enum.__file__ and frame.f_back.f_code.co_name in callers:
+                calls.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            run(RunConfig(kernel="spmv", iterations=3, seed=1), tmp_path / "out")
+        finally:
+            sys.setprofile(None)
+        assert set(seen) == set(callers)
+        assert calls == []
+
 
 class TestRun:
     def test_produces_complete_artifacts(self, tmp_path):
@@ -563,12 +603,19 @@ class TestResume:
 
     @pytest.mark.parametrize("checkpoint", ["full", "two_iterations"])
     def test_resume_after_kill_at_any_point_beside_a_checkpoint(self, tmp_path, monkeypatch, checkpoint):
-        """The same cuts with a state.json beside each: the full run's, stale
-        for every shorter cut, or a 2-iteration run's, which every longer
-        cut resumes from, folding only the events after it."""
+        """The same cuts with a state.json, and the metrics.json written with
+        it, beside each: the full run's, stale for every shorter cut, or a
+        2-iteration run's, which every longer cut restores, folding only the
+        events after it."""
         restored = []
         restore = _Runner.restore
-        monkeypatch.setattr(_Runner, "restore", lambda self, state: restored.append(state) or restore(self, state))
+
+        def counting_restore(self, state):
+            done = restore(self, state)
+            restored.append(state)
+            return done
+
+        monkeypatch.setattr(_Runner, "restore", counting_restore)
         self._resume_every_cut(tmp_path, checkpoint, restored)
 
     @staticmethod
@@ -581,6 +628,7 @@ class TestResume:
         if checkpoint is not None:
             src = full if checkpoint == "full" else run(quick_cfg(iterations=2), tmp_path / "two")
             state = (src.out_dir / STATE_FILE).read_bytes()
+            metrics = (src.out_dir / METRICS_FILE).read_bytes()
             covered = json.loads(state)["bytes"]
             assert data[:covered] == src.history_path.read_bytes()
         ends = [i + 1 for i, b in enumerate(data) if b == ord("\n")]
@@ -592,6 +640,7 @@ class TestResume:
             (out / HISTORY_FILE).write_bytes(data[:cut])
             if state is not None:
                 (out / STATE_FILE).write_bytes(state)
+                (out / METRICS_FILE).write_bytes(metrics)
                 restored.clear()
             resumed = run(quick_cfg(), out, resume=True)
             assert resumed.history_path.read_bytes() == data, f"cut at byte {cut}"
@@ -780,6 +829,14 @@ def _fold_state(runner: _Runner) -> tuple:
     )
 
 
+def count_applies(monkeypatch) -> list[int]:
+    """The iterations _Runner._apply folds from the log, in call order."""
+    applied = []
+    apply = _Runner._apply
+    monkeypatch.setattr(_Runner, "_apply", lambda self, it, evts: applied.append(it) or apply(self, it, evts))
+    return applied
+
+
 def _edited(state: bytes, **fields) -> bytes:
     return json.dumps({**json.loads(state), **fields}).encode()
 
@@ -806,12 +863,11 @@ class TestCheckpoint:
     def test_chain_restores_the_state_of_a_full_fold(self, tmp_path, monkeypatch, name):
         """A run built one iteration per resume. After each step, the state
         restored from the checkpoint, with no tail or with the last
-        iteration as its tail, equals a full fold of the same file."""
+        iteration as its tail, equals a full fold of the same file. Each
+        state.json is restored beside the metrics.json it was written with."""
         monkeypatch.delenv(llm.ENV_URL, raising=False)
         monkeypatch.delenv(llm.ENV_MODEL, raising=False)
-        applied = []
-        apply = _Runner._apply
-        monkeypatch.setattr(_Runner, "_apply", lambda self, it, evts: applied.append(it) or apply(self, it, evts))
+        applied = count_applies(monkeypatch)
         iterations = 6
         cfg = quick_cfg(iterations=iterations, **CHAIN_CONFIGS[name])
         chain = tmp_path / "chain"
@@ -820,8 +876,8 @@ class TestCheckpoint:
             step = dataclasses.replace(cfg, iterations=it)
             run(step, chain, resume=it > 1)
             history = (chain / HISTORY_FILE).read_bytes()
-            state = (chain / STATE_FILE).read_bytes()
-            saved = json.loads(state)
+            state = ((chain / STATE_FILE).read_bytes(), (chain / METRICS_FILE).read_bytes())
+            saved = json.loads(state[0])
             assert len(saved["outcomes"]) == min(cfg.history_window, saved["drafts_total"])
             folds = {}
             for way, ckpt in (("full", None), ("checkpoint", state), ("tail", previous)):
@@ -831,7 +887,8 @@ class TestCheckpoint:
                 out.mkdir()
                 (out / HISTORY_FILE).write_bytes(history)
                 if ckpt is not None:
-                    (out / STATE_FILE).write_bytes(ckpt)
+                    (out / STATE_FILE).write_bytes(ckpt[0])
+                    (out / METRICS_FILE).write_bytes(ckpt[1])
                 runner = _Runner(step, out)
                 applied.clear()
                 assert runner.resume() == it
@@ -843,6 +900,16 @@ class TestCheckpoint:
         uninterrupted = run(cfg, tmp_path / "uninterrupted")
         assert uninterrupted.history_path.read_bytes() == (chain / HISTORY_FILE).read_bytes()
         assert (uninterrupted.out_dir / STATE_FILE).read_bytes() == (chain / STATE_FILE).read_bytes()
+
+    @pytest.mark.parametrize("kernel", ["spmv", "relu", "fft", "hpc_mix"])
+    def test_the_checkpoint_does_not_grow_with_the_iterations(self, tmp_path, kernel):
+        """state.json holds no per-iteration list: after 60 iterations it is
+        within 5% of its size after 20."""
+        out = tmp_path / "out"
+        run(RunConfig(kernel=kernel, iterations=20), out)
+        at_20 = (out / STATE_FILE).stat().st_size
+        run(RunConfig(kernel=kernel, iterations=60), out, resume=True)
+        assert (out / STATE_FILE).stat().st_size <= 1.05 * at_20
 
     @pytest.mark.parametrize(
         "old, new, error",
@@ -887,6 +954,193 @@ class TestCheckpoint:
         assert restored == []
         assert resumed.history_path.read_bytes() == full.history_path.read_bytes()
         assert (out / STATE_FILE).read_bytes() == (full.out_dir / STATE_FILE).read_bytes()
+
+
+def dir_files(out: Path) -> tuple[bytes, dict, bytes, bytes]:
+    """A run directory's history, metrics without their meta block, best
+    design and checkpoint. The metrics file must be the text json.dumps
+    writes for it (indent 2, sorted keys, a final newline)."""
+    text = (out / METRICS_FILE).read_text()
+    metrics = json.loads(text)
+    assert text == json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    metrics.pop("meta")
+    best = (out / BEST_DESIGN_FILE).read_bytes() if (out / BEST_DESIGN_FILE).exists() else b""
+    return (out / HISTORY_FILE).read_bytes(), metrics, best, (out / STATE_FILE).read_bytes()
+
+
+class TestCheckpointFallback:
+    """state.json names metrics.json's iteration entries by the sha256 of
+    their text. A metrics.json that no longer holds them, or a state.json
+    without that name, makes the resume fold the whole log, and it writes
+    what a run that was never stopped writes; the resume after it restores."""
+
+    @staticmethod
+    def _parent_layout(out: Path) -> None:
+        """state.json as it was before it named the entries: with all of
+        them inline."""
+        state = json.loads((out / STATE_FILE).read_bytes())
+        del state["iterations_sha256"]
+        state["iter_entries"] = json.loads((out / METRICS_FILE).read_bytes())["iterations"]
+        (out / STATE_FILE).write_text(json.dumps(state, sort_keys=True) + "\n")
+
+    @staticmethod
+    def _edit_entries(out: Path) -> None:
+        """One digit of an iteration entry changed, the length kept."""
+        text = (out / METRICS_FILE).read_text()
+        at = text.index('"mapped_pre": ', text.index('"iterations": [')) + len('"mapped_pre": ')
+        edited = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+        assert len(edited) == len(text) and edited != text
+        (out / METRICS_FILE).write_text(edited)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda out, earlier: (out / METRICS_FILE).unlink(),
+            lambda out, earlier: TestCheckpointFallback._edit_entries(out),
+            lambda out, earlier: (out / METRICS_FILE).write_bytes(earlier),
+            lambda out, earlier: TestCheckpointFallback._parent_layout(out),
+        ],
+        ids=["metrics_deleted", "entries_edited", "metrics_of_an_earlier_step", "parent_layout"],
+    )
+    def test_a_resume_beside_other_metrics_folds_the_whole_log(self, tmp_path, monkeypatch, spoil):
+        full = run(quick_cfg(iterations=4), tmp_path / "full")
+        out = tmp_path / "out"
+        run(quick_cfg(iterations=1), out)
+        earlier = (out / METRICS_FILE).read_bytes()
+        run(quick_cfg(iterations=2), out, resume=True)
+        spoil(out, earlier)
+        applied = count_applies(monkeypatch)
+        run(quick_cfg(iterations=4), out, resume=True)
+        assert applied == [1, 2]
+        assert dir_files(out) == dir_files(full.out_dir)
+        applied.clear()
+        run(quick_cfg(iterations=4), out, resume=True)
+        assert applied == []
+        assert dir_files(out) == dir_files(full.out_dir)
+
+
+class _Kill(BaseException):
+    """A process kill: no handler in the run catches it."""
+
+
+class _FileSystem:
+    """Counts the file-system calls a run makes while armed, as (kind, file
+    name), and kills the run at call number `kill_at[0]` of its count: a
+    write is cut after the share `kill_at[1]` of its bytes, any other call
+    is not made. The history's block writes go through a handle that
+    History opens; the rest are Path.write_text, os.replace, os.truncate
+    and Path.mkdir."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[str, str]] = []
+        self.kill_at: tuple[int, float] | None = None
+        self.armed = False
+        write_text, replace, truncate, mkdir = Path.write_text, os.replace, os.truncate, Path.mkdir
+        enter = History.__enter__
+        fs = self
+
+        class Handle:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, block):
+                return fs.call("write", HISTORY_FILE, lambda part: self.fh.write(part), block)
+
+            def flush(self):
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        def entered(history):
+            enter(history)
+            history._fh = Handle(history._fh)
+            return history
+
+        monkeypatch.setattr(History, "__enter__", entered)
+        monkeypatch.setattr(Path, "write_text", lambda p, text, **kw: fs.call(
+            "write_text", p.name, lambda part: write_text(p, part, **kw), text))
+        monkeypatch.setattr(os, "replace", lambda a, b: fs.call("replace", Path(b).name, lambda: replace(a, b)))
+        monkeypatch.setattr(os, "truncate", lambda p, n: fs.call("truncate", Path(p).name, lambda: truncate(p, n)))
+        monkeypatch.setattr(Path, "mkdir", lambda p, **kw: fs.call("mkdir", p.name, lambda: mkdir(p, **kw)))
+
+    def call(self, kind: str, name: str, do, data=None):
+        """do(), or do(data) for a write; unless this call is the kill."""
+        if not self.armed:
+            return do() if data is None else do(data)
+        n = len(self.calls)
+        self.calls.append((kind, name))
+        if self.kill_at is not None and self.kill_at[0] == n:
+            if data is not None and self.kill_at[1]:
+                do(data[: int(len(data) * self.kill_at[1])])
+            raise _Kill
+        return do() if data is None else do(data)
+
+
+CRASH_CONFIGS = {
+    "spmv": dict(),
+    "empty_fir": CHAIN_CONFIGS["empty_fir"],
+    "tool_llm_alternating": CHAIN_CONFIGS["tool_llm_alternating"],
+}
+
+
+class TestCrashPoints:
+    """A short resume chain killed at each of its file-system calls in
+    turn, writes cut part-way or not begun, and then resumed as a user
+    would, with --resume whenever the history exists: it ends with the
+    files of the chain that was never killed, and so of the uninterrupted
+    run. The method is ALICE's (Pillai et al., "All File Systems Are Not
+    Created Equal", OSDI 2014), for process kills only: no call is fsynced,
+    so a power loss is out of its reach."""
+
+    @pytest.mark.parametrize("name", sorted(CRASH_CONFIGS))
+    def test_a_chain_killed_at_any_call_resumes_to_the_same_files(self, tmp_path, monkeypatch, name):
+        iterations = 3
+        cfg = quick_cfg(iterations=iterations, **CRASH_CONFIGS[name])
+        steps = [dataclasses.replace(cfg, iterations=it) for it in range(1, iterations + 1)]
+        fs = _FileSystem(monkeypatch)
+
+        def chain(out: Path, steps: list[RunConfig], first: int = 0) -> None:
+            for step in steps[first:]:
+                run(step, out, resume=(out / HISTORY_FILE).exists())
+
+        step_of = []  # the chain step of each call, from 0
+        fs.armed = True
+        for n, step in enumerate(steps):
+            chain(tmp_path / "straight", [step])
+            step_of += [n] * (len(fs.calls) - len(step_of))
+        fs.armed = False
+        straight = dir_files(tmp_path / "straight")
+        assert straight == dir_files(run(cfg, tmp_path / "uninterrupted").out_dir)
+        calls = list(fs.calls)
+        kinds = {kind for kind, _ in calls}
+        assert kinds == {"write", "write_text", "replace", "truncate", "mkdir"}
+
+        applied = count_applies(monkeypatch)
+        fell_back = set()
+        for n, (kind, file) in enumerate(calls):
+            for share in (0.0, 0.5) if kind.startswith("write") else (0.0,):
+                out = tmp_path / f"kill{n}-{share}"
+                fs.calls.clear()
+                fs.kill_at, fs.armed = (n, share), True
+                with pytest.raises(_Kill):
+                    chain(out, steps)
+                fs.kill_at, fs.armed = None, False
+                if n == calls.index(("write", HISTORY_FILE)):  # the header's write
+                    assert (out / HISTORY_FILE).read_bytes()[:1] == (b"{" if share else b"")
+                applied.clear()
+                chain(out, steps, step_of[n])
+                if applied[:1] == [1] and step_of[n]:  # a resume folded the whole log
+                    fell_back.add((step_of[n], kind, file))
+                assert dir_files(out) == straight, f"killed at call {n} ({kind} {file}), {share} written"
+        # A kill between metrics.json's replace and state.json's leaves a
+        # checkpoint that covers a prefix of the history but names the
+        # entries of an older metrics.json: the resume folds the whole log.
+        # A kill before the history block, or before metrics.json's
+        # replace, leaves a checkpoint that the resume restores.
+        for step in range(1, iterations):
+            assert {(step, "write_text", STATE_FILE + ".tmp"), (step, "replace", STATE_FILE)} <= fell_back
+            assert {(step, "write", HISTORY_FILE), (step, "replace", METRICS_FILE)} & fell_back == set()
 
 
 class TestSelectionModesInHistory:
