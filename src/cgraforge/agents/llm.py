@@ -18,8 +18,6 @@ import os
 import re
 import string
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from typing import Callable, Sequence
 
 from ..arch import (
@@ -34,7 +32,7 @@ from ..arch import (
     design_key,
 )
 from ..costs import Objective
-from ..decode import json_form
+from ..decode import json_form, package_text
 from ..mapper import MappedDesign
 from . import AgentBackend, FixableError, ProposalRequest, error_payload, proxy_score
 from .heuristic import HeuristicAgent, clamp_design
@@ -115,14 +113,8 @@ class LlmClient:
         raise LlmError(f"chat request failed after retries: {last}")
 
 
-@lru_cache(maxsize=None)  # one per prompt file
-def _template(template_name: str) -> string.Template:
-    text = resources.files("cgraforge.data.prompts").joinpath(template_name).read_text(encoding="utf-8")
-    return string.Template(text)
-
-
 def _render(template_name: str, **subs: str) -> str:
-    return _template(template_name).substitute(**subs)
+    return string.Template(package_text("cgraforge.data.prompts", template_name)).substitute(**subs)
 
 
 def _candidate_dict(c: MappedDesign) -> dict:

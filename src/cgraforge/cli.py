@@ -14,12 +14,11 @@ import argparse
 import json
 import logging
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .arch import DesignPoint, parse_design, validate_design
 from .costs import Objective, ObjectiveMode, load_cost_coeffs, tool_evaluate
-from .decode import InputError, about, loads, read_text
+from .decode import InputError, about, loads, package_text, read_text
 from .kernel import BUILTIN_KERNELS, KernelGraph, TransformError, load_kernel, summarize
 from .mapper import MapBudget, MappedDesign, route_paths
 from .orchestrate import RunConfig, RunConfigError, check_design, iteration_line, run, transformed
@@ -145,7 +144,7 @@ def _cmd_run(args) -> int:
     result = run(cfg, out, resume=args.resume)
     m = result.metrics
     if args.json:
-        _print_json(m)
+        sys.stdout.write(result.metrics_path.read_text(encoding="utf-8"))  # the text the run wrote, not encoded again
     else:
         print(f"run: kernel={m['kernel']} objective={m['objective']['mode']} seed={m['seed']}")
         print(f"iterations={m['iterations_run']} sr1={m['sr1']:.3f} sr2={m['sr2']:.3f}")
@@ -244,7 +243,7 @@ def _cmd_select_sim(args) -> int:
     if Path(args.script).exists():
         text = read_text(args.script)
     elif args.script in _BUNDLED_SCRIPTS:
-        text = resources.files("cgraforge.data.scripts").joinpath(f"{args.script}.json").read_text("utf-8")
+        text = package_text("cgraforge.data.scripts", f"{args.script}.json")
     else:
         raise CliError(EXIT_USAGE, f"no such script file or bundled script: {args.script}")
     with about(args.script):

@@ -26,13 +26,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .arch import DesignPoint, FuKind, Topology
-from .decode import Fields, InputError, field_names, loads, member, read_text
+from .decode import Fields, InputError, field_names, loads, member, package_text, read_text
 from .mapper import MappedDesign, MappingResult
 
 #: Penalty floor for infeasible designs; any feasible score is far below it.
@@ -108,11 +107,12 @@ class EvalReport:
 
 
 def load_cost_coeffs(path: str | Path | None = None) -> CostCoeffs:
-    """Load coefficients from `path`, or the packaged defaults when None.
-    Equal texts give one shared object while they are among the last
-    COST_TEXTS_KEPT loaded, as in load_kernel."""
+    """Load coefficients from `path`, read on every call, or the packaged
+    defaults when None, read once per process. Equal texts give one shared
+    object while they are among the last COST_TEXTS_KEPT loaded, as in
+    load_kernel."""
     if path is None:
-        text = resources.files("cgraforge.data").joinpath("cost_coeffs.json").read_text("utf-8")
+        text = package_text("cgraforge.data", "cost_coeffs.json")
     else:
         text = read_text(path, CostConfigError)
     return _parsed_coeffs(text)

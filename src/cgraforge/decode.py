@@ -28,6 +28,7 @@ import sys
 from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, TypeVar
 
@@ -65,6 +66,12 @@ def read_text(path: str | Path, error: type[InputError] = InputError) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise error(code="UNREADABLE", message=f"cannot read {path}: {e}") from None
+
+
+@lru_cache(maxsize=None)  # the package's few files, each read once per process
+def package_text(package: str, name: str) -> str:
+    """The UTF-8 text of a data file shipped in `package`."""
+    return resources.files(package).joinpath(name).read_text("utf-8")
 
 
 def loads(text: str, error: type[InputError] = InputError):

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .arch import FuKind
-from .decode import Fields, InputError, loads, read_text
+from .decode import Fields, InputError, loads, package_text, read_text
 
 LATENCY_MIN, LATENCY_MAX = 1, 8
 
@@ -312,13 +311,12 @@ def parse_kernel(text: str) -> KernelGraph:
 
 def load_kernel(name_or_path: str) -> KernelGraph:
     """Load a built-in kernel by name, or any kernel JSON file by path.
-    The file is read on every call; equal texts give one shared kernel
-    object while they are among the last KERNEL_TEXTS_KEPT loaded, so what
-    is kept per kernel object is shared, and an edited file is parsed
-    again."""
+    A built-in text is read once per process, a path on every call; equal
+    texts give one shared kernel object while they are among the last
+    KERNEL_TEXTS_KEPT loaded, so what is kept per kernel object is shared,
+    and an edited file is parsed again."""
     if name_or_path in BUILTIN_KERNELS:
-        text = resources.files("cgraforge.data.kernels").joinpath(f"{name_or_path}.json").read_text("utf-8")
-        return _parsed_kernel(text)
+        return _parsed_kernel(package_text("cgraforge.data.kernels", f"{name_or_path}.json"))
     p = Path(name_or_path)
     if p.suffix == ".json" and p.exists():
         return _parsed_kernel(read_text(p, KernelError))

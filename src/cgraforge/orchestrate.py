@@ -801,11 +801,32 @@ def _progress_log():
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Replace `path` with `text` through a temp file beside it, so that a
-    reader (or a kill) sees the old file or the new one, never a mix."""
+    """Replace `path` with `text` through a temp file beside it, renamed
+    over the old file, so that a reader (or a kill) sees the old file or
+    the new one, never a mix or neither. metrics.json and best_design.json
+    are written so, since readers outside the run rely on it."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_checkpoint(path: Path, text: str) -> None:
+    """Write state.json through a temp file beside it, renamed into place
+    once the old file is removed, so a kill leaves the old checkpoint, the
+    new one or none, never a torn one. A rename over an existing file makes
+    ext4 (auto_da_alloc) start writing back the new data, which the next
+    resume replaces moments later; a rename into a free name does not.
+    What a rename over the old file adds is a guard against a power loss,
+    which README puts out of scope (no file is fsynced); and a missing
+    state.json is ignored: the resume folds the whole log and writes the
+    same bytes."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    os.rename(tmp, path)
 
 
 def _write_if_changed(path: Path, text: str) -> None:
@@ -856,7 +877,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume: bool = False) -> RunResult:
     if runner.best is not None:
         best_path = out / BEST_DESIGN_FILE
         _write_if_changed(best_path, serialize_design(runner.best.design))
-    _write_atomic(out / STATE_FILE, json.dumps(runner.checkpoint(), sort_keys=True) + "\n")
+    _write_checkpoint(out / STATE_FILE, json.dumps(runner.checkpoint(), sort_keys=True) + "\n")
 
     return RunResult(
         metrics=metrics,

@@ -386,6 +386,16 @@ class TestRunAndReport:
         assert doc["kernel"] == "spmv"
         assert doc["iterations_run"] == 1
 
+    def test_run_json_prints_the_metrics_file(self, capsys, tmp_path):
+        """--json prints the bytes of the metrics.json the run wrote, after
+        a resume too, whose file splices the restored entries' text."""
+        args = ("run", "--kernel", "spmv", "--seed", "2", "--out", str(tmp_path / "r"), "--json")
+        for extra in (("--iterations", "2"), ("--iterations", "4", "--resume")):
+            code, out, _ = run_cli(capsys, *args, *extra)
+            assert code == EXIT_OK
+            assert out.encode() == (tmp_path / "r" / "metrics.json").read_bytes()
+            assert json.loads(out)["iterations_run"] == int(extra[1])
+
     def test_run_config_file_with_flag_overrides(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kernel": "spmv", "iterations": 5, "proposals_per_iteration": 3}))
@@ -518,6 +528,32 @@ class TestRunAndReport:
         code, _, err = run_cli(capsys, *args, "--iterations", "3", "--resume")
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {history}{where}"), err
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda events: events[1:], "history is missing its run_header record"),
+            (lambda events: events[:1] + [{k: v for k, v in events[1].items() if k != "iteration"}] + events[2:],
+             "history event seq=2 has no iteration"),
+            (lambda events: [e for e in events if e.get("iteration") != 2],
+             "history iterations are not contiguous at iteration 3"),
+        ],
+        ids=["no_run_header", "event_without_iteration", "iteration_missing"],
+    )
+    def test_resume_of_a_history_out_of_order_is_usage_error(self, capsys, tmp_path, spoil, message):
+        """Each line parses and the sequence holds, but the fold cannot
+        take the events: the resume exits 2 and leaves the file as it was."""
+        out = tmp_path / "r"
+        args = ("run", "--kernel", "spmv", "--out", str(out))
+        assert run_cli(capsys, *args, "--iterations", "3")[0] == EXIT_OK
+        history = out / "history.jsonl"
+        events = [json.loads(line) for line in history.read_bytes().splitlines()]
+        history.write_text("".join(json.dumps({**e, "seq": n}, sort_keys=True) + "\n" for n, e in enumerate(spoil(events), 1)))
+        before = history.read_bytes()
+        code, _, err = run_cli(capsys, *args, "--iterations", "4", "--resume")
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+        assert history.read_bytes() == before
 
     def test_unreadable_cost_coeffs_in_config_is_usage_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

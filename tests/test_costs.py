@@ -73,6 +73,9 @@ class TestLoadCostCoeffs:
             (lambda d: d["fu_area_kum2"].update(ADD=0.0), "BAD_VALUE"),
             (lambda d: d.update(lane_power_slope=-1.0), "BAD_VALUE"),
             (lambda d: d["wiring_mult"].update(CROSSBAR=0.9), "BAD_VALUE"),
+            (lambda d: d["wiring_mult"].update(KINGMESH=1.0), "BAD_VALUE"),  # MESH == KINGMESH
+            (lambda d: d["wiring_mult"].update(KINGMESH=1.8), "BAD_VALUE"),  # KINGMESH == CROSSBAR
+            (lambda d: d["wiring_mult"].update(MESH=0.0), "BAD_VALUE"),
             (lambda d: d["wiring_mult"].pop("KINGMESH"), "MISSING_FIELD"),
             (lambda d: d.update(ctx_power_mw=float("nan")), "BAD_VALUE"),
             (lambda d: d.update(ctx_power_mw=float("inf")), "BAD_VALUE"),
@@ -212,6 +215,10 @@ class TestScorePoint:
     def test_any_feasible_beats_any_infeasible(self):
         assert score_point(MIN_POWER, 1.5, 999_999.0) < score_point(MIN_POWER, 1.499999, 0.001)
 
+    @pytest.mark.parametrize("obj, score", [(MIN_POWER, 2.0), (MAX_EFF, -0.75)], ids=["min_power", "max_eff"])
+    def test_a_speedup_at_min_speedup_is_feasible(self, obj, score):
+        assert score_point(obj, obj.min_speedup, 2.0) == score
+
 
 class TestToolEvaluate:
     def test_report_fields_are_consistent(self):
@@ -236,6 +243,13 @@ class TestToolEvaluate:
             cands.append(MappedDesign(design=d, mapping=m, trip_after=k.trip_count, speedup=sp))
         reports = tool_evaluate(cands, MIN_POWER, COEFFS)
         assert [r.design_id for r in reports] == ["z", "a", "m"]
+
+    @pytest.mark.parametrize("obj", [MIN_POWER, MAX_EFF], ids=["min_power", "max_eff"])
+    def test_a_speedup_at_min_speedup_is_feasible(self, obj):
+        cand, _ = mapped(make_design())
+        (rep,) = tool_evaluate([MappedDesign(cand.design, cand.mapping, cand.trip_after, obj.min_speedup)], obj, COEFFS)
+        assert rep.feasible is True
+        assert rep.score == score_point(obj, obj.min_speedup, rep.power_mw) < BIG
 
     def test_unmapped_candidate_raises(self):
         k = chain_kernel()

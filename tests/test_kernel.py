@@ -293,6 +293,17 @@ class TestCorpus:
         )
         assert load_kernel(str(p)).name == "toy"
 
+    def test_an_edited_path_kernel_is_parsed_again(self, tmp_path):
+        """A path is read on every load: its text gives one shared object
+        until the file is edited, and then the kernel of the new text."""
+        p = tmp_path / "toy.json"
+        doc = {"name": "toy", "trip_count": 4, "nodes": [{"id": 0, "kind": "ADD", "latency": 1}], "edges": []}
+        p.write_text(json.dumps(doc))
+        first = load_kernel(str(p))
+        assert load_kernel(str(p)) is first
+        p.write_text(json.dumps({**doc, "trip_count": 8}))
+        assert load_kernel(str(p)).trip_count == 8
+
 
 class TestSummarize:
     def test_counts_and_gcd(self):

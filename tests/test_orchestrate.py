@@ -31,8 +31,8 @@ from cgraforge.arch import (
     serialize_design,
     validate_design,
 )
-from cgraforge.costs import Objective, ObjectiveMode
-from cgraforge.decode import InputError, json_form, read_text
+from cgraforge.costs import Objective, ObjectiveMode, load_cost_coeffs
+from cgraforge.decode import InputError, json_form, package_text, read_text
 from cgraforge.kernel import BUILTIN_KERNELS, TransformError, apply_sw_params, load_kernel, parse_kernel
 from cgraforge.mapper import MapBudget, MappedDesign, MappingResult, check_mapping, map_kernel
 from cgraforge.orchestrate import (
@@ -737,7 +737,9 @@ class TestGoldenRuns:
         cfg = RunConfig(kernel=kernel, iterations=iterations, seed=seed, objective=Objective(ObjectiveMode[mode], 1.5))
         for it in range(1, iterations + 1) if chained else [iterations]:
             result = run(dataclasses.replace(cfg, iterations=it), tmp_path / "out", resume=chained and it > 1)
-        metrics = json.loads(result.metrics_path.read_text())
+        text = result.metrics_path.read_text()
+        metrics = json.loads(text)
+        assert text == json.dumps(metrics, indent=2, sort_keys=True) + "\n"
         metrics.pop("meta")
         got = (
             _sha(result.history_path.read_bytes()),
@@ -1028,14 +1030,15 @@ class _FileSystem:
     name), and kills the run at call number `kill_at[0]` of its count: a
     write is cut after the share `kill_at[1]` of its bytes, any other call
     is not made. The history's block writes go through a handle that
-    History opens; the rest are Path.write_text, os.replace, os.truncate
-    and Path.mkdir."""
+    History opens; the rest are Path.write_text, os.replace, os.unlink,
+    os.rename, os.truncate and Path.mkdir."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[str, str]] = []
         self.kill_at: tuple[int, float] | None = None
         self.armed = False
-        write_text, replace, truncate, mkdir = Path.write_text, os.replace, os.truncate, Path.mkdir
+        write_text, replace, unlink, rename = Path.write_text, os.replace, os.unlink, os.rename
+        truncate, mkdir = os.truncate, Path.mkdir
         enter = History.__enter__
         fs = self
 
@@ -1061,6 +1064,8 @@ class _FileSystem:
         monkeypatch.setattr(Path, "write_text", lambda p, text, **kw: fs.call(
             "write_text", p.name, lambda part: write_text(p, part, **kw), text))
         monkeypatch.setattr(os, "replace", lambda a, b: fs.call("replace", Path(b).name, lambda: replace(a, b)))
+        monkeypatch.setattr(os, "unlink", lambda p: fs.call("unlink", Path(p).name, lambda: unlink(p)))
+        monkeypatch.setattr(os, "rename", lambda a, b: fs.call("rename", Path(b).name, lambda: rename(a, b)))
         monkeypatch.setattr(os, "truncate", lambda p, n: fs.call("truncate", Path(p).name, lambda: truncate(p, n)))
         monkeypatch.setattr(Path, "mkdir", lambda p, **kw: fs.call("mkdir", p.name, lambda: mkdir(p, **kw)))
 
@@ -1112,9 +1117,11 @@ class TestCrashPoints:
         fs.armed = False
         straight = dir_files(tmp_path / "straight")
         assert straight == dir_files(run(cfg, tmp_path / "uninterrupted").out_dir)
+        assert not list((tmp_path / "straight").glob("*.tmp"))
         calls = list(fs.calls)
         kinds = {kind for kind, _ in calls}
-        assert kinds == {"write", "write_text", "replace", "truncate", "mkdir"}
+        assert kinds == {"write", "write_text", "replace", "unlink", "rename", "truncate", "mkdir"}
+        assert ("replace", STATE_FILE) not in calls
 
         applied = count_applies(monkeypatch)
         fell_back = set()
@@ -1133,13 +1140,15 @@ class TestCrashPoints:
                 if applied[:1] == [1] and step_of[n]:  # a resume folded the whole log
                     fell_back.add((step_of[n], kind, file))
                 assert dir_files(out) == straight, f"killed at call {n} ({kind} {file}), {share} written"
-        # A kill between metrics.json's replace and state.json's leaves a
-        # checkpoint that covers a prefix of the history but names the
-        # entries of an older metrics.json: the resume folds the whole log.
+        # A kill between metrics.json's replace and state.json's unlink
+        # leaves a checkpoint that covers a prefix of the history but names
+        # the entries of an older metrics.json, and a kill at the rename
+        # leaves no checkpoint: either way the resume folds the whole log.
         # A kill before the history block, or before metrics.json's
         # replace, leaves a checkpoint that the resume restores.
         for step in range(1, iterations):
-            assert {(step, "write_text", STATE_FILE + ".tmp"), (step, "replace", STATE_FILE)} <= fell_back
+            state_calls = {("write_text", STATE_FILE + ".tmp"), ("unlink", STATE_FILE), ("rename", STATE_FILE)}
+            assert {(step, *call) for call in state_calls} <= fell_back
             assert {(step, "write", HISTORY_FILE), (step, "replace", METRICS_FILE)} & fell_back == set()
 
 
@@ -1206,6 +1215,34 @@ class TestEmptyIterations:
         run(cfg, part_dir)
         resumed = run(dataclasses.replace(cfg, iterations=3), part_dir, resume=True)
         assert full.history_path.read_bytes() == resumed.history_path.read_bytes()
+
+
+class TestStructuralViolations:
+    """A draft that fails structural validation is logged as a violation
+    event of stage validate, then repaired. _mk_draft clamps every field,
+    so no proposal of the agents' own fails here; the first draft of each
+    iteration is made invalid on its way out of propose."""
+
+    def test_an_invalid_draft_logs_a_validate_violation_and_resumes(self, tmp_path, monkeypatch):
+        propose = orchestrate.propose
+
+        def rows_zero_first(req, agent):
+            drafts = list(propose(req, agent))
+            drafts[0] = dataclasses.replace(drafts[0], fabric=dataclasses.replace(drafts[0].fabric, rows=0))
+            return drafts
+
+        monkeypatch.setattr(orchestrate, "propose", rows_zero_first)
+        cfg = quick_cfg()
+        full = run(cfg, tmp_path / "full")
+        violations = [e for e in read_history(full.history_path) if e["type"] == "violation"]
+        assert [e["iteration"] for e in violations] == [1, 2, 3]
+        for e in violations:
+            assert e["stage"] == "validate"
+            assert e["error"]["type"] == "structural"
+            assert [v["code"] for v in e["error"]["violations"]] == ["ROWS_RANGE"]
+        for it in range(1, cfg.iterations + 1):
+            run(dataclasses.replace(cfg, iterations=it), tmp_path / "chain", resume=it > 1)
+        assert dir_files(tmp_path / "chain") == dir_files(full.out_dir)
 
 
 class TestMapCache:
@@ -1528,6 +1565,17 @@ class TestProcessMemo:
         mapper._SEARCHES.clear()
         gc.collect()
         assert [r() for r in refs] == [None] * len(refs)
+
+    def test_a_built_in_text_is_read_once_per_process(self, monkeypatch):
+        """A built-in kernel and the packaged cost coefficients are looked
+        up through importlib.resources on their first load only."""
+        files, looked_up = resources.files, []
+        monkeypatch.setattr(resources, "files", lambda package: looked_up.append(package) or files(package))
+        package_text.cache_clear()  # as in a new process; a later read gives the same text
+        for _ in range(2):
+            load_kernel("spmv")
+            load_cost_coeffs()
+        assert looked_up == ["cgraforge.data.kernels", "cgraforge.data"]
 
 
 class TestSharedVerdict:
